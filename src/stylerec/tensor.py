@@ -122,7 +122,8 @@ def matmul(a, b) -> Tensor:
 
     2-D operands follow the classic [m,k]x[k,n] contract. A 3-D left
     operand is treated as a stack of matrices; the right operand may be
-    shared (2-D) or stacked (3-D).
+    shared (2-D) or stacked (3-D). A stack times a shared matrix runs as
+    one 2-D GEMM over the flattened leading axes, forward and backward.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
@@ -134,15 +135,22 @@ def matmul(a, b) -> Tensor:
         raise ShapeError("matmul with stacked right and flat left operand is unsupported")
     if ad.ndim == 3 and bd.ndim == 3 and ad.shape[0] != bd.shape[0]:
         raise ShapeError(f"matmul batch dims differ: {ad.shape} @ {bd.shape}")
-    out = ad @ bd
+    shared = ad.ndim == 3 and bd.ndim == 2
+    k, n = bd.shape[-2:]
+    if shared:
+        out = (ad.reshape(-1, k) @ bd).reshape(ad.shape[:-1] + (n,))
+    else:
+        out = ad @ bd
 
     def vjp(g):
         ga = gb = None
         if a.requires_grad:
-            ga = g @ np.swapaxes(bd, -1, -2)
+            if shared:
+                ga = (g.reshape(-1, n) @ bd.T).reshape(ad.shape)
+            else:
+                ga = g @ np.swapaxes(bd, -1, -2)
         if b.requires_grad:
-            if ad.ndim == 3 and bd.ndim == 2:
-                k, n = bd.shape
+            if shared:
                 gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
             else:
                 gb = np.swapaxes(ad, -1, -2) @ g
@@ -445,9 +453,13 @@ def mean_all(x) -> Tensor:
 def backward(loss: Tensor) -> dict:
     """Reverse-mode sweep from a scalar loss.
 
-    Returns a map ``{tensor: gradient array}`` covering every tensor in
-    the recorded graph that requires grad, and stores each gradient on
-    ``tensor.grad``. Gradients match their tensor's dims.
+    Returns a map ``{tensor: gradient array}`` covering every leaf in
+    the recorded graph that requires grad. Gradients match their tensor's
+    dims. Each leaf's ``.grad`` accumulates across calls: the first call
+    stores a private copy of the gradient, and later calls add into that
+    array in place. Nothing here clears it; set ``.grad = None`` to start
+    over. The returned arrays are the ``.grad`` arrays themselves, so a
+    later call on the same leaves changes them.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor")
@@ -481,7 +493,10 @@ def backward(loss: Tensor) -> dict:
             continue
         if t.requires_grad and t.node is None:
             # leaf parameter
-            t.grad = g if t.grad is None else t.grad + g
+            if t.grad is None:
+                t.grad = g.copy()  # vjps may hand one array to several parents
+            else:
+                t.grad += g
             result[t] = t.grad
         if t.node is not None:
             for p, gp in zip(t.node.parents, t.node.vjp(g)):
@@ -492,8 +507,3 @@ def backward(loss: Tensor) -> dict:
                 else:
                     grads[id(p)] = gp
     return result
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None

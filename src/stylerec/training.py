@@ -40,6 +40,10 @@ CONFIGURATIONS = ("P", "P+Style", "P+Cart", "P+Cart+Style")
 
 HIDDEN_DIM_GRID = (8, 16, 32, 64, 128, 256)
 L2_GRID = (0.1, 0.001, 0.0001, 0.00001)
+# Elements per Adam block. A block's slices of p, g, m, v and the float64
+# scratch pair take about 1.3 MB at 2**15; 2**14..2**16 step equally fast
+# on a 2 MB-L2 Xeon, while 2**12 loses a third to per-call overhead.
+ADAM_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,20 @@ def _train_exclusions(sessions: Sequence[Session], catalog_size: int) -> List[fr
 
 
 class Adam:
-    """Adam optimizer; moments kept in float64, updates cast to param dtype."""
+    """Adam optimizer; moments kept in float64, updates cast to param dtype.
+
+    ``step`` updates each parameter's ``data`` and its moments in place,
+    ``ADAM_BLOCK`` elements at a time, through one float64 scratch pair
+    shared by all parameters. Every element goes through the same float64
+    operations in the same order as the out-of-place formula
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * (g * g)
+        p = (p - lr * (m / b1c) / (sqrt(v / b2c) + eps)).astype(p.dtype)
+
+    so the result is bit-identical to it, without a float64 copy of every
+    parameter and gradient on each step.
+    """
 
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -150,18 +167,39 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros(t.shape) for name, t in params.items()}
         self.v = {name: np.zeros(t.shape) for name, t in params.items()}
+        self._scratch = np.empty((2, ADAM_BLOCK))
 
     def step(self, grads: Dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1c = 1.0 - b1 ** self.t
+        b2c = 1.0 - b2 ** self.t
         for name, g in grads.items():
-            g = g.astype(np.float64)
             p = self.params.tensors[name]
-            m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * (g * g)
-            update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            p.data = (p.data.astype(np.float64) - update).astype(p.dtype)
+            p.data = np.require(p.data, requirements="CW")  # reshape(-1) must be a view
+            p_flat, g_flat = p.data.reshape(-1), g.reshape(-1)
+            m_flat, v_flat = self.m[name].reshape(-1), self.v[name].reshape(-1)
+            for i in range(0, p_flat.size, ADAM_BLOCK):
+                j = min(i + ADAM_BLOCK, p_flat.size)
+                pb, mb, vb = p_flat[i:j], m_flat[i:j], v_flat[i:j]
+                a, b = self._scratch[0, :j - i], self._scratch[1, :j - i]
+                np.copyto(a, g_flat[i:j])  # exact widening to float64
+                np.multiply(a, a, out=b)
+                np.multiply(mb, b1, out=mb)
+                np.multiply(a, 1 - b1, out=a)
+                np.add(mb, a, out=mb)
+                np.multiply(vb, b2, out=vb)
+                np.multiply(b, 1 - b2, out=b)
+                np.add(vb, b, out=vb)
+                np.divide(mb, b1c, out=a)
+                np.multiply(a, lr, out=a)
+                np.divide(vb, b2c, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, eps, out=b)
+                np.divide(a, b, out=a)
+                np.copyto(b, pb)  # widening first beats a mixed-dtype subtract
+                np.subtract(b, a, out=b)
+                np.copyto(pb, b, casting="same_kind")  # the one rounding to p's dtype
 
 
 # ---------------------------------------------------------------------------

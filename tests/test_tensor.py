@@ -42,6 +42,23 @@ class TestMatmul:
         check_gradients(lambda ts: T.sum_all(T.matmul(ts[0], ts[1])), [a, b])
 
 
+    def test_gradient_batched_left_non_contiguous(self):
+        """A transposed left operand and a sliced upstream gradient both need
+        a copy before the flattened GEMM."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 4, 3))
+        w = rng.standard_normal((4, 5))
+        y = rng.standard_normal((2, 3, 2))
+
+        def build(ts):
+            left = T.transpose(ts[0])
+            assert not left.data.flags.c_contiguous
+            out = T.concat_last_dim([T.matmul(left, ts[1]), ts[2]])
+            return T.mean_all(T.softplus(out))
+
+        check_gradients(build, [x, w, y])
+
+
 class TestSoftmax:
     def test_single_element_slice(self):
         out = T.softmax(np.array([[3.7]]), axis=-1)
@@ -259,6 +276,37 @@ class TestBackward:
         x = T.Tensor(np.random.default_rng(15).standard_normal((3, 4)), requires_grad=True)
         grads = T.backward(T.sum_all(x))
         np.testing.assert_array_equal(grads[x], np.ones((3, 4)))
+
+    def test_leaf_grad_accumulates_across_calls(self):
+        rng = np.random.default_rng(19)
+        x0, w0 = rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 2))
+
+        def loss(x, w, c):
+            return T.sum_all(T.softplus(T.scale(T.matmul(x, w), c)))
+
+        grads = []
+        for c in (1.0, -0.5):
+            x, w = T.Tensor(x0, requires_grad=True), T.Tensor(w0, requires_grad=True)
+            g = T.backward(loss(x, w, c))
+            grads.append((g[x].copy(), g[w].copy()))
+        x, w = T.Tensor(x0, requires_grad=True), T.Tensor(w0, requires_grad=True)
+        T.backward(loss(x, w, 1.0))
+        T.backward(loss(x, w, -0.5))
+        np.testing.assert_array_equal(x.grad, grads[0][0] + grads[1][0])
+        np.testing.assert_array_equal(w.grad, grads[0][1] + grads[1][1])
+
+    def test_leaves_sharing_an_upstream_array_keep_own_grads(self):
+        """add hands one upstream array to both operands; their .grad stay apart."""
+        rng = np.random.default_rng(20)
+        a = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = T.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = rng.standard_normal((4, 2))
+        T.backward(T.sum_all(T.matmul(T.add(a, b), w)))
+        first = a.grad.copy()
+        assert not np.shares_memory(a.grad, b.grad)
+        T.backward(T.sum_all(T.matmul(T.add(a, b), w)))
+        np.testing.assert_array_equal(a.grad, first + first)
+        np.testing.assert_array_equal(b.grad, first + first)
 
     def test_non_scalar_loss_rejected(self):
         x = T.Tensor(np.ones(3), requires_grad=True)

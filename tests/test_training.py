@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from stylerec import tensor as T
 from stylerec.data import generate_synthetic, prepare_dataset
 from stylerec.errors import ConfigError, ContractError
 from stylerec.metrics import FULL_CATALOG, NEGSAMPLE
-from stylerec.model import ModelConfig, init_params, positional_encoding
+from stylerec.model import ModelConfig, ModelParams, init_params, positional_encoding
 from stylerec.training import (
+    ADAM_BLOCK,
     CONFIGURATIONS,
+    Adam,
     SweepRun,
     TrainConfig,
     curve_series,
@@ -61,6 +64,44 @@ class TestSampleNegatives:
     def test_small_catalog_rejected(self):
         with pytest.raises(ConfigError):
             sample_negatives((1, 2, 3), 10, 8, seed=0)
+
+
+class TestAdam:
+    def test_in_place_step_bit_identical_to_formula(self):
+        """Blocked in-place steps equal the out-of-place f64 formula bit for bit."""
+        rng = np.random.default_rng(40)
+        # f32 tensors above and below one block. Rounding p hides a last-bit
+        # change of the update, so an f64 tensor of the update's size pins it.
+        shapes = {"big": (3, ADAM_BLOCK // 2 + 11), "small": (7, 5), "exact": (4, 6)}
+        dtypes = {"big": np.float32, "small": np.float32, "exact": np.float64}
+        scales = {"big": 1.0, "small": 1.0, "exact": 1e-3}
+        tensors = {name: T.Tensor(scales[name] * rng.standard_normal(shape),
+                                  requires_grad=True, dtype=dtypes[name])
+                   for name, shape in shapes.items()}
+        params = ModelParams(ModelConfig(), 1, tensors)
+        arrays = {name: t.data for name, t in tensors.items()}
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        adam = Adam(params, lr, b1, b2, eps)
+        ref_p = {name: a.copy() for name, a in arrays.items()}
+        ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for step in range(1, 4):
+            grads = {name: rng.standard_normal(shape).astype(np.float32)
+                     for name, shape in shapes.items()}
+            adam.step(grads)
+            b1c, b2c = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for name, g in grads.items():
+                g = g.astype(np.float64)
+                ref_m[name] = b1 * ref_m[name] + (1 - b1) * g
+                ref_v[name] = b2 * ref_v[name] + (1 - b2) * (g * g)
+                update = lr * (ref_m[name] / b1c) / (np.sqrt(ref_v[name] / b2c) + eps)
+                ref_p[name] = (ref_p[name].astype(np.float64) - update).astype(dtypes[name])
+            for name in shapes:
+                assert params[name].data is arrays[name]
+                np.testing.assert_array_equal(params[name].data, ref_p[name])
+                np.testing.assert_array_equal(adam.m[name], ref_m[name])
+                np.testing.assert_array_equal(adam.v[name], ref_v[name])
+        assert adam.m["big"].dtype == np.float64 and params["big"].dtype == np.float32
 
 
 class TestTrainingLoss:
