@@ -9,7 +9,14 @@ identical artifacts.
 Exit codes: 0 success, 1 input error (unreadable or malformed files),
 2 configuration error (bad values, violated contracts), 3 numeric
 failure. Errors print one machine-parsable line to stderr:
-``error <kind>: <detail>``.
+``error <kind>: <detail>``. Argument errors (an unknown subcommand, a
+missing flag, a malformed value) also print one ``error config-error:``
+line and exit 2.
+
+Every flag that sets a run setting has the config key as its argparse
+dest (``--epochs`` is ``train.epochs``, ``--negatives`` is
+``train.eval_negatives``); config-file lines and flags parse through the
+same typed codec, ``kv.parse_field``.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .errors import (
     StyleRecError,
 )
 from .metrics import FULL_CATALOG, NEGSAMPLE, COLUMNS, format_report_table
+from .kv import parse_field
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .seeding import derive_seed
 from .style import (
@@ -57,9 +65,9 @@ from .style import (
 from .training import (
     CONFIGURATIONS,
     TrainConfig,
-    choose_eval_mode,
     dynamic_experiment,
     evaluate,
+    pick_eval_mode,
     run_configuration_suite,
     sweep,
     train,
@@ -80,34 +88,14 @@ _ERROR_KINDS = (
 # run configuration
 # ---------------------------------------------------------------------------
 
-_MODEL_FIELDS = {f.name: f.type for f in fields(ModelConfig)}
-_TRAIN_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
-
-
-def _coerce(type_name: str, raw: str, key: str):
-    try:
-        if type_name == "bool":
-            if raw not in ("true", "false"):
-                raise ValueError("expected true or false")
-            return raw == "true"
-        if type_name == "int":
-            return int(raw)
-        if type_name == "float":
-            return float(raw)
-        if type_name == "str":
-            return raw
-        if type_name.startswith("Tuple[int"):
-            return tuple(int(x) for x in raw.split(","))
-        if type_name.startswith("Tuple[float"):
-            return tuple(float(x) for x in raw.split(","))
-    except ValueError as e:
-        raise ConfigError(f"bad value for {key}: {raw!r} ({e})") from None
-    raise ConfigError(f"cannot parse config key {key}")
-
-
 @dataclass
 class RunConfig:
-    """One run's file paths, seed, and model/train settings."""
+    """One run's file paths, seed, and model/train settings.
+
+    A setting's key is a field name here, or ``model.<field>`` /
+    ``train.<field>`` of ModelConfig / TrainConfig. Config-file lines and
+    command-line flags both set it through ``set_key``.
+    """
 
     sessions: Optional[str] = None  # raw session JSONL
     data: Optional[str] = None  # prepared dataset JSON
@@ -120,34 +108,23 @@ class RunConfig:
     train: Dict[str, object] = field(default_factory=dict)
 
     def set_key(self, key: str, raw: str) -> None:
-        if key.startswith("model."):
-            name = key[len("model."):]
-            if name not in _MODEL_FIELDS:
-                raise ConfigError(f"unknown model config key {name!r}")
-            self.model[name] = _coerce(_MODEL_FIELDS[name], raw, key)
-        elif key.startswith("train."):
-            name = key[len("train."):]
-            if name in ("seed",):
-                raise ConfigError("set the global seed, not train.seed")
-            if name not in _TRAIN_FIELDS:
-                raise ConfigError(f"unknown train config key {name!r}")
-            self.train[name] = _coerce(_TRAIN_FIELDS[name], raw, key)
-        elif key in ("sessions", "data", "style_cache", "checkpoint_dir", "report_dir"):
-            setattr(self, key, raw)
-        elif key == "seed":
-            self.seed = _coerce("int", raw, key)
-        elif key == "max_lens":
-            self.max_lens = _coerce("Tuple[int, ...]", raw, key)
+        section, dot, name = key.partition(".")
+        if key == "train.seed":
+            raise ConfigError("set the global seed, not train.seed")
+        if not dot:
+            setattr(self, key, parse_field(RunConfig, key, raw, key, ConfigError))
+        elif section in _SECTIONS:
+            getattr(self, section)[name] = parse_field(_SECTIONS[section], name, raw, key,
+                                                       ConfigError)
         else:
             raise ConfigError(f"unknown config key {key!r}")
 
-    def train_config(self, **overrides) -> TrainConfig:
-        kwargs = dict(self.train)
-        kwargs.update(overrides)
-        return TrainConfig(seed=self.seed, **kwargs)
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(seed=self.seed, **self.train)
 
-    def model_kwargs(self, *exclude: str) -> Dict[str, object]:
-        return {k: v for k, v in self.model.items() if k not in exclude}
+
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig}
+_RUN_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
@@ -167,35 +144,17 @@ def _read_config_file(path: str) -> Dict[str, str]:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then command-line flags."""
+    """Defaults, then the config file, then command-line flags.
+
+    A flag is a setting when its argparse dest is a config key; its raw
+    string goes through ``RunConfig.set_key`` like a config-file line.
+    """
     rc = RunConfig()
-    if args.config:
-        for key, value in _read_config_file(args.config).items():
-            rc.set_key(key, value)
-    if args.seed is not None:
-        rc.seed = args.seed
-    if getattr(args, "report_dir", None):
-        rc.report_dir = args.report_dir
-    if getattr(args, "checkpoint_dir", None):
-        rc.checkpoint_dir = args.checkpoint_dir
-    for attr, key in (("sessions", "sessions"), ("data", "data"),
-                      ("style_cache", "style_cache")):
-        value = getattr(args, attr, None)
-        if value:
-            setattr(rc, key, value)
-    if getattr(args, "configuration", None):
-        rc.train["configuration"] = args.configuration
-    if getattr(args, "epochs", None):
-        rc.train["epochs"] = args.epochs
-    if getattr(args, "negatives", None):
-        rc.train["eval_negatives"] = args.negatives
-    if getattr(args, "hidden_dims", None):
-        rc.train["hidden_dim_grid"] = _coerce("Tuple[int, ...]", args.hidden_dims,
-                                              "--hidden-dims")
-    if getattr(args, "l2_grid", None):
-        rc.train["l2_grid"] = _coerce("Tuple[float, ...]", args.l2_grid, "--l2-grid")
-    if getattr(args, "max_lens", None):
-        rc.max_lens = _coerce("Tuple[int, ...]", args.max_lens, "--max-lens")
+    pairs = list(_read_config_file(args.config).items()) if args.config else []
+    pairs += [(dest, raw) for dest, raw in vars(args).items()
+              if raw is not None and ("." in dest or dest in _RUN_KEYS)]
+    for key, raw in pairs:
+        rc.set_key(key, raw)
     return rc
 
 
@@ -208,9 +167,16 @@ def _require_file(path: Optional[str], what: str) -> Path:
     return p
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8", newline="\n")
+    print(f"wrote {path}")
+
+
+def _save(params, path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(params, path)
+    print(f"wrote {path}")
 
 
 def _load_dataset(rc: RunConfig) -> PreparedDataset:
@@ -223,10 +189,11 @@ def _load_style_table(rc: RunConfig, catalog_size: int) -> np.ndarray:
     return style_table(catalog_size, vectors)
 
 
-def _model_config(rc: RunConfig, dataset: PreparedDataset, use_style: bool) -> ModelConfig:
-    kwargs = rc.model_kwargs("use_style")
-    kwargs.setdefault("max_len", dataset.max_len)
-    return ModelConfig(use_style=use_style, **kwargs)
+def _model_kwargs(rc: RunConfig, *owned: str, **defaults) -> Dict[str, object]:
+    """``model.*`` settings over ``defaults``, minus use_style (the data
+    configuration sets it) and the keys in ``owned`` (the experiment sets them)."""
+    kwargs = {**defaults, **rc.model}
+    return {k: v for k, v in kwargs.items() if k not in ("use_style", *owned)}
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +203,6 @@ def _model_config(rc: RunConfig, dataset: PreparedDataset, use_style: bool) -> M
 def cmd_preprocess(rc: RunConfig, args: argparse.Namespace) -> int:
     sessions = parse_sessions(_require_file(rc.sessions, "sessions file"))
     ds = prepare_dataset(sessions, max_len=args.max_len)
-    out = Path(args.out)
-    _write_text(out, ds.to_json())
     stats = format_statistics_table(dataset_statistics(sessions))
     summary = "\n".join([
         stats,
@@ -248,9 +213,10 @@ def cmd_preprocess(rc: RunConfig, args: argparse.Namespace) -> int:
         f"splits: train={len(ds.train)} val={len(ds.val)} test={len(ds.test)}",
         "",
     ])
-    _write_text(Path(str(out) + ".stats.txt"), summary)
     print(summary, end="")
-    print(f"wrote {out}")
+    out = Path(args.out)
+    _write(out, ds.to_json())
+    _write(Path(str(out) + ".stats.txt"), summary)
     return 0
 
 
@@ -299,26 +265,24 @@ def cmd_stylegen(rc: RunConfig, args: argparse.Namespace) -> int:
 def cmd_synth(rc: RunConfig, args: argparse.Namespace) -> int:
     length_range = (args.length_min, args.length_max)
     out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     if args.style_correlated:
         sessions, oracle, vectors = generate_style_correlated(
-            args.products, args.sessions, n_clusters=args.clusters,
+            args.products, args.n_sessions, n_clusters=args.clusters,
             length_range=length_range, seed=rc.seed,
             dominant_mass=args.dominant_mass, cart_ratio=args.cart_ratio)
-        std = standardize_embeddings(vectors)
         cache = Path(str(out) + ".style.s4se")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        save_style_cache(std, cache)
+        save_style_cache(standardize_embeddings(vectors), cache)
         print(f"wrote {cache}")
     else:
         sessions, oracle = generate_synthetic(
-            args.products, args.sessions, length_range=length_range, seed=rc.seed,
+            args.products, args.n_sessions, length_range=length_range, seed=rc.seed,
             dominant_mass=args.dominant_mass, cart_ratio=args.cart_ratio,
             order=args.order)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_sessions(sessions, out)
     oracle_path = Path(str(out) + ".oracle.npz")
     oracle.save(oracle_path)
-    print(f"wrote {out} ({args.sessions} sessions over {args.products} products, "
+    print(f"wrote {out} ({args.n_sessions} sessions over {args.products} products, "
           f"seed {rc.seed})")
     print(f"wrote {oracle_path}")
     return 0
@@ -328,53 +292,42 @@ def _checkpoint_path(rc: RunConfig, name: str) -> Path:
     return Path(rc.checkpoint_dir) / f"model-{name}.s4ck"
 
 
-def _train_report(result, lines_prefix) -> str:
-    lines = list(lines_prefix)
-    lines.append(f"fingerprint: {result.fingerprint}")
-    lines.append(f"val_mode: {result.val_mode}")
-    lines.append(f"best_epoch: {result.best_epoch}")
-    lines.append(f"best_val_ndcg5: {result.best_val_ndcg5:.6f}")
+def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
+    cfg = rc.train_config()
+    ds = _load_dataset(rc)
+    table = _load_style_table(rc, ds.catalog_size) if cfg.use_style else None
+    model_cfg = ModelConfig(use_style=cfg.use_style, **_model_kwargs(rc, max_len=ds.max_len))
+    result = train(ds, model_cfg, cfg, style_table=table, log=print)
+    ckpt = Path(args.out) if args.out else _checkpoint_path(rc, cfg.configuration)
+    _save(result.params, ckpt)
+    lines = [f"checkpoint: {ckpt.name}",
+             f"fingerprint: {result.fingerprint}",
+             f"val_mode: {result.val_mode}",
+             f"best_epoch: {result.best_epoch}",
+             f"best_val_ndcg5: {result.best_val_ndcg5:.6f}"]
     for entry in result.history:
         lines.append(f"epoch {entry['epoch']} loss {entry['loss']:.6f} "
                      f"val_ndcg5 {entry['val']['NDCG@5']:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
-    ds = _load_dataset(rc)
-    cfg = rc.train_config()
-    table = _load_style_table(rc, ds.catalog_size) if cfg.use_style else None
-    model_cfg = _model_config(rc, ds, cfg.use_style)
-    result = train(ds, model_cfg, cfg, style_table=table, log=print)
-    ckpt = Path(args.out) if args.out else _checkpoint_path(rc, cfg.configuration)
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(result.params, ckpt)
-    report = Path(rc.report_dir) / f"train-{cfg.configuration}.txt"
-    _write_text(report, _train_report(result, [f"checkpoint: {ckpt.name}"]))
-    print(f"wrote {ckpt}")
-    print(f"wrote {report}")
+    _write(Path(rc.report_dir) / f"train-{cfg.configuration}.txt", "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_eval(rc: RunConfig, args: argparse.Namespace) -> int:
+    cfg = rc.train_config()
     params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     ds = _load_dataset(rc)
     if ds.catalog_size != params.catalog_size:
         raise ConfigError(f"checkpoint expects a catalog of {params.catalog_size}, "
                           f"dataset has {ds.catalog_size}")
     table = _load_style_table(rc, ds.catalog_size) if params.config.use_style else None
-    n_negatives = int(rc.train.get("eval_negatives", 100))
-    mode = args.mode
-    if mode == "auto":
-        mode = choose_eval_mode(list(ds.val) + list(ds.test), ds.catalog_size,
-                                n_negatives)
-    report = evaluate(params, ds.test, mode=mode, n_negatives=n_negatives,
-                      seed=rc.seed, style_table=table)
+    mode = pick_eval_mode(cfg, list(ds.val) + list(ds.test), ds.catalog_size)
+    report = evaluate(params, ds.test, mode=mode, n_negatives=cfg.eval_negatives,
+                      seed=cfg.seed, style_table=table)
     label = args.label
     text = "\n".join([
         f"checkpoint: {Path(args.checkpoint).name}",
         f"mode: {mode}",
-        f"seed: {rc.seed}",
+        f"seed: {cfg.seed}",
         f"sessions: {len(ds.test)}",
         "",
         *report.machine_lines(label),
@@ -382,76 +335,60 @@ def cmd_eval(rc: RunConfig, args: argparse.Namespace) -> int:
         format_report_table({label: report}),
         "",
     ])
-    out = Path(rc.report_dir) / f"eval-{label}.txt"
-    _write_text(out, text)
     print(format_report_table({label: report}))
-    print(f"wrote {out}")
+    _write(Path(rc.report_dir) / f"eval-{label}.txt", text)
     return 0
 
 
 def cmd_suite(rc: RunConfig, args: argparse.Namespace) -> int:
+    cfg = rc.train_config()
     ds = _load_dataset(rc)
     table = _load_style_table(rc, ds.catalog_size)
-    cfg = rc.train_config(configuration="P")
-    kwargs = rc.model_kwargs("use_style")
-    kwargs.setdefault("max_len", ds.max_len)
-    results = run_configuration_suite(ds, kwargs, cfg, style_table=table, log=print)
-    lines = [f"seed: {rc.seed}", f"test_sessions: {len(ds.test)}", ""]
+    results = run_configuration_suite(ds, _model_kwargs(rc, max_len=ds.max_len), cfg,
+                                      style_table=table, log=print)
+    lines = [f"seed: {cfg.seed}", f"test_sessions: {len(ds.test)}", ""]
     reports = {}
     for name, bundle in results.items():
-        ckpt = _checkpoint_path(rc, name)
-        ckpt.parent.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(bundle["result"].params, ckpt)
+        _save(bundle["result"].params, _checkpoint_path(rc, name))
         reports[name] = bundle["report"]
         lines.extend(bundle["report"].machine_lines(name))
     lines.extend(["", format_report_table(reports), ""])
-    out = Path(rc.report_dir) / "suite.txt"
-    _write_text(out, "\n".join(lines))
     print(format_report_table(reports))
-    print(f"wrote {out}")
+    _write(Path(rc.report_dir) / "suite.txt", "\n".join(lines))
     return 0
 
 
 def cmd_dynamic(rc: RunConfig, args: argparse.Namespace) -> int:
-    sessions = parse_sessions(_require_file(rc.sessions, "sessions file"))
     cfg = rc.train_config()
+    sessions = parse_sessions(_require_file(rc.sessions, "sessions file"))
     table = None
     if cfg.use_style:
         catalog = max(max(s.items) for s in sessions)
         table = _load_style_table(rc, catalog)
-    kwargs = rc.model_kwargs("use_style", "max_len")
-    curve = dynamic_experiment(sessions, rc.max_lens, kwargs, cfg,
+    curve = dynamic_experiment(sessions, rc.max_lens, _model_kwargs(rc, "max_len"), cfg,
                                style_table=table, log=print)
-    lines = [f"seed: {rc.seed}", "max_len " + " ".join(COLUMNS)]
+    lines = [f"seed: {cfg.seed}", "max_len " + " ".join(COLUMNS)]
     for max_len, report in curve:
         lines.append(f"{max_len} " + " ".join(f"{v:.6f}" for v in report.row()))
-    out = Path(rc.report_dir) / "dynamic.txt"
-    _write_text(out, "\n".join(lines) + "\n")
     print("\n".join(lines))
-    print(f"wrote {out}")
+    _write(Path(rc.report_dir) / "dynamic.txt", "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_sweep(rc: RunConfig, args: argparse.Namespace) -> int:
-    ds = _load_dataset(rc)
     cfg = rc.train_config()
+    ds = _load_dataset(rc)
     table = _load_style_table(rc, ds.catalog_size) if cfg.use_style else None
-    kwargs = rc.model_kwargs("use_style", "d_ffn")
-    kwargs.setdefault("max_len", ds.max_len)
-    result = sweep(ds, kwargs, cfg, style_table=table, budget=args.budget, log=print)
-    lines = [f"seed: {rc.seed}", "hidden l2 val_ndcg5 best_epoch"]
+    result = sweep(ds, _model_kwargs(rc, "d_ffn", max_len=ds.max_len), cfg,
+                   style_table=table, budget=args.budget, log=print)
+    lines = [f"seed: {cfg.seed}", "hidden l2 val_ndcg5 best_epoch"]
     for run in result.runs:
         lines.append(f"{run.hidden_dim} {run.l2} {run.val_ndcg5:.6f} {run.best_epoch}")
     lines.append(f"best: hidden {result.best.hidden_dim} l2 {result.best.l2} "
                  f"val_ndcg5 {result.best.val_ndcg5:.6f}")
-    ckpt = _checkpoint_path(rc, "sweep-best")
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(result.best_result.params, ckpt)
-    out = Path(rc.report_dir) / "sweep.txt"
-    _write_text(out, "\n".join(lines) + "\n")
     print("\n".join(lines))
-    print(f"wrote {ckpt}")
-    print(f"wrote {out}")
+    _save(result.best_result.params, _checkpoint_path(rc, "sweep-best"))
+    _write(Path(rc.report_dir) / "sweep.txt", "\n".join(lines) + "\n")
     return 0
 
 
@@ -459,22 +396,31 @@ def cmd_sweep(rc: RunConfig, args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors end in the one-line config-error surface."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # a flag whose dest is a config key sets that key from its raw string;
+    # every other dest is an argument of its command alone
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value run config file")
-    common.add_argument("--seed", type=int, default=None, help="global seed")
+    common.add_argument("--seed", dest="seed", help="global seed")
     common.add_argument("--report-dir", dest="report_dir", help="report output directory")
     common.add_argument("--checkpoint-dir", dest="checkpoint_dir",
                         help="checkpoint output directory")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stylerec",
         description="Session-based product recommender with image-style embeddings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", parents=[common],
                        help="clean, split, and package raw sessions")
-    p.add_argument("--sessions", help="raw session JSONL file")
+    p.add_argument("--sessions", dest="sessions", help="raw session JSONL file")
     p.add_argument("--out", required=True, help="prepared dataset output path")
     p.add_argument("--max-len", dest="max_len", type=int, default=20)
     p.set_defaults(func=cmd_preprocess)
@@ -492,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[common],
                        help="generate a synthetic session dataset with a known oracle")
     p.add_argument("--products", type=int, required=True)
-    p.add_argument("--sessions", type=int, required=True, help="number of sessions")
+    p.add_argument("--sessions", dest="n_sessions", type=int, required=True,
+                   help="number of sessions")
     p.add_argument("--out", required=True, help="session JSONL output path")
     p.add_argument("--cart-ratio", dest="cart_ratio", type=float, default=0.0)
     p.add_argument("--order", type=int, default=1, choices=(1, 2))
@@ -504,55 +451,56 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", parents=[common], help="train one configuration")
-    p.add_argument("--data", help="prepared dataset file")
+    p.add_argument("--data", dest="data", help="prepared dataset file")
     p.add_argument("--style-cache", dest="style_cache")
-    p.add_argument("--configuration", choices=CONFIGURATIONS)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--configuration", dest="train.configuration", choices=CONFIGURATIONS)
+    p.add_argument("--epochs", dest="train.epochs")
     p.add_argument("--out", help="checkpoint output path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", help="prepared dataset file")
+    p.add_argument("--data", dest="data", help="prepared dataset file")
     p.add_argument("--style-cache", dest="style_cache")
-    p.add_argument("--mode", default="auto",
+    p.add_argument("--mode", dest="train.eval_mode",
                    choices=("auto", NEGSAMPLE, FULL_CATALOG))
-    p.add_argument("--negatives", type=int, help="candidate negatives per session")
+    p.add_argument("--negatives", dest="train.eval_negatives",
+                   help="candidate negatives per session")
     p.add_argument("--label", default="eval", help="name used in report lines")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("suite", parents=[common],
                        help="train and test all four data configurations")
-    p.add_argument("--data", help="prepared dataset file")
+    p.add_argument("--data", dest="data", help="prepared dataset file")
     p.add_argument("--style-cache", dest="style_cache")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", dest="train.epochs")
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("dynamic", parents=[common],
                        help="retrain across session-length caps and report the curve")
-    p.add_argument("--sessions", help="raw session JSONL file")
+    p.add_argument("--sessions", dest="sessions", help="raw session JSONL file")
     p.add_argument("--max-lens", dest="max_lens", help="comma-separated lengths")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", dest="train.epochs")
     p.set_defaults(func=cmd_dynamic)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="grid-search feed-forward width and L2 penalty")
-    p.add_argument("--data", help="prepared dataset file")
+    p.add_argument("--data", dest="data", help="prepared dataset file")
     p.add_argument("--style-cache", dest="style_cache")
     p.add_argument("--budget", type=int, help="cap on grid points, in order")
-    p.add_argument("--hidden-dims", dest="hidden_dims", help="comma-separated widths")
-    p.add_argument("--l2-grid", dest="l2_grid", help="comma-separated penalties")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--hidden-dims", dest="train.hidden_dim_grid",
+                   help="comma-separated widths")
+    p.add_argument("--l2-grid", dest="train.l2_grid", help="comma-separated penalties")
+    p.add_argument("--epochs", dest="train.epochs")
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        rc = build_run_config(args)
-        return args.func(rc, args)
+        args = _build_parser().parse_args(argv)
+        return args.func(build_run_config(args), args)
     except StyleRecError as e:
         for cls, kind, code in _ERROR_KINDS:
             if isinstance(e, cls):

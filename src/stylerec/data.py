@@ -343,15 +343,6 @@ class SyntheticOracle:
             )
 
 
-def _dominant_rows(rng, P: int, n_rows: int, dominant_mass: float,
-                   dominant_choice) -> np.ndarray:
-    """Rows with ``dominant_mass`` on one chosen column, rest uniform."""
-    rows = np.full((n_rows, P), (1.0 - dominant_mass) / (P - 1))
-    cols = dominant_choice(rng, n_rows)
-    rows[np.arange(n_rows), cols] = dominant_mass
-    return rows
-
-
 def make_transition(P: int, seed: int, dominant_mass: float = 0.8, order: int = 1,
                     cluster_of: Optional[np.ndarray] = None) -> np.ndarray:
     """Seeded transition tensor with one dominant successor per state.
@@ -366,26 +357,21 @@ def make_transition(P: int, seed: int, dominant_mass: float = 0.8, order: int = 
         raise ConfigError("dominant_mass must be in (0, 1)")
     rng = rng_for(seed, "transition", order)
     n_states = P if order == 1 else P * P
-
-    def choose(rng, n_rows):
-        cols = np.empty(n_rows, dtype=np.int64)
-        for row in range(n_rows):
-            last = row % P  # most recent item index for this state
-            if cluster_of is not None:
-                pool = np.flatnonzero(cluster_of == cluster_of[last])
-                pool = pool[pool != last]
-                if pool.size == 0:
-                    pool = np.array([i for i in range(P) if i != last])
-            else:
-                pool = None
-            if pool is None:
-                c = rng.integers(0, P - 1)
-                cols[row] = c if c < last else c + 1  # skip the self column
-            else:
-                cols[row] = pool[rng.integers(0, pool.size)]
-        return cols
-
-    flat = _dominant_rows(rng, P, n_states, dominant_mass, choose)
+    cols = np.empty(n_states, dtype=np.int64)
+    for row in range(n_states):
+        last = row % P  # most recent item index for this state
+        if cluster_of is not None:
+            pool = np.flatnonzero(cluster_of == cluster_of[last])
+            pool = pool[pool != last]
+            if pool.size == 0:
+                pool = np.array([i for i in range(P) if i != last])
+            cols[row] = pool[rng.integers(0, pool.size)]
+        else:
+            c = rng.integers(0, P - 1)
+            cols[row] = c if c < last else c + 1  # skip the self column
+    # each row: dominant_mass on the chosen column, the rest uniform
+    flat = np.full((n_states, P), (1.0 - dominant_mass) / (P - 1))
+    flat[np.arange(n_states), cols] = dominant_mass
     return flat.reshape((P, P) if order == 1 else (P, P, P))
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError, FormatError, InputError, MaskError, NumericError, ShapeError
+from .kv import format_value, parse_field, parse_value
 from .seeding import SeedStream, rng_for
 from .style import STYLE_DIM
 
@@ -70,40 +71,28 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.input_dim // self.n_heads
 
-    @classmethod
-    def wide(cls, **overrides) -> "ModelConfig":
-        """Larger preset: 8 heads and 1024-dim product embeddings."""
-        base = dict(n_heads=8, d_product=1024)
-        base.update(overrides)
-        return cls(**base)
-
     def to_kv(self) -> str:
-        pairs = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            pairs.append(f"{f.name}={v}")
-        return "\n".join(pairs)
+        return "\n".join(f"{f.name}={format_value(getattr(self, f.name))}"
+                         for f in fields(self))
 
     @classmethod
     def from_kv(cls, text: str) -> "ModelConfig":
-        types = {f.name: f.type for f in fields(cls)}
+        """Parse ``to_kv`` output; a bad, missing or out-of-range key or
+        value raises FormatError."""
         kwargs = {}
         for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
             key, _, value = line.partition("=")
-            if key not in types:
-                raise FormatError(f"unknown model config key {key!r}")
-            if types[key] == "bool":
-                kwargs[key] = value == "true"
-            elif types[key] == "float":
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = int(value)
-        return cls(**kwargs)
+            kwargs[key] = parse_field(cls, key, value, key, FormatError)
+        missing = [f.name for f in fields(cls) if f.name not in kwargs]
+        if missing:
+            raise FormatError(f"model config lacks {', '.join(missing)}")
+        try:
+            return cls(**kwargs)
+        except ConfigError as e:
+            raise FormatError(f"model config: {e}") from None
 
 
 class ModelParams:
@@ -372,6 +361,13 @@ def _ck_need(buf: bytes, off: int, count: int, what: str) -> int:
     return off + count
 
 
+def _ck_text(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what} is not UTF-8: {e}") from None
+
+
 def load_checkpoint(path) -> ModelParams:
     """Read an S4CK file back into float32 parameter tensors."""
     with open(path, "rb") as fh:
@@ -388,13 +384,14 @@ def load_checkpoint(path) -> ModelParams:
     (cfg_len,) = struct.unpack_from("<I", buf, off)
     off = end
     end = _ck_need(buf, off, cfg_len, "config block")
-    lines = buf[off:end].decode("utf-8").splitlines()
+    lines = _ck_text(buf[off:end], "checkpoint config block").splitlines()
     off = end
     catalog_size = None
     cfg_lines = []
     for line in lines:
         if line.startswith("catalog_size="):
-            catalog_size = int(line.split("=", 1)[1])
+            catalog_size = parse_value("int", line.split("=", 1)[1], "catalog_size",
+                                       FormatError)
         else:
             cfg_lines.append(line)
     if catalog_size is None:
@@ -406,7 +403,7 @@ def load_checkpoint(path) -> ModelParams:
         (name_len,) = struct.unpack_from("<H", buf, off)
         off = end
         end = _ck_need(buf, off, name_len, "tensor name")
-        name = buf[off:end].decode("utf-8")
+        name = _ck_text(buf[off:end], f"tensor name at byte {off}")
         off = end
         end = _ck_need(buf, off, 1, f"rank of {name}")
         (rank,) = struct.unpack_from("<B", buf, off)

@@ -315,8 +315,7 @@ def dropout(x, p: float, seed: Optional[int] = None, mode: str = "train") -> Ten
     if seed is None:
         raise ContractError("train-mode dropout needs an explicit seed")
     rng = np.random.default_rng(seed)
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    keep = keep.astype(x.dtype)
+    keep = (rng.random(x.shape) >= p).astype(x.dtype) * (1.0 / (1.0 - p))
     out = x.data * keep
 
     def vjp(g):

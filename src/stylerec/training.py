@@ -225,18 +225,13 @@ def l2_penalty(params: ModelParams, lam: float) -> float:
     return lam * params.l2_norm_squared() if lam else 0.0
 
 
-def choose_eval_mode(sessions: Sequence[Session], catalog_size: int,
-                     n_negatives: int) -> str:
-    """Negsample when every session leaves enough ids to draw negatives from."""
-    worst = max((len(set(s.items)) for s in sessions), default=0)
-    feasible = catalog_size - worst >= n_negatives
-    return NEGSAMPLE if feasible else FULL_CATALOG
-
-
-def _pick_eval_mode(cfg: TrainConfig, sessions: Sequence[Session], catalog_size: int) -> str:
+def pick_eval_mode(cfg: TrainConfig, sessions: Sequence[Session], catalog_size: int) -> str:
+    """``cfg.eval_mode``; under "auto", negsample when every session leaves
+    enough ids to draw ``cfg.eval_negatives`` negatives from, else full-catalog."""
     if cfg.eval_mode != "auto":
         return cfg.eval_mode
-    return choose_eval_mode(sessions, catalog_size, cfg.eval_negatives)
+    worst = max((len(set(s.items)) for s in sessions), default=0)
+    return NEGSAMPLE if catalog_size - worst >= cfg.eval_negatives else FULL_CATALOG
 
 
 def _fingerprint(model_cfg: ModelConfig, cfg: TrainConfig, catalog_size: int) -> str:
@@ -279,7 +274,7 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
     params = init_params(model_cfg, P, cfg.seed)
     adam = Adam(params, cfg.learning_rate)
     exclusions = _train_exclusions(train_sessions, P)
-    val_mode = _pick_eval_mode(cfg, list(dataset.val) + list(dataset.test), P)
+    val_mode = pick_eval_mode(cfg, list(dataset.val) + list(dataset.test), P)
     n = len(train_sessions)
 
     history: List[dict] = []
@@ -362,32 +357,34 @@ def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NE
              n_negatives: int = 100, seed: int = 0,
              style_table: Optional[np.ndarray] = None,
              batch_size: int = 256) -> MetricsReport:
-    """Rank the true next product for every session; aggregate HR/NDCG/MRR."""
-    if not sessions:
-        raise ContractError("evaluate needs at least one session")
+    """Rank the true next product for every session; aggregate HR/NDCG/MRR.
+
+    History vectors are encoded ``batch_size`` sessions at a time; the
+    model then scores candidates through ``evaluate_with_scorer``.
+    """
     cfg = params.config
-    max_len = cfg.max_len
-    pos_enc = positional_encoding(max_len, cfg.d_model)
-    ids, mask, truth = _session_arrays(sessions, max_len)
-    ranks = []
+    pos_enc = positional_encoding(cfg.max_len, cfg.d_model)
+    ids, mask, _ = _session_arrays(sessions, cfg.max_len)
+    hist = []
     with T.no_grad():
         for b0 in range(0, len(sessions), batch_size):
             sel = slice(b0, b0 + batch_size)
             hidden = encode(ids[sel], mask[sel], params, pos_enc, style_table)
-            hist = history_vector(hidden, mask[sel], params).data
-            for r, session in enumerate(sessions[b0:b0 + batch_size]):
-                cands = _eval_candidates(session, params.catalog_size, mode,
-                                         n_negatives, seed)
-                scores = score(hist[r], cands, params)
-                ranks.append(rank_of_truth(scores, cands, truth[b0 + r]))
-    return MetricsReport(mode=mode, ranks=ranks)
+            hist.extend(history_vector(hidden, mask[sel], params).data)
+    rows = iter(hist)
+    return evaluate_with_scorer(sessions, params.catalog_size,
+                                lambda session, cands: score(next(rows), cands, params),
+                                mode=mode, n_negatives=n_negatives, seed=seed)
 
 
 def evaluate_with_scorer(sessions: Sequence[Session], catalog_size: int,
                          scorer: Callable[[Session, np.ndarray], np.ndarray], *,
                          mode: str = NEGSAMPLE, n_negatives: int = 100,
                          seed: int = 0) -> MetricsReport:
-    """Protocol-identical evaluation for model-free scorers (baselines)."""
+    """The evaluation protocol for any scorer: the model and the baselines.
+
+    ``scorer`` is called once per session, in order.
+    """
     if not sessions:
         raise ContractError("evaluate needs at least one session")
     ranks = []
@@ -533,7 +530,7 @@ def sweep(dataset: PreparedDataset, model_kwargs: dict, cfg: TrainConfig,
             raise ConfigError("sweep budget must be >= 1")
         combos = combos[:budget]
     runs: List[SweepRun] = []
-    best_key = None
+    best: Optional[SweepRun] = None
     best_result: Optional[TrainResult] = None
     for hidden, lam in combos:
         model_cfg = ModelConfig(use_style=cfg.use_style, d_ffn=hidden, **model_kwargs)
@@ -544,9 +541,6 @@ def sweep(dataset: PreparedDataset, model_kwargs: dict, cfg: TrainConfig,
         run = SweepRun(hidden_dim=hidden, l2=lam, val_ndcg5=result.best_val_ndcg5,
                        best_epoch=result.best_epoch, fingerprint=result.fingerprint)
         runs.append(run)
-        key = sweep_order_key(run)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_result = result
-    best = min(runs, key=sweep_order_key)
+        if best is None or sweep_order_key(run) < sweep_order_key(best):
+            best, best_result = run, result
     return SweepResult(best=best, best_result=best_result, runs=runs)

@@ -1,16 +1,21 @@
 """End-to-end command-line tests: every subcommand, exit codes, determinism."""
 
+import argparse
 import json
+import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from stylerec import cli
-from stylerec.errors import NumericError
+from stylerec.data import PURCHASE, PreparedDataset, Session
+from stylerec.errors import FormatError, NumericError
 from stylerec.style import load_style_cache, write_feature_maps
-from stylerec.model import load_checkpoint
+from stylerec.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from stylerec.training import TrainConfig
 
 
 def run(*argv) -> int:
@@ -309,6 +314,126 @@ class TestConfigFile:
         cfg.write_text("model.d_product=eight\n")
         assert run("synth", "--config", cfg, "--products", 4, "--sessions", 5,
                    "--out", tmp_path / "x") == 2
+
+
+def tiny_checkpoint(path, catalog_size: int) -> None:
+    """An untrained checkpoint with the tiny_config model shape."""
+    cfg = ModelConfig(d_product=8, d_model=4, n_blocks=1, n_heads=2, d_ffn=8,
+                      dropout=0.0, max_len=8)
+    save_checkpoint(init_params(cfg, catalog_size, 0), path)
+
+
+class TestConfigPath:
+    """Config-file lines and flags reach a run through one typed parser."""
+
+    # argparse dests that configure one command only and are no config key
+    COMMAND_LOCAL = {
+        "help", "config", "out", "max_len", "features", "pseudo", "images", "products",
+        "n_sessions", "cart_ratio", "order", "length_min", "length_max", "dominant_mass",
+        "style_correlated", "clusters", "checkpoint", "label", "budget",
+    }
+
+    @pytest.mark.parametrize("cfg_line, argv", [
+        ("", ("train", "--epochs", "0")),
+        ("", ("eval", "--negatives", "0")),
+        ("train.eval_negatives=0\n", ("eval",)),
+        ("train.eval_negatives=-5\n", ("eval",)),
+        ("", ("train", "--epochs", "abc")),
+        ("", ("frobnicate",)),
+    ])
+    def test_bad_setting_is_one_config_error_line(self, tmp_path, tiny_config, capsys,
+                                                  cfg_line, argv):
+        prep = make_prepared(tmp_path)
+        ckpt = tmp_path / "m.s4ck"
+        tiny_checkpoint(ckpt, 8)
+        with open(tiny_config, "a", encoding="utf-8") as fh:
+            fh.write(cfg_line)
+        per_command = {"train": ("--out", tmp_path / "x.s4ck"), "eval": ("--checkpoint", ckpt)}
+        rest = ()
+        if argv[0] in per_command:
+            rest = ("--config", tiny_config, "--data", prep,
+                    "--report-dir", tmp_path / "rep", *per_command[argv[0]])
+        capsys.readouterr()
+        assert run(*argv, *rest) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error config-error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "x.s4ck").exists() and not (tmp_path / "rep").exists()
+
+    def test_eval_mode_from_config_file(self, tmp_path, tiny_config):
+        # the long val session leaves 2 ids for 5 negatives, so auto picks
+        # full-catalog; every test session leaves 9, so negsample can run
+        short = [Session(f"s{i}", PURCHASE, i, (1 + i, 2 + i, 3 + i)) for i in range(6)]
+        long = Session("long", PURCHASE, 9, tuple(range(1, 11)))
+        ds = PreparedDataset(train=short[:2], val=[long], test=short[2:],
+                             catalog_size=12, max_len=8)
+        prep = tmp_path / "prep.json"
+        prep.write_text(ds.to_json(), encoding="utf-8")
+        ckpt = tmp_path / "m.s4ck"
+        tiny_checkpoint(ckpt, 12)
+        base = tiny_config.read_text(encoding="utf-8") + "train.eval_negatives=5\n"
+        for label, extra, mode in (("auto", "", "full-catalog"),
+                                   ("neg", "train.eval_mode=negsample\n", "negsample")):
+            cfg = tmp_path / f"{label}.cfg"
+            cfg.write_text(base + extra, encoding="utf-8")
+            assert run("eval", "--config", cfg, "--checkpoint", ckpt, "--data", prep,
+                       "--label", label, "--report-dir", tmp_path / "rep") == 0
+            report = (tmp_path / "rep" / f"eval-{label}.txt").read_text()
+            assert f"mode: {mode}" in report
+
+    @pytest.mark.parametrize("argv", [("--help",), ("train", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 0
+        assert "usage: stylerec" in capsys.readouterr().out
+
+    def test_every_flag_is_a_config_key_or_command_local(self):
+        keys = {f.name for f in fields(cli.RunConfig)} - {"model", "train"}
+        keys |= {f"model.{f.name}" for f in fields(ModelConfig)}
+        keys |= {f"train.{f.name}" for f in fields(TrainConfig)} - {"train.seed"}
+        assert not keys & self.COMMAND_LOCAL
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command, p in sub.choices.items():
+            for action in p._actions:
+                if action.dest in self.COMMAND_LOCAL:
+                    continue
+                assert action.dest in keys, (
+                    f"{command} {action.option_strings}: dest {action.dest!r} is neither "
+                    f"a config key nor a listed command-local argument")
+                assert action.type is None, (
+                    f"{command} {action.option_strings}: a setting flag passes its raw "
+                    f"string to the config parser")
+
+
+def rewrite_header(path, old: bytes, new: bytes) -> None:
+    """Replace bytes inside a checkpoint's config block, fixing its length."""
+    buf = path.read_bytes()
+    (n,) = struct.unpack_from("<I", buf, 8)
+    block = buf[12:12 + n]
+    assert old in block
+    block = block.replace(old, new, 1)
+    path.write_bytes(buf[:8] + struct.pack("<I", len(block)) + block + buf[12 + n:])
+
+
+class TestCheckpointHeader:
+    @pytest.mark.parametrize("old, new", [
+        (b"use_style=false", b"use_style=fxlse"),
+        (b"d_product=8\n", b"d_product=x\n"),
+        (b"catalog_size=8", b"catalog_size=1x"),
+        (b"use_style", b"use_st\xffle"),
+        (b"n_blocks=1\n", b""),
+        (b"d_product=8\n", b"d_product=0\n"),
+    ])
+    def test_corrupt_header_is_format_error(self, tmp_path, capsys, old, new):
+        ckpt = tmp_path / "m.s4ck"
+        tiny_checkpoint(ckpt, 8)
+        rewrite_header(ckpt, old, new)
+        with pytest.raises(FormatError):
+            load_checkpoint(ckpt)
+        assert run("eval", "--checkpoint", ckpt) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error format-error:") and err.count("\n") == 1, err
 
 
 class TestErrorSurface:

@@ -62,11 +62,6 @@ class TestConfig:
         cfg = ModelConfig(use_style=True)
         assert cfg.input_dim == 256 + STYLE_DIM
 
-    def test_wide_preset(self):
-        cfg = ModelConfig.wide()
-        assert cfg.n_heads == 8 and cfg.d_product == 1024
-        assert cfg.input_dim % 8 == 0
-
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(d_product=7, d_model=4, n_heads=2)
