@@ -111,6 +111,8 @@ class RunConfig:
         section, dot, name = key.partition(".")
         if key == "train.seed":
             raise ConfigError("set the global seed, not train.seed")
+        if key == "model.use_style":
+            raise ConfigError("set train.configuration, not model.use_style")
         if not dot:
             setattr(self, key, parse_field(RunConfig, key, raw, key, ConfigError))
         elif section in _SECTIONS:
@@ -190,10 +192,10 @@ def _load_style_table(rc: RunConfig, catalog_size: int) -> np.ndarray:
 
 
 def _model_kwargs(rc: RunConfig, *owned: str, **defaults) -> Dict[str, object]:
-    """``model.*`` settings over ``defaults``, minus use_style (the data
-    configuration sets it) and the keys in ``owned`` (the experiment sets them)."""
+    """``model.*`` settings over ``defaults``, minus the keys in ``owned``
+    (the experiment sets them)."""
     kwargs = {**defaults, **rc.model}
-    return {k: v for k, v in kwargs.items() if k not in ("use_style", *owned)}
+    return {k: v for k, v in kwargs.items() if k not in owned}
 
 
 # ---------------------------------------------------------------------------

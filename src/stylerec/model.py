@@ -77,14 +77,16 @@ class ModelConfig:
 
     @classmethod
     def from_kv(cls, text: str) -> "ModelConfig":
-        """Parse ``to_kv`` output; a bad, missing or out-of-range key or
-        value raises FormatError."""
+        """Parse ``to_kv`` output; a bad, missing, repeated or out-of-range
+        key or value raises FormatError."""
         kwargs = {}
         for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
             key, _, value = line.partition("=")
+            if key in kwargs:
+                raise FormatError(f"model config repeats {key}")
             kwargs[key] = parse_field(cls, key, value, key, FormatError)
         missing = [f.name for f in fields(cls) if f.name not in kwargs]
         if missing:
@@ -296,12 +298,36 @@ def history_vector(hidden: T.Tensor, mask: np.ndarray, params: ModelParams) -> T
     return T.matmul(last, params["w_out"])
 
 
-def score(history, candidate_ids, params: ModelParams) -> np.ndarray:
+NORM_BLOCK = 4096  # rows per block of product_table's norms
+
+
+def product_table(params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
+    """The product embeddings as float64 and their row norms, for ``score``.
+
+    Built from the current parameters on each call: ``Adam.step`` updates
+    them in place, so a table kept between calls would go stale. Norms
+    are taken ``NORM_BLOCK`` rows at a time, which bounds the squared
+    temporary; each row's norm is the one ``np.linalg.norm`` gives alone.
+    """
+    table = params.product_emb.data.astype(np.float64)
+    norms = np.empty(len(table))
+    for i in range(0, len(table), NORM_BLOCK):
+        norms[i:i + NORM_BLOCK] = np.linalg.norm(table[i:i + NORM_BLOCK], axis=1)
+    return table, norms
+
+
+def score(history, candidate_ids, params: ModelParams,
+          table: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """Cosine similarity between one history vector and candidate embeddings.
 
     Inference-only: accepts a [d_product] vector (or 1-row Tensor) and
     returns a float array over candidates. Downstream sorts break ties by
-    ascending product id.
+    ascending product id. ``table`` is ``product_table(params)``, built
+    once for many calls; without it the candidate rows are converted here.
+    With it, a candidate set wider than a quarter of the catalog is scored
+    by one product over the whole table, which beats gathering its rows;
+    the dot products then agree with the gathered ones to within an ulp
+    or two (BLAS sums a row differently by its place in the matrix).
     """
     h = history.data if isinstance(history, T.Tensor) else np.asarray(history)
     h = np.squeeze(h)
@@ -312,12 +338,21 @@ def score(history, candidate_ids, params: ModelParams) -> np.ndarray:
         raise ContractError("score needs at least one candidate")
     if ids.min() < 1 or ids.max() > params.catalog_size:
         raise ContractError(f"candidate ids must lie in 1..{params.catalog_size}")
-    emb = params.product_emb.data[ids].astype(np.float64)
     hn = np.linalg.norm(h)
-    en = np.linalg.norm(emb, axis=1)
+    h64 = h.astype(np.float64)
+    if table is None:
+        emb = params.product_emb.data[ids].astype(np.float64)
+        en, dots = np.linalg.norm(emb, axis=1), emb @ h64
+    else:
+        full, norms = table
+        if full.shape != params.product_emb.shape:
+            raise ContractError(f"product table {full.shape} does not match the "
+                                f"embeddings {params.product_emb.shape}")
+        en = norms[ids]
+        dots = (full @ h64)[ids] if 4 * ids.size > len(full) else full[ids] @ h64
     if hn == 0.0 or np.any(en == 0.0):
         raise NumericError("cosine scoring hit a zero-norm vector")
-    return (emb @ h.astype(np.float64)) / (en * hn)
+    return dots / (en * hn)
 
 
 def pairwise_bce_loss(s_pos: T.Tensor, s_neg: T.Tensor) -> T.Tensor:
@@ -390,6 +425,8 @@ def load_checkpoint(path) -> ModelParams:
     cfg_lines = []
     for line in lines:
         if line.startswith("catalog_size="):
+            if catalog_size is not None:
+                raise FormatError("checkpoint config block repeats catalog_size")
             catalog_size = parse_value("int", line.split("=", 1)[1], "catalog_size",
                                        FormatError)
         else:

@@ -32,6 +32,7 @@ from .model import (
     init_params,
     pairwise_bce_loss,
     positional_encoding,
+    product_table,
     score,
 )
 from .seeding import SeedStream, derive_seed, rng_for
@@ -98,16 +99,24 @@ class TrainResult:
 # sampling and batching
 # ---------------------------------------------------------------------------
 
+def _catalog_pool(catalog_size: int, exclude: Sequence[int]) -> np.ndarray:
+    """Ids 1..catalog_size in ascending order, minus ``exclude``; excluded
+    ids outside that range are ignored."""
+    keep = np.ones(catalog_size + 1, dtype=bool)
+    keep[0] = False
+    ex = np.asarray(exclude, dtype=np.int64).reshape(-1)
+    keep[ex[(ex >= 1) & (ex <= catalog_size)]] = False
+    return np.flatnonzero(keep)
+
+
 def sample_negatives(session_items: Sequence[int], catalog_size: int, n: int,
                      seed: int) -> np.ndarray:
     """n distinct uniform ids excluding the truth and every session item."""
-    exclude = set(int(i) for i in session_items)
-    pool = np.array([i for i in range(1, catalog_size + 1) if i not in exclude],
-                    dtype=np.int64)
+    pool = _catalog_pool(catalog_size, session_items)
     if pool.size < n:
         raise ConfigError(
             f"catalog of {catalog_size} cannot supply {n} negatives for a session "
-            f"with {len(exclude)} distinct items")
+            f"with {len(set(int(i) for i in session_items))} distinct items")
     rng = np.random.default_rng(seed)
     return rng.choice(pool, size=n, replace=False)
 
@@ -345,12 +354,7 @@ def _eval_candidates(session: Session, catalog_size: int, mode: str,
         negs = sample_negatives(session.items, catalog_size, n_negatives,
                                 derive_seed(seed, "eval-neg", session.session_id))
         return np.concatenate(([truth], negs))
-    exclude = set(session.items) - {truth}
-    keep = np.ones(catalog_size + 1, dtype=bool)
-    keep[0] = False
-    if exclude:
-        keep[list(exclude)] = False
-    return np.flatnonzero(keep)
+    return _catalog_pool(catalog_size, [i for i in session.items if i != truth])
 
 
 def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NEGSAMPLE,
@@ -360,7 +364,8 @@ def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NE
     """Rank the true next product for every session; aggregate HR/NDCG/MRR.
 
     History vectors are encoded ``batch_size`` sessions at a time; the
-    model then scores candidates through ``evaluate_with_scorer``.
+    model then scores candidates through ``evaluate_with_scorer``, against
+    one ``product_table`` built for this call.
     """
     cfg = params.config
     pos_enc = positional_encoding(cfg.max_len, cfg.d_model)
@@ -372,8 +377,9 @@ def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NE
             hidden = encode(ids[sel], mask[sel], params, pos_enc, style_table)
             hist.extend(history_vector(hidden, mask[sel], params).data)
     rows = iter(hist)
+    table = product_table(params)
     return evaluate_with_scorer(sessions, params.catalog_size,
-                                lambda session, cands: score(next(rows), cands, params),
+                                lambda session, cands: score(next(rows), cands, params, table),
                                 mode=mode, n_negatives=n_negatives, seed=seed)
 
 

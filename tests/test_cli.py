@@ -340,6 +340,7 @@ class TestConfigPath:
         ("train.eval_negatives=-5\n", ("eval",)),
         ("", ("train", "--epochs", "abc")),
         ("", ("frobnicate",)),
+        ("model.use_style=true\n", ("train",)),
     ])
     def test_bad_setting_is_one_config_error_line(self, tmp_path, tiny_config, capsys,
                                                   cfg_line, argv):
@@ -424,6 +425,8 @@ class TestCheckpointHeader:
         (b"use_style", b"use_st\xffle"),
         (b"n_blocks=1\n", b""),
         (b"d_product=8\n", b"d_product=0\n"),
+        (b"catalog_size=8", b"catalog_size=8\ncatalog_size=9"),
+        (b"d_product=8\n", b"d_product=8\nd_product=8\n"),
     ])
     def test_corrupt_header_is_format_error(self, tmp_path, capsys, old, new):
         ckpt = tmp_path / "m.s4ck"

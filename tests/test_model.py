@@ -27,6 +27,7 @@ from stylerec.model import (
     multi_head_attention,
     pairwise_bce_loss,
     positional_encoding,
+    product_table,
     save_checkpoint,
     score,
     transformer_block,
@@ -400,6 +401,52 @@ class TestHistoryAndScore:
             score(h, np.array([0]), params)
         with pytest.raises(ContractError):
             score(h, np.array([], dtype=np.int64), params)
+
+
+class TestProductTable:
+    """``score`` against a ``product_table`` built once for many calls."""
+
+    P = 5003  # past one NORM_BLOCK, and wide enough for BLAS's tail rows
+
+    def make(self):
+        params = init_params(tiny_config(d_product=16), self.P, seed=21)
+        rng = np.random.default_rng(22)
+        return params, rng
+
+    def test_norms_equal_unblocked_norms(self):
+        params, _ = self.make()
+        table, norms = product_table(params)
+        assert table.dtype == np.float64
+        np.testing.assert_array_equal(table, params.product_emb.data)
+        np.testing.assert_array_equal(norms, np.linalg.norm(table, axis=1))
+
+    def test_scores_match_untabled_within_2_ulp(self):
+        params, rng = self.make()
+        table = product_table(params)
+        for trial in range(20):
+            # float32 like a history vector from the encoder
+            h = rng.standard_normal(16).astype(np.float32)
+            exclude = rng.integers(1, self.P + 1, size=int(rng.integers(0, 10)))
+            full = np.setdiff1d(np.arange(1, self.P + 1), exclude)
+            negsample = rng.choice(full, size=101, replace=False)
+            for ids in (full, negsample):
+                with_table = score(h, ids, params, table)
+                assert with_table.dtype == np.float64
+                np.testing.assert_array_max_ulp(with_table, score(h, ids, params), maxulp=2)
+
+    def test_mismatched_table_rejected(self):
+        params, _ = self.make()
+        other = init_params(tiny_config(d_product=16), self.P - 1, seed=21)
+        with pytest.raises(ContractError):
+            score(np.ones(16), np.array([1, 2]), params, product_table(other))
+
+    def test_zero_norm_row_rejected(self):
+        params, _ = self.make()
+        params.product_emb.data[7] = 0.0
+        table = product_table(params)
+        for ids in (np.array([6, 7]), np.arange(1, self.P + 1)):
+            with pytest.raises(NumericError):
+                score(np.ones(16), ids, params, table)
 
 
 class TestPairwiseLoss:

@@ -1,19 +1,31 @@
 """Training-loop, sampling, evaluation-protocol, and experiment tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from stylerec import tensor as T
-from stylerec.data import generate_synthetic, prepare_dataset
+from stylerec.data import PURCHASE, Session, generate_synthetic, prepare_dataset
 from stylerec.errors import ConfigError, ContractError
 from stylerec.metrics import FULL_CATALOG, NEGSAMPLE
-from stylerec.model import ModelConfig, ModelParams, init_params, positional_encoding
+from stylerec.model import (
+    ModelConfig,
+    ModelParams,
+    encode,
+    history_vector,
+    init_params,
+    load_checkpoint,
+    positional_encoding,
+    save_checkpoint,
+)
 from stylerec.training import (
     ADAM_BLOCK,
     CONFIGURATIONS,
     Adam,
     SweepRun,
     TrainConfig,
+    _catalog_pool,
     curve_series,
     dynamic_experiment,
     evaluate,
@@ -64,6 +76,32 @@ class TestSampleNegatives:
     def test_small_catalog_rejected(self):
         with pytest.raises(ConfigError):
             sample_negatives((1, 2, 3), 10, 8, seed=0)
+
+    @staticmethod
+    def list_pool(items, catalog_size):
+        """Reference pool: a list comprehension over the whole catalog."""
+        exclude = set(int(i) for i in items)
+        return np.array([i for i in range(1, catalog_size + 1) if i not in exclude],
+                        dtype=np.int64)
+
+    def test_mask_pool_matches_list_pool(self):
+        rng = np.random.default_rng(31)
+        for trial in range(60):
+            P = int(rng.integers(1, 400))
+            # repeated items, and ids outside 1..P that the pool ignores
+            items = rng.integers(-2, P + 3, size=int(rng.integers(1, 12)))
+            items = np.concatenate((items, items[:int(rng.integers(0, 4))]))
+            pool = self.list_pool(items, P)
+            np.testing.assert_array_equal(_catalog_pool(P, items), pool)
+            n = int(rng.integers(1, 120))
+            if pool.size < n:
+                with pytest.raises(ConfigError, match=f"catalog of {P} cannot supply {n} "
+                                   f"negatives for a session with "
+                                   f"{len(set(items.tolist()))} distinct items"):
+                    sample_negatives(tuple(items), P, n, seed=trial)
+            else:
+                old = np.random.default_rng(trial).choice(pool, size=n, replace=False)
+                np.testing.assert_array_equal(sample_negatives(tuple(items), P, n, trial), old)
 
 
 class TestAdam:
@@ -262,6 +300,45 @@ class TestEvaluate:
         _, params, _ = self.make_eval_setup(n=60)
         with pytest.raises(ContractError):
             evaluate(params, [], mode=FULL_CATALOG)
+
+    def test_ranks_match_recorded_digest(self, tmp_path):
+        # Recorded with `score` gathering and converting the candidate rows
+        # per session. The product table sums some dot products in another
+        # order, so a score may move by an ulp, but no rank may change.
+        P = 5003
+        cfg = ModelConfig(d_product=16, d_model=8, n_blocks=1, n_heads=2,
+                          dropout=0.0, max_len=8)
+        save_checkpoint(init_params(cfg, P, 11), tmp_path / "m.s4ck")
+        params = load_checkpoint(tmp_path / "m.s4ck")
+        rng = np.random.default_rng(12)
+        sessions = []
+        for i in range(200):
+            items = rng.integers(1, P + 1, int(rng.integers(2, 10)))
+            if i % 3 == 0:
+                items[-1] = items[0]  # the truth also appears earlier in the session
+            sessions.append(Session(f"r{i}", PURCHASE, i, tuple(int(x) for x in items)))
+        recorded = {
+            NEGSAMPLE: "817895c512ec1e3704b0869deef24c760bf2eab83b902d359f20793539cbe7da",
+            FULL_CATALOG: "97eb2d5eee2569163a53e523e8a5abe9d070cf689c64342a99d68a377ca5a3d7",
+        }
+        for mode, digest in recorded.items():
+            ranks = evaluate(params, sessions, mode=mode, n_negatives=100, seed=5).ranks
+            assert hashlib.sha256(repr(ranks).encode()).hexdigest() == digest, mode
+
+    def test_sees_in_place_parameter_edits(self):
+        # Adam.step updates product_emb.data in place between validation
+        # epochs; evaluate must score against the current values.
+        params = init_params(ModelConfig(**TINY_MODEL), catalog_size=500, seed=3)
+        session = Session("s", PURCHASE, 0, (1, 2, 3))
+        ids, mask = np.array([[1, 2]]), np.array([[True, True]])
+        with T.no_grad():
+            hist = history_vector(encode(ids, mask, params, positional_encoding(8, 4)),
+                                  mask, params).data[0]
+        for mode in (NEGSAMPLE, FULL_CATALOG):
+            assert evaluate(params, [session], mode=mode).ranks[0] > 1
+        params.product_emb.data[3] = hist  # truth now scores cosine 1
+        for mode in (NEGSAMPLE, FULL_CATALOG):
+            assert evaluate(params, [session], mode=mode).ranks == [1]
 
 
 class TestSuiteAndExperiments:
