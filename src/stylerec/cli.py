@@ -37,6 +37,7 @@ from .data import (
     generate_synthetic,
     parse_sessions,
     prepare_dataset,
+    read_text,
     write_sessions,
 )
 from .errors import (
@@ -134,7 +135,7 @@ def _read_config_file(path: str) -> Dict[str, str]:
     if not p.is_file():
         raise InputError(f"config file not found: {path}")
     out: Dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(p).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -182,8 +183,7 @@ def _save(params, path: Path) -> None:
 
 
 def _load_dataset(rc: RunConfig) -> PreparedDataset:
-    return PreparedDataset.from_json(
-        _require_file(rc.data, "prepared dataset").read_text(encoding="utf-8"))
+    return PreparedDataset.from_json(read_text(_require_file(rc.data, "prepared dataset")))
 
 
 def _load_style_table(rc: RunConfig, catalog_size: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -49,6 +50,16 @@ class Session:
             raise InputError(f"session {self.session_id!r}: item ids must be integers >= 1 (0 is padding)")
         object.__setattr__(self, "items", tuple(int(i) for i in self.items))
 
+    def to_row(self) -> dict:
+        """The JSON object sessions files and prepared datasets store."""
+        return {"session_id": self.session_id, "kind": self.kind, "t": self.t,
+                "items": list(self.items)}
+
+    @classmethod
+    def from_row(cls, row) -> "Session":
+        """Inverse of ``to_row``; a bad field raises KeyError, TypeError or ValueError."""
+        return cls(str(row["session_id"]), row["kind"], int(row["t"]), tuple(row["items"]))
+
 
 @dataclass
 class PreparedDataset:
@@ -65,73 +76,67 @@ class PreparedDataset:
         return list(self.train) + list(self.val) + list(self.test)
 
     def to_json(self) -> str:
-        def enc(sessions):
-            return [
-                {"session_id": s.session_id, "kind": s.kind, "t": s.t, "items": list(s.items)}
-                for s in sessions
-            ]
-
         doc = {
             "catalog_size": self.catalog_size,
             "max_len": self.max_len,
             "padding_id": self.padding_id,
-            "train": enc(self.train),
-            "val": enc(self.val),
-            "test": enc(self.test),
+            "train": [s.to_row() for s in self.train],
+            "val": [s.to_row() for s in self.val],
+            "test": [s.to_row() for s in self.test],
         }
         return json.dumps(doc, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "PreparedDataset":
-        doc = json.loads(text)
-
-        def dec(rows):
-            return [
-                Session(r["session_id"], r["kind"], int(r["t"]), tuple(r["items"]))
-                for r in rows
-            ]
-
-        return cls(
-            train=dec(doc["train"]),
-            val=dec(doc["val"]),
-            test=dec(doc["test"]),
-            catalog_size=int(doc["catalog_size"]),
-            max_len=int(doc["max_len"]),
-            padding_id=int(doc.get("padding_id", PADDING_ID)),
-        )
+        """Parse ``to_json`` output; malformed or mistyped input raises InputError."""
+        try:
+            doc = json.loads(text)
+            splits = {k: [Session.from_row(r) for r in doc[k]] for k in ("train", "val", "test")}
+            return cls(**splits, catalog_size=int(doc["catalog_size"]),
+                       max_len=int(doc["max_len"]),
+                       padding_id=int(doc.get("padding_id", PADDING_ID)))
+        except KeyError as e:
+            raise InputError(f"prepared dataset lacks key {e}") from None
+        except (TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+            raise InputError(f"malformed prepared dataset: {e}") from None
 
 
 # ---------------------------------------------------------------------------
 # parsing / writing
 # ---------------------------------------------------------------------------
 
+def read_text(path) -> str:
+    """A UTF-8 file's text; a byte that is not UTF-8 is an InputError naming its line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise InputError(f"{path}:{line}: not UTF-8 ({e.reason})") from None
+
+
 def parse_sessions(path) -> list:
     """Read a JSON-lines sessions file; report malformed lines by number."""
     sessions = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            try:
-                sid = str(obj["session_id"])
-                kind = obj["kind"]
-                t = int(obj["t"])
-                items = tuple(obj["items"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"{path}:{lineno}: missing or malformed field ({exc})") from exc
-            if sid in seen:
-                raise InputError(f"{path}:{lineno}: duplicate session_id {sid!r}")
-            seen.add(sid)
-            try:
-                sessions.append(Session(sid, kind, t, items))
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        try:
+            session = Session.from_row(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}:{lineno}: missing or malformed field ({exc})") from exc
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if session.session_id in seen:
+            raise InputError(f"{path}:{lineno}: duplicate session_id {session.session_id!r}")
+        seen.add(session.session_id)
+        sessions.append(session)
     return sessions
 
 
@@ -139,12 +144,7 @@ def write_sessions(sessions: Iterable[Session], path) -> None:
     """Write sessions in the line format parse_sessions reads."""
     with open(path, "w", encoding="utf-8") as fh:
         for s in sessions:
-            fh.write(
-                json.dumps(
-                    {"session_id": s.session_id, "kind": s.kind, "t": s.t, "items": list(s.items)}
-                )
-            )
-            fh.write("\n")
+            fh.write(json.dumps(s.to_row()) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,12 @@ width with ReLU.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from . import records
 from . import tensor as T
 from .errors import ConfigError, ContractError, FormatError, InputError, MaskError, NumericError, ShapeError
 from .kv import format_value, parse_field, parse_value
@@ -143,33 +143,39 @@ def init_product_embeddings(catalog_size: int, d_product: int, seed: int) -> np.
     return table
 
 
-def init_params(config: ModelConfig, catalog_size: int, seed: int,
-                dtype=np.float32) -> ModelParams:
-    """Seeded parameter init; weight matrices scale by 1/sqrt(fan_in)."""
+def param_shapes(config: ModelConfig, catalog_size: int) -> Dict[str, Tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in ``init_params`` order."""
     d = config.input_dim
-    tensors: Dict[str, T.Tensor] = {}
-
-    def param(name, array):
-        tensors[name] = T.Tensor(np.asarray(array, dtype=dtype), requires_grad=True)
-
-    def weight(name, rows, cols):
-        w = rng_for(seed, "param", name).standard_normal((rows, cols)) / np.sqrt(rows)
-        param(name, w)
-
-    param("product_emb", init_product_embeddings(catalog_size, config.d_product, seed))
+    shapes = {"product_emb": (catalog_size + 1, config.d_product)}
     for b in range(config.n_blocks):
         for h in range(config.n_heads):
             for kind in ("wq", "wk", "wv"):
-                weight(f"block{b}.head{h}.{kind}", d, config.head_dim)
-        weight(f"block{b}.wo", d, d)
-        weight(f"block{b}.ffn.w1", d, config.d_ffn)
-        param(f"block{b}.ffn.b1", np.zeros(config.d_ffn))
-        weight(f"block{b}.ffn.w2", config.d_ffn, d)
-        param(f"block{b}.ffn.b2", np.zeros(d))
+                shapes[f"block{b}.head{h}.{kind}"] = (d, config.head_dim)
+        shapes[f"block{b}.wo"] = (d, d)
+        shapes[f"block{b}.ffn.w1"] = (d, config.d_ffn)
+        shapes[f"block{b}.ffn.b1"] = (config.d_ffn,)
+        shapes[f"block{b}.ffn.w2"] = (config.d_ffn, d)
+        shapes[f"block{b}.ffn.b2"] = (d,)
         for ln in ("ln1", "ln2"):
-            param(f"block{b}.{ln}.gamma", np.ones(d))
-            param(f"block{b}.{ln}.beta", np.zeros(d))
-    weight("w_out", d, config.d_product)
+            shapes[f"block{b}.{ln}.gamma"] = shapes[f"block{b}.{ln}.beta"] = (d,)
+    shapes["w_out"] = (d, config.d_product)
+    return shapes
+
+
+def init_params(config: ModelConfig, catalog_size: int, seed: int,
+                dtype=np.float32) -> ModelParams:
+    """Seeded parameter init; each weight matrix draws from its own named
+    stream, scaled by 1/sqrt(fan_in); layer-norm gains start at one and
+    other vectors at zero."""
+    tensors: Dict[str, T.Tensor] = {}
+    for name, shape in param_shapes(config, catalog_size).items():
+        if name == "product_emb":
+            value = init_product_embeddings(catalog_size, config.d_product, seed)
+        elif len(shape) == 2:
+            value = rng_for(seed, "param", name).standard_normal(shape) / np.sqrt(shape[0])
+        else:
+            value = np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
+        tensors[name] = T.Tensor(np.asarray(value, dtype=dtype), requires_grad=True)
     return ModelParams(config, catalog_size, tensors)
 
 
@@ -368,89 +374,49 @@ def pairwise_bce_loss(s_pos: T.Tensor, s_neg: T.Tensor) -> T.Tensor:
 # S4CK checkpoints
 # ---------------------------------------------------------------------------
 
-_S4CK_MAGIC = b"S4CK"
-_S4CK_VERSION = 1
-
-
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write config and all tensors (32-bit floats) to an S4CK file."""
     config_block = (params.config.to_kv() + f"\ncatalog_size={params.catalog_size}").encode("utf-8")
-    chunks = [struct.pack("<4sI", _S4CK_MAGIC, _S4CK_VERSION),
-              struct.pack("<I", len(config_block)), config_block]
+    chunks = [records.pack("I", len(config_block)), config_block]
     for name in sorted(params.tensors):
         raw = name.encode("utf-8")
         arr = np.ascontiguousarray(params.tensors[name].data, dtype="<f4")
-        chunks.append(struct.pack("<H", len(raw)))
-        chunks.append(raw)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
-
-
-def _ck_need(buf: bytes, off: int, count: int, what: str) -> int:
-    if off + count > len(buf):
-        raise FormatError(f"truncated checkpoint: needed {count} bytes for {what} "
-                          f"at byte {off}, have {len(buf) - off}")
-    return off + count
-
-
-def _ck_text(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{what} is not UTF-8: {e}") from None
+        chunks += [records.pack(f"H{len(raw)}sB{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape),
+                   arr.tobytes()]
+    records.write(path, b"S4CK", chunks)
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read an S4CK file back into float32 parameter tensors."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    off = 0
-    end = _ck_need(buf, off, 8, "header")
-    magic, version = struct.unpack_from("<4sI", buf, off)
-    off = end
-    if magic != _S4CK_MAGIC:
-        raise FormatError(f"bad magic {magic!r} at byte 0, expected {_S4CK_MAGIC!r}")
-    if version != _S4CK_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} at byte 4")
-    end = _ck_need(buf, off, 4, "config length")
-    (cfg_len,) = struct.unpack_from("<I", buf, off)
-    off = end
-    end = _ck_need(buf, off, cfg_len, "config block")
-    lines = _ck_text(buf[off:end], "checkpoint config block").splitlines()
-    off = end
-    catalog_size = None
-    cfg_lines = []
-    for line in lines:
-        if line.startswith("catalog_size="):
-            if catalog_size is not None:
-                raise FormatError("checkpoint config block repeats catalog_size")
-            catalog_size = parse_value("int", line.split("=", 1)[1], "catalog_size",
-                                       FormatError)
-        else:
-            cfg_lines.append(line)
-    if catalog_size is None:
-        raise FormatError("checkpoint config block lacks catalog_size")
-    config = ModelConfig.from_kv("\n".join(cfg_lines))
+    """Read an S4CK file back into float32 parameter tensors.
+
+    The file must hold each tensor ``param_shapes`` names for its config
+    once, with that shape, in any order; anything else is a FormatError.
+    """
+    r = records.Reader(path, b"S4CK")
+    (cfg_len,) = r.unpack("I", "config length")
+    lines = r.text(cfg_len, "checkpoint config block").splitlines()
+    sizes = [line for line in lines if line.startswith("catalog_size=")]
+    if len(sizes) != 1:
+        raise FormatError(f"checkpoint config block needs one catalog_size line, has {len(sizes)}")
+    catalog_size = parse_value("int", sizes[0][len("catalog_size="):], "catalog_size", FormatError)
+    config = ModelConfig.from_kv("\n".join(line for line in lines if line not in sizes))
+    expected = param_shapes(config, catalog_size)
     tensors: Dict[str, T.Tensor] = {}
-    while off < len(buf):
-        end = _ck_need(buf, off, 2, "tensor name length")
-        (name_len,) = struct.unpack_from("<H", buf, off)
-        off = end
-        end = _ck_need(buf, off, name_len, "tensor name")
-        name = _ck_text(buf[off:end], f"tensor name at byte {off}")
-        off = end
-        end = _ck_need(buf, off, 1, f"rank of {name}")
-        (rank,) = struct.unpack_from("<B", buf, off)
-        off = end
-        end = _ck_need(buf, off, 4 * rank, f"dims of {name}")
-        dims = struct.unpack_from(f"<{rank}I", buf, off)
-        off = end
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        end = _ck_need(buf, off, 4 * count, f"data of {name}")
-        data = np.frombuffer(buf, dtype="<f4", count=count, offset=off).reshape(dims).copy()
-        off = end
-        tensors[name] = T.Tensor(data, requires_grad=True)
+    while not r.at_end():
+        at = r.off
+        (name_len,) = r.unpack("H", "tensor name length")
+        name = r.text(name_len, "tensor name")
+        if name in tensors:
+            raise FormatError(f"checkpoint repeats tensor {name!r} at byte {at}")
+        if name not in expected:
+            raise FormatError(f"checkpoint tensor {name!r} at byte {at} is not in its config")
+        (rank,) = r.unpack("B", f"rank of {name}")
+        dims = r.unpack(f"{rank}I", f"dims of {name}")
+        if dims != expected[name]:
+            raise FormatError(f"tensor {name} at byte {at} has shape {dims}, "
+                              f"the config needs {expected[name]}")
+        tensors[name] = T.Tensor(r.floats(dims, f"data of {name}"), requires_grad=True)
+    missing = [name for name in expected if name not in tensors]
+    if missing:
+        raise FormatError(f"checkpoint lacks {len(missing)} tensor(s): {', '.join(missing)}")
     return ModelParams(config, catalog_size, tensors)

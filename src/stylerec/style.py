@@ -15,11 +15,11 @@ Externally computed activations can be supplied via S4RF files instead.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
+from . import records
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .seeding import rng_for
 
@@ -186,94 +186,52 @@ def pseudo_feature_provider(image: np.ndarray, seed: int) -> List[np.ndarray]:
 # S4RF feature-map files and S4SE embedding caches
 # ---------------------------------------------------------------------------
 
-_S4RF_MAGIC = b"S4RF"
-_S4SE_MAGIC = b"S4SE"
-_VERSION = 1
-
-
-def _need(buf: bytes, offset: int, count: int, what: str) -> int:
-    if offset + count > len(buf):
-        raise FormatError(f"truncated file: needed {count} bytes for {what} at byte {offset}, "
-                          f"have {len(buf) - offset}")
-    return offset + count
-
-
 def write_feature_maps(layers: Sequence[np.ndarray], path) -> None:
     """Write a feature-map stack in the S4RF binary format."""
-    chunks = [struct.pack("<4sII", _S4RF_MAGIC, _VERSION, len(layers))]
+    chunks = [records.pack("I", len(layers))]
     for stack in layers:
         arr = np.ascontiguousarray(np.asarray(stack, dtype=np.float32))
         if arr.ndim != 3:
             raise ShapeError(f"S4RF layer must be [N, H, W], got {arr.shape}")
-        n, h, w = arr.shape
-        chunks.append(struct.pack("<III", n, h, w))
-        chunks.append(arr.astype("<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        chunks += [records.pack("3I", *arr.shape), arr.astype("<f4").tobytes()]
+    records.write(path, b"S4RF", chunks)
 
 
 def load_feature_maps(path) -> List[np.ndarray]:
     """Read an S4RF file; malformed input reports the failing byte offset."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    off = 0
-    end = _need(buf, off, 12, "header")
-    magic, version, layer_count = struct.unpack_from("<4sII", buf, off)
-    off = end
-    if magic != _S4RF_MAGIC:
-        raise FormatError(f"bad magic {magic!r} at byte 0, expected {_S4RF_MAGIC!r}")
-    if version != _VERSION:
-        raise FormatError(f"unsupported S4RF version {version} at byte 4")
+    r = records.Reader(path, b"S4RF")
+    (layer_count,) = r.unpack("I", "layer count")
     layers = []
     for k in range(layer_count):
-        end = _need(buf, off, 12, f"layer {k} dims")
-        n, h, w = struct.unpack_from("<III", buf, off)
-        off = end
-        nbytes = n * h * w * 4
-        end = _need(buf, off, nbytes, f"layer {k} data ({n}x{h}x{w})")
-        layers.append(np.frombuffer(buf, dtype="<f4", count=n * h * w, offset=off)
-                      .reshape(n, h, w).copy())
-        off = end
-    if off != len(buf):
-        raise FormatError(f"trailing data at byte {off}")
+        dims = r.unpack("3I", f"layer {k} dims")
+        layers.append(r.floats(dims, f"layer {k} data ({'x'.join(map(str, dims))})"))
+    r.finish()
     return layers
 
 
 def save_style_cache(vectors: Dict[int, np.ndarray], path) -> None:
     """Write per-product 512-dim style vectors in the S4SE binary format."""
-    chunks = [struct.pack("<4sII", _S4SE_MAGIC, _VERSION, len(vectors))]
+    chunks = [records.pack("I", len(vectors))]
     for pid in sorted(vectors):
         if pid < 1:
             raise ContractError(f"product id must be >= 1, got {pid}")
         vec = np.asarray(vectors[pid], dtype=np.float32)
         if vec.shape != (STYLE_DIM,):
             raise ShapeError(f"style vector for id {pid} has shape {vec.shape}, need ({STYLE_DIM},)")
-        chunks.append(struct.pack("<I", pid))
-        chunks.append(vec.astype("<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        chunks += [records.pack("I", pid), vec.astype("<f4").tobytes()]
+    records.write(path, b"S4SE", chunks)
 
 
 def load_style_cache(path) -> Dict[int, np.ndarray]:
-    """Read an S4SE file; malformed input reports the failing byte offset."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    off = 0
-    end = _need(buf, off, 12, "header")
-    magic, version, count = struct.unpack_from("<4sII", buf, off)
-    off = end
-    if magic != _S4SE_MAGIC:
-        raise FormatError(f"bad magic {magic!r} at byte 0, expected {_S4SE_MAGIC!r}")
-    if version != _VERSION:
-        raise FormatError(f"unsupported S4SE version {version} at byte 4")
+    """Read an S4SE file; malformed input, a zero or a repeated id names its byte offset."""
+    r = records.Reader(path, b"S4SE")
+    (count,) = r.unpack("I", "vector count")
     vectors = {}
     for k in range(count):
-        end = _need(buf, off, 4, f"product id #{k}")
-        (pid,) = struct.unpack_from("<I", buf, off)
-        off = end
-        end = _need(buf, off, STYLE_DIM * 4, f"style vector for id {pid}")
-        vectors[pid] = np.frombuffer(buf, dtype="<f4", count=STYLE_DIM, offset=off).copy()
-        off = end
-    if off != len(buf):
-        raise FormatError(f"trailing data at byte {off}")
+        at = r.off
+        (pid,) = r.unpack("I", f"product id #{k}")
+        if pid == 0 or pid in vectors:
+            raise FormatError(f"{'repeated' if pid else 'padding'} product id {pid} at byte {at}")
+        vectors[pid] = r.floats((STYLE_DIM,), f"style vector for id {pid}")
+    r.finish()
     return vectors

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .data import CART, PURCHASE, PreparedDataset, Session, prepare_dataset
+from .data import CART, PURCHASE, PreparedDataset, Session, prepare_dataset, truncate_pad
 from .errors import ConfigError, ContractError, NumericError
 from .metrics import FULL_CATALOG, NEGSAMPLE, MetricsReport, rank_of_truth
 from .model import (
@@ -128,9 +128,7 @@ def _session_arrays(sessions: Sequence[Session], max_len: int):
     mask = np.zeros((n, max_len), dtype=bool)
     truth = np.zeros(n, dtype=np.int64)
     for r, s in enumerate(sessions):
-        inp = list(s.items[:-1])[-max_len:]
-        ids[r, :len(inp)] = inp
-        mask[r, :len(inp)] = True
+        ids[r], mask[r] = truncate_pad(s.items[:-1], max_len)
         truth[r] = s.items[-1]
     return ids, mask, truth
 

@@ -12,7 +12,7 @@ import pytest
 
 from stylerec import cli
 from stylerec.data import PURCHASE, PreparedDataset, Session
-from stylerec.errors import FormatError, NumericError
+from stylerec.errors import FormatError, InputError, NumericError
 from stylerec.style import load_style_cache, write_feature_maps
 from stylerec.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from stylerec.training import TrainConfig
@@ -305,6 +305,15 @@ class TestConfigFile:
         assert run("synth", "--config", cfg, "--products", 4, "--sessions", 5,
                    "--out", tmp_path / "x") == 1
 
+    def test_non_utf8_line_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed=1\n# caf\xe9\n")
+        assert run("synth", "--config", cfg, "--products", 4, "--sessions", 5,
+                   "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error input-error:") and err.count("\n") == 1, err
+        assert f"{cfg}:2: not UTF-8" in err
+
     def test_missing_config_file(self, tmp_path):
         assert run("synth", "--config", tmp_path / "nope.cfg", "--products", 4,
                    "--sessions", 5, "--out", tmp_path / "x") == 1
@@ -316,11 +325,43 @@ class TestConfigFile:
                    "--out", tmp_path / "x") == 2
 
 
+class TestPreparedDatasetInput:
+    """A malformed prepared dataset ends in one input-error line."""
+
+    GOOD = {"catalog_size": 8, "max_len": 8, "padding_id": 0,
+            "train": [], "val": [], "test": [{"session_id": "a", "kind": "purchase",
+                                               "t": 0, "items": [1, 2]}]}
+
+    @pytest.mark.parametrize("blob", [
+        b'{"catalog_size": 8,',  # not JSON
+        json.dumps({k: v for k, v in GOOD.items() if k != "test"}).encode(),  # no test split
+        b"[]",  # not an object
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "t": "x"}]}).encode(),  # bad t
+        json.dumps(GOOD).encode().replace(b'"a"', b'"caf\xe9"'),  # not UTF-8
+    ], ids=["json", "missing-split", "list", "bad-t", "not-utf8"])
+    def test_malformed_dataset_is_input_error(self, tmp_path, capsys, blob):
+        data = tmp_path / "prep.json"
+        data.write_bytes(blob)
+        ckpt = tmp_path / "m.s4ck"
+        tiny_checkpoint(ckpt, 8)
+        assert run("eval", "--checkpoint", ckpt, "--data", data,
+                   "--report-dir", tmp_path / "rep") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error input-error:") and err.count("\n") == 1, err
+        if b"\xe9" not in blob:
+            with pytest.raises(InputError):
+                PreparedDataset.from_json(blob.decode("utf-8"))
+
+
+def tiny_model_config() -> ModelConfig:
+    """The tiny_config model shape."""
+    return ModelConfig(d_product=8, d_model=4, n_blocks=1, n_heads=2, d_ffn=8,
+                       dropout=0.0, max_len=8)
+
+
 def tiny_checkpoint(path, catalog_size: int) -> None:
     """An untrained checkpoint with the tiny_config model shape."""
-    cfg = ModelConfig(d_product=8, d_model=4, n_blocks=1, n_heads=2, d_ffn=8,
-                      dropout=0.0, max_len=8)
-    save_checkpoint(init_params(cfg, catalog_size, 0), path)
+    save_checkpoint(init_params(tiny_model_config(), catalog_size, 0), path)
 
 
 class TestConfigPath:
@@ -437,6 +478,96 @@ class TestCheckpointHeader:
         assert run("eval", "--checkpoint", ckpt) == 1
         err = capsys.readouterr().err
         assert err.startswith("error format-error:") and err.count("\n") == 1, err
+
+
+def s4ck_records(blob: bytes):
+    """``(start, end, name, rank)`` of each tensor record of an S4CK file,
+    parsed here from the layout rather than by the loader under test."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    off, out = 12 + n, []
+    while off < len(blob):
+        start = off
+        (name_len,) = struct.unpack_from("<H", blob, off)
+        name = blob[off + 2:off + 2 + name_len].decode()
+        off += 2 + name_len
+        rank = blob[off]
+        dims = struct.unpack_from(f"<{rank}I", blob, off + 1)
+        off += 1 + 4 * rank + 4 * int(np.prod(dims))
+        out.append((start, off, name, rank))
+    return out
+
+
+class TestCheckpointMutations:
+    """Structural corruption of a checkpoint never loads.
+
+    A seeded set of mutations of one S4CK file: truncation at every record
+    boundary; a dropped, duplicated or reordered tensor record; a flipped
+    rank byte, each flipped dim byte, and swapped dims. Each makes
+    ``stylerec eval`` exit 1 with exactly one ``error format-error:`` line
+    and no traceback, except the pure reorder, which loads the same
+    tensors and evaluates to the same report. A flipped byte inside a
+    tensor's data changes no structure and stays undetected until the
+    format carries a checksum (CRC32), so it is not among the cases.
+    """
+
+    def mutants(self, blob: bytes, rng):
+        recs = s4ck_records(blob)
+        head = recs[0][0]
+        body = [blob[a:b] for a, b, _, _ in recs]
+        for cut in [0, 4, 8, 12, head] + [end for _, end, _, _ in recs[:-1]]:
+            yield f"truncate@{cut}", blob[:cut]
+        picked = sorted(rng.choice(len(recs), size=4, replace=False))
+        picked += [i for i, r in enumerate(recs) if r[2] == "w_out" and i not in picked]
+        for i in picked:
+            start, _, name, rank = recs[i]
+            yield f"drop {name}", blob[:head] + b"".join(body[:i] + body[i + 1:])
+            yield f"duplicate {name}", blob[:head] + b"".join(body[:i + 1] + body[i:])
+            rank_at = start + 2 + len(name.encode())
+            for at in range(rank_at, rank_at + 1 + 4 * rank):
+                flipped = bytearray(blob)
+                flipped[at] ^= int(rng.integers(1, 256))
+                yield f"flip byte {at} of {name} (rank and dims)", bytes(flipped)
+            if rank == 2:
+                dims = blob[rank_at + 1:rank_at + 9]
+                yield (f"swap dims of {name}",
+                       blob[:rank_at + 1] + dims[4:] + dims[:4] + blob[rank_at + 9:])
+
+    def test_structural_mutations_fail_closed(self, tmp_path, capsys):
+        prep = make_prepared(tmp_path)
+        ckpt = tmp_path / "m.s4ck"
+        tiny_checkpoint(ckpt, 8)
+        blob = ckpt.read_bytes()
+        argv = ("eval", "--checkpoint", ckpt, "--data", prep, "--report-dir", tmp_path / "rep")
+        assert run(*argv) == 0
+        report = (tmp_path / "rep" / "eval-eval.txt").read_bytes()
+        capsys.readouterr()
+        rng = np.random.default_rng(2024)
+        failures = []
+        cases = list(self.mutants(blob, rng))
+        assert len(cases) > 40
+        for label, mutant in cases:
+            ckpt.write_bytes(mutant)
+            try:
+                code = run(*argv)
+            except Exception as e:  # a traceback out of the CLI
+                failures.append(f"{label}: raised {type(e).__name__}: {e}")
+                continue
+            err = capsys.readouterr().err
+            if code != 1 or not err.startswith("error format-error:") or err.count("\n") != 1:
+                failures.append(f"{label}: exit {code}, stderr {err!r}")
+        assert not failures, "\n".join(failures)
+
+        recs = s4ck_records(blob)
+        order = rng.permutation(len(recs))
+        assert list(order) != list(range(len(recs)))
+        head = recs[0][0]
+        ckpt.write_bytes(blob[:head] + b"".join(blob[recs[i][0]:recs[i][1]] for i in order))
+        back, original = load_checkpoint(ckpt), init_params(tiny_model_config(), 8, 0)
+        assert sorted(back.tensors) == sorted(original.tensors)
+        for name, t in original.items():
+            np.testing.assert_array_equal(back[name].data, t.data)
+        assert run(*argv) == 0
+        assert (tmp_path / "rep" / "eval-eval.txt").read_bytes() == report
 
 
 class TestErrorSurface:

@@ -94,6 +94,13 @@ class TestParsing:
         with pytest.raises(InputError, match=r":1:"):
             parse_sessions(path)
 
+    def test_non_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"session_id": "a", "kind": "purchase", "t": 0, "items": [1, 2]}\n'
+                         b'{"session_id": "caf\xe9", "kind": "purchase", "t": 1, "items": [1, 2]}\n')
+        with pytest.raises(InputError, match=r"latin1\.jsonl:2: not UTF-8"):
+            parse_sessions(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.jsonl"
         path.write_text(

@@ -25,6 +25,7 @@ from stylerec.model import (
     init_product_embeddings,
     load_checkpoint,
     multi_head_attention,
+    param_shapes,
     pairwise_bce_loss,
     positional_encoding,
     product_table,
@@ -561,6 +562,26 @@ class TestCheckpoint:
         path.write_bytes(b"S4CK" + b"\x09\x00\x00\x00")
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda t: t.pop("w_out"), "lacks 1 tensor"),
+        (lambda t: t.update(extra=T.Tensor(np.zeros(3, dtype=np.float32))), "not in its config"),
+        (lambda t: t.update(w_out=T.Tensor(t["w_out"].data.T.copy())), "shape"),
+        (lambda t: t.update(product_emb=T.Tensor(t["product_emb"].data[:-1].copy())), "shape"),
+    ], ids=["missing", "extra", "transposed", "short-table"])
+    def test_tensors_must_match_config(self, tmp_path, edit, match):
+        params = init_params(tiny_config(), catalog_size=5, seed=33)
+        edit(params.tensors)
+        path = tmp_path / "model.s4ck"
+        save_checkpoint(params, path)
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+    def test_param_shapes_describe_init(self):
+        for cfg in (tiny_config(), tiny_config(use_style=True, n_blocks=2)):
+            params = init_params(cfg, catalog_size=6, seed=34)
+            assert {n: t.shape for n, t in params.items()} == param_shapes(cfg, 6)
+            assert list(params.tensors) == list(param_shapes(cfg, 6))
 
     def test_reloaded_model_scores_identically(self, tmp_path):
         cfg = tiny_config()

@@ -366,6 +366,19 @@ class TestS4SE:
         with pytest.raises(FormatError, match="byte"):
             load_style_cache(path)
 
+    @pytest.mark.parametrize("ids, at, new_id, match", [
+        ((1, 2), 12 + 4 + 4 * STYLE_DIM, 1, "repeated product id 1"),  # second id
+        ((1,), 12, 0, "padding product id 0"),  # first id
+    ])
+    def test_repeated_or_zero_id_is_format_error(self, tmp_path, ids, at, new_id, match):
+        path = tmp_path / "ids.s4se"
+        save_style_cache({i: np.full(STYLE_DIM, i, dtype=np.float32) for i in ids}, path)
+        blob = bytearray(path.read_bytes())
+        blob[at:at + 4] = struct.pack("<I", new_id)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"{match} at byte {at}"):
+            load_style_cache(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.s4se"
         path.write_bytes(struct.pack("<4sII", b"WHAT", 1, 0))
