@@ -35,6 +35,7 @@ from .data import (
     format_statistics_table,
     generate_style_correlated,
     generate_synthetic,
+    max_product_id,
     parse_sessions,
     prepare_dataset,
     read_text,
@@ -50,7 +51,7 @@ from .errors import (
     ShapeError,
     StyleRecError,
 )
-from .metrics import FULL_CATALOG, NEGSAMPLE, COLUMNS, format_report_table
+from .metrics import FULL_CATALOG, NEGSAMPLE, format_report_table
 from .kv import parse_field
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .seeding import derive_seed
@@ -66,9 +67,9 @@ from .style import (
 from .training import (
     CONFIGURATIONS,
     TrainConfig,
+    curve_lines,
     dynamic_experiment,
-    evaluate,
-    pick_eval_mode,
+    evaluate_test_split,
     run_configuration_suite,
     sweep,
     train,
@@ -139,10 +140,12 @@ def _read_config_file(path: str) -> Dict[str, str]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        out[key.strip()] = value.strip()
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
+        out[key] = value
     return out
 
 
@@ -176,19 +179,28 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _save(params, path: Path) -> None:
+def _report(rc: RunConfig, name: str, lines: list, shown: str = "") -> None:
+    """Print ``shown``, if any, then write ``lines`` to ``<report_dir>/<name>.txt``."""
+    if shown:
+        print(shown)
+    _write(Path(rc.report_dir) / f"{name}.txt", "\n".join(lines) + "\n")
+
+
+def _save(params, rc: RunConfig, name: str, out: Optional[str] = None) -> Path:
+    path = Path(out) if out else Path(rc.checkpoint_dir) / f"model-{name}.s4ck"
     path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, path)
     print(f"wrote {path}")
+    return path
 
 
-def _load_dataset(rc: RunConfig) -> PreparedDataset:
-    return PreparedDataset.from_json(read_text(_require_file(rc.data, "prepared dataset")))
+def _inputs(rc: RunConfig, use_style: bool) -> Tuple[PreparedDataset, Optional[np.ndarray]]:
+    ds = PreparedDataset.from_json(read_text(_require_file(rc.data, "prepared dataset")))
+    return ds, (_load_style_table(rc, ds.catalog_size) if use_style else None)
 
 
 def _load_style_table(rc: RunConfig, catalog_size: int) -> np.ndarray:
-    vectors = load_style_cache(_require_file(rc.style_cache, "style cache"))
-    return style_table(catalog_size, vectors)
+    return style_table(catalog_size, load_style_cache(_require_file(rc.style_cache, "style cache")))
 
 
 def _model_kwargs(rc: RunConfig, *owned: str, **defaults) -> Dict[str, object]:
@@ -290,18 +302,12 @@ def cmd_synth(rc: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _checkpoint_path(rc: RunConfig, name: str) -> Path:
-    return Path(rc.checkpoint_dir) / f"model-{name}.s4ck"
-
-
 def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
-    ds = _load_dataset(rc)
-    table = _load_style_table(rc, ds.catalog_size) if cfg.use_style else None
+    ds, table = _inputs(rc, cfg.use_style)
     model_cfg = ModelConfig(use_style=cfg.use_style, **_model_kwargs(rc, max_len=ds.max_len))
     result = train(ds, model_cfg, cfg, style_table=table, log=print)
-    ckpt = Path(args.out) if args.out else _checkpoint_path(rc, cfg.configuration)
-    _save(result.params, ckpt)
+    ckpt = _save(result.params, rc, cfg.configuration, args.out)
     lines = [f"checkpoint: {ckpt.name}",
              f"fingerprint: {result.fingerprint}",
              f"val_mode: {result.val_mode}",
@@ -310,77 +316,61 @@ def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
     for entry in result.history:
         lines.append(f"epoch {entry['epoch']} loss {entry['loss']:.6f} "
                      f"val_ndcg5 {entry['val']['NDCG@5']:.6f}")
-    _write(Path(rc.report_dir) / f"train-{cfg.configuration}.txt", "\n".join(lines) + "\n")
+    _report(rc, f"train-{cfg.configuration}", lines)
     return 0
 
 
 def cmd_eval(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    ds = _load_dataset(rc)
+    ds, _ = _inputs(rc, use_style=False)
     if ds.catalog_size != params.catalog_size:
         raise ConfigError(f"checkpoint expects a catalog of {params.catalog_size}, "
                           f"dataset has {ds.catalog_size}")
     table = _load_style_table(rc, ds.catalog_size) if params.config.use_style else None
-    mode = pick_eval_mode(cfg, list(ds.val) + list(ds.test), ds.catalog_size)
-    report = evaluate(params, ds.test, mode=mode, n_negatives=cfg.eval_negatives,
-                      seed=cfg.seed, style_table=table)
-    label = args.label
-    text = "\n".join([
+    report = evaluate_test_split(params, ds, cfg, table)
+    shown = format_report_table({args.label: report})
+    _report(rc, f"eval-{args.label}", [
         f"checkpoint: {Path(args.checkpoint).name}",
-        f"mode: {mode}",
+        f"mode: {report.mode}",
         f"seed: {cfg.seed}",
         f"sessions: {len(ds.test)}",
         "",
-        *report.machine_lines(label),
+        *report.machine_lines(args.label),
         "",
-        format_report_table({label: report}),
-        "",
-    ])
-    print(format_report_table({label: report}))
-    _write(Path(rc.report_dir) / f"eval-{label}.txt", text)
+        shown,
+    ], shown)
     return 0
 
 
 def cmd_suite(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
-    ds = _load_dataset(rc)
-    table = _load_style_table(rc, ds.catalog_size)
+    ds, table = _inputs(rc, use_style=True)
     results = run_configuration_suite(ds, _model_kwargs(rc, max_len=ds.max_len), cfg,
                                       style_table=table, log=print)
     lines = [f"seed: {cfg.seed}", f"test_sessions: {len(ds.test)}", ""]
-    reports = {}
     for name, bundle in results.items():
-        _save(bundle["result"].params, _checkpoint_path(rc, name))
-        reports[name] = bundle["report"]
+        _save(bundle["result"].params, rc, name)
         lines.extend(bundle["report"].machine_lines(name))
-    lines.extend(["", format_report_table(reports), ""])
-    print(format_report_table(reports))
-    _write(Path(rc.report_dir) / "suite.txt", "\n".join(lines))
+    shown = format_report_table({name: bundle["report"] for name, bundle in results.items()})
+    _report(rc, "suite", lines + ["", shown], shown)
     return 0
 
 
 def cmd_dynamic(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     sessions = parse_sessions(_require_file(rc.sessions, "sessions file"))
-    table = None
-    if cfg.use_style:
-        catalog = max(max(s.items) for s in sessions)
-        table = _load_style_table(rc, catalog)
+    table = _load_style_table(rc, max_product_id(sessions)) if cfg.use_style else None
     curve = dynamic_experiment(sessions, rc.max_lens, _model_kwargs(rc, "max_len"), cfg,
                                style_table=table, log=print)
-    lines = [f"seed: {cfg.seed}", "max_len " + " ".join(COLUMNS)]
-    for max_len, report in curve:
-        lines.append(f"{max_len} " + " ".join(f"{v:.6f}" for v in report.row()))
-    print("\n".join(lines))
-    _write(Path(rc.report_dir) / "dynamic.txt", "\n".join(lines) + "\n")
+    lines = [f"seed: {cfg.seed}", *curve_lines(curve)]
+    _report(rc, "dynamic", lines, "\n".join(lines))
     return 0
 
 
 def cmd_sweep(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
-    ds = _load_dataset(rc)
-    table = _load_style_table(rc, ds.catalog_size) if cfg.use_style else None
+    ds, table = _inputs(rc, cfg.use_style)
     result = sweep(ds, _model_kwargs(rc, "d_ffn", max_len=ds.max_len), cfg,
                    style_table=table, budget=args.budget, log=print)
     lines = [f"seed: {cfg.seed}", "hidden l2 val_ndcg5 best_epoch"]
@@ -389,8 +379,8 @@ def cmd_sweep(rc: RunConfig, args: argparse.Namespace) -> int:
     lines.append(f"best: hidden {result.best.hidden_dim} l2 {result.best.l2} "
                  f"val_ndcg5 {result.best.val_ndcg5:.6f}")
     print("\n".join(lines))
-    _save(result.best_result.params, _checkpoint_path(rc, "sweep-best"))
-    _write(Path(rc.report_dir) / "sweep.txt", "\n".join(lines) + "\n")
+    _save(result.best_result.params, rc, "sweep-best")
+    _report(rc, "sweep", lines)
     return 0
 
 

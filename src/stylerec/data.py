@@ -193,6 +193,13 @@ def clean_session(session: Session, max_len: int = 20) -> Optional[Session]:
     return Session(session.session_id, session.kind, session.t, tuple(items))
 
 
+def max_product_id(sessions: Sequence[Session]) -> int:
+    """The largest product id in ``sessions``: the catalog size they imply."""
+    if not sessions:
+        raise InputError("no sessions: the catalog size is undefined")
+    return max(max(s.items) for s in sessions)
+
+
 def temporal_split(
     sessions: Sequence[Session],
     train_frac: float = DEFAULT_TRAIN_FRAC,
@@ -219,7 +226,7 @@ def temporal_split(
             f"empty split: train={len(train)}, val={len(val)}, test={len(test)} from {n} sessions"
         )
     if catalog_size is None:
-        catalog_size = max(max(s.items) for s in ordered)
+        catalog_size = max_product_id(ordered)
     return PreparedDataset(train=train, val=val, test=test, catalog_size=catalog_size,
                            max_len=max_len)
 

@@ -21,9 +21,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .data import CART, PURCHASE, PreparedDataset, Session, prepare_dataset, truncate_pad
+from .data import (CART, PURCHASE, PreparedDataset, Session, max_product_id,
+                   prepare_dataset, truncate_pad)
 from .errors import ConfigError, ContractError, NumericError
-from .metrics import FULL_CATALOG, NEGSAMPLE, MetricsReport, rank_of_truth
+from .metrics import COLUMNS, FULL_CATALOG, NEGSAMPLE, MetricsReport, rank_of_truth
 from .model import (
     ModelConfig,
     ModelParams,
@@ -41,6 +42,7 @@ CONFIGURATIONS = ("P", "P+Style", "P+Cart", "P+Cart+Style")
 
 HIDDEN_DIM_GRID = (8, 16, 32, 64, 128, 256)
 L2_GRID = (0.1, 0.001, 0.0001, 0.00001)
+EVAL_BATCH = 256  # sessions per encode call in evaluate
 # Elements per Adam block. A block's slices of p, g, m, v and the float64
 # scratch pair take about 1.3 MB at 2**15; 2**14..2**16 step equally fast
 # on a 2 MB-L2 Xeon, while 2**12 loses a third to per-call overhead.
@@ -232,13 +234,13 @@ def l2_penalty(params: ModelParams, lam: float) -> float:
     return lam * params.l2_norm_squared() if lam else 0.0
 
 
-def pick_eval_mode(cfg: TrainConfig, sessions: Sequence[Session], catalog_size: int) -> str:
-    """``cfg.eval_mode``; under "auto", negsample when every session leaves
-    enough ids to draw ``cfg.eval_negatives`` negatives from, else full-catalog."""
+def pick_eval_mode(cfg: TrainConfig, dataset: PreparedDataset) -> str:
+    """``cfg.eval_mode``; under "auto", negsample when every val and test session
+    leaves enough ids to draw ``cfg.eval_negatives`` negatives from, else full-catalog."""
     if cfg.eval_mode != "auto":
         return cfg.eval_mode
-    worst = max((len(set(s.items)) for s in sessions), default=0)
-    return NEGSAMPLE if catalog_size - worst >= cfg.eval_negatives else FULL_CATALOG
+    worst = max((len(set(s.items)) for s in list(dataset.val) + list(dataset.test)), default=0)
+    return NEGSAMPLE if dataset.catalog_size - worst >= cfg.eval_negatives else FULL_CATALOG
 
 
 def _fingerprint(model_cfg: ModelConfig, cfg: TrainConfig, catalog_size: int) -> str:
@@ -281,7 +283,7 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
     params = init_params(model_cfg, P, cfg.seed)
     adam = Adam(params, cfg.learning_rate)
     exclusions = _train_exclusions(train_sessions, P)
-    val_mode = pick_eval_mode(cfg, list(dataset.val) + list(dataset.test), P)
+    val_mode = pick_eval_mode(cfg, dataset)
     n = len(train_sessions)
 
     history: List[dict] = []
@@ -357,11 +359,10 @@ def _eval_candidates(session: Session, catalog_size: int, mode: str,
 
 def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NEGSAMPLE,
              n_negatives: int = 100, seed: int = 0,
-             style_table: Optional[np.ndarray] = None,
-             batch_size: int = 256) -> MetricsReport:
+             style_table: Optional[np.ndarray] = None) -> MetricsReport:
     """Rank the true next product for every session; aggregate HR/NDCG/MRR.
 
-    History vectors are encoded ``batch_size`` sessions at a time; the
+    History vectors are encoded ``EVAL_BATCH`` sessions at a time; the
     model then scores candidates through ``evaluate_with_scorer``, against
     one ``product_table`` built for this call.
     """
@@ -370,8 +371,8 @@ def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NE
     ids, mask, _ = _session_arrays(sessions, cfg.max_len)
     hist = []
     with T.no_grad():
-        for b0 in range(0, len(sessions), batch_size):
-            sel = slice(b0, b0 + batch_size)
+        for b0 in range(0, len(sessions), EVAL_BATCH):
+            sel = slice(b0, b0 + EVAL_BATCH)
             hidden = encode(ids[sel], mask[sel], params, pos_enc, style_table)
             hist.extend(history_vector(hidden, mask[sel], params).data)
     rows = iter(hist)
@@ -379,6 +380,14 @@ def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NE
     return evaluate_with_scorer(sessions, params.catalog_size,
                                 lambda session, cands: score(next(rows), cands, params, table),
                                 mode=mode, n_negatives=n_negatives, seed=seed)
+
+
+def evaluate_test_split(params: ModelParams, dataset: PreparedDataset, cfg: TrainConfig,
+                        style_table: Optional[np.ndarray] = None) -> MetricsReport:
+    """The protocol of every reported test number: rank ``dataset.test`` in the mode
+    ``pick_eval_mode`` picks, with ``cfg.eval_negatives`` negatives and seed ``cfg.seed``."""
+    return evaluate(params, dataset.test, mode=pick_eval_mode(cfg, dataset),
+                    n_negatives=cfg.eval_negatives, seed=cfg.seed, style_table=style_table)
 
 
 def evaluate_with_scorer(sessions: Sequence[Session], catalog_size: int,
@@ -438,7 +447,6 @@ def oracle_scorer(oracle):
 def run_configuration_suite(dataset: PreparedDataset, model_kwargs: dict,
                             base_cfg: TrainConfig,
                             style_table: Optional[np.ndarray] = None, *,
-                            test_mode: Optional[str] = None,
                             log: Optional[Callable[[str], None]] = None) -> Dict[str, dict]:
     """Train and test all four data configurations with shared seeds.
 
@@ -447,54 +455,49 @@ def run_configuration_suite(dataset: PreparedDataset, model_kwargs: dict,
     """
     if "use_style" in model_kwargs:
         raise ConfigError("use_style is decided per configuration")
+    if style_table is None:
+        raise ConfigError("the P+Style and P+Cart+Style configurations need a style table")
     results: Dict[str, dict] = {}
     for name in CONFIGURATIONS:
         cfg = replace(base_cfg, configuration=name)
         model_cfg = ModelConfig(use_style=cfg.use_style, **model_kwargs)
         table = style_table if cfg.use_style else None
-        if cfg.use_style and style_table is None:
-            raise ConfigError(f"configuration {name!r} needs a style table")
         if log:
             log(f"training configuration {name}")
         result = train(dataset, model_cfg, cfg, style_table=table, log=log)
-        mode = test_mode or result.val_mode
-        report = evaluate(result.params, dataset.test, mode=mode,
-                          n_negatives=cfg.eval_negatives, seed=cfg.seed,
-                          style_table=table)
-        results[name] = {"result": result, "report": report}
+        results[name] = {"result": result,
+                         "report": evaluate_test_split(result.params, dataset, cfg, table)}
     return results
 
 
 def dynamic_experiment(raw_sessions: Sequence[Session], max_lens: Sequence[int],
                        model_kwargs: dict, cfg: TrainConfig,
                        style_table: Optional[np.ndarray] = None, *,
-                       train_frac: float = 14.0 / 18.0, val_frac: float = 2.0 / 18.0,
                        log: Optional[Callable[[str], None]] = None) -> List[Tuple[int, MetricsReport]]:
-    """Retrain and test at each maximum session length; returns the curve."""
+    """Retrain and test at each maximum session length; returns the curve.
+    Every cap keeps the raw sessions' catalog, so one style table fits all."""
     if not max_lens:
         raise ConfigError("dynamic experiment needs at least one max_len")
     if any(m < 2 for m in max_lens):
         raise ConfigError("max_len values must be >= 2")
     if "use_style" in model_kwargs or "max_len" in model_kwargs:
         raise ConfigError("the experiment owns use_style and max_len; leave them out")
+    catalog_size = max_product_id(raw_sessions)
     curve = []
     for max_len in max_lens:
-        ds = prepare_dataset(raw_sessions, max_len=max_len,
-                             train_frac=train_frac, val_frac=val_frac)
+        ds = prepare_dataset(raw_sessions, max_len=max_len, catalog_size=catalog_size)
         model_cfg = ModelConfig(use_style=cfg.use_style, max_len=max_len, **model_kwargs)
         if log:
             log(f"dynamic: max_len {max_len}")
         result = train(ds, model_cfg, cfg, style_table=style_table, log=log)
-        report = evaluate(result.params, ds.test, mode=result.val_mode,
-                          n_negatives=cfg.eval_negatives, seed=cfg.seed,
-                          style_table=style_table)
-        curve.append((max_len, report))
+        curve.append((max_len, evaluate_test_split(result.params, ds, cfg, style_table)))
     return curve
 
 
-def curve_series(curve: List[Tuple[int, MetricsReport]], column: str) -> str:
-    """Two-column plot-ready series: max_len and one metric per line."""
-    return "\n".join(f"{max_len} {report[column]:.6f}" for max_len, report in curve)
+def curve_lines(curve: List[Tuple[int, MetricsReport]]) -> List[str]:
+    """A header, then one row per cap: max_len and every metric column."""
+    return ["max_len " + " ".join(COLUMNS)] + [
+        f"{max_len} " + " ".join(f"{v:.6f}" for v in report.row()) for max_len, report in curve]
 
 
 @dataclass
@@ -537,11 +540,10 @@ def sweep(dataset: PreparedDataset, model_kwargs: dict, cfg: TrainConfig,
     best: Optional[SweepRun] = None
     best_result: Optional[TrainResult] = None
     for hidden, lam in combos:
-        model_cfg = ModelConfig(use_style=cfg.use_style, d_ffn=hidden, **model_kwargs)
-        run_cfg = replace(cfg, l2=lam)
         if log:
             log(f"sweep: hidden {hidden}, l2 {lam}")
-        result = train(dataset, model_cfg, run_cfg, style_table=style_table)
+        model_cfg = ModelConfig(use_style=cfg.use_style, d_ffn=hidden, **model_kwargs)
+        result = train(dataset, model_cfg, replace(cfg, l2=lam), style_table=style_table)
         run = SweepRun(hidden_dim=hidden, l2=lam, val_ndcg5=result.best_val_ndcg5,
                        best_epoch=result.best_epoch, fingerprint=result.fingerprint)
         runs.append(run)

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from stylerec import cli
-from stylerec.data import PURCHASE, PreparedDataset, Session
+from stylerec.data import PURCHASE, PreparedDataset, Session, generate_synthetic, write_sessions
 from stylerec.errors import FormatError, InputError, NumericError
-from stylerec.style import load_style_cache, write_feature_maps
+from stylerec.style import load_style_cache, save_style_cache, write_feature_maps
 from stylerec.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
-from stylerec.training import TrainConfig
+from stylerec.training import CONFIGURATIONS, TrainConfig
 
 
 def run(*argv) -> int:
@@ -263,6 +263,59 @@ class TestSuiteDynamicSweep:
         assert lines[1].startswith("max_len HR@5")
         assert lines[2].startswith("2 ") and lines[3].startswith("4 ")
 
+    def test_suite_equals_train_plus_eval(self, tmp_path, tiny_config):
+        """Each suite checkpoint is the one ``train`` writes, and its report
+        lines are the ones ``eval`` writes for that checkpoint."""
+        _, prep, cache = self.make_style_setup(tmp_path)
+        common = ["--config", tiny_config, "--data", prep, "--style-cache", cache]
+        assert run("suite", *common, "--epochs", 1, "--checkpoint-dir", tmp_path / "ck",
+                   "--report-dir", tmp_path / "rep") == 0
+
+        def records(path, name):
+            return [line for line in path.read_text().splitlines()
+                    if line.split()[:1] == [name] and len(line.split()) == 5]
+
+        for name in CONFIGURATIONS:
+            ckpt = tmp_path / "ck" / f"model-{name}.s4ck"
+            alone = tmp_path / f"alone-{name}.s4ck"
+            assert run("train", *common, "--configuration", name, "--epochs", 1,
+                       "--out", alone, "--report-dir", tmp_path / "rep-train") == 0
+            assert alone.read_bytes() == ckpt.read_bytes()
+            assert run("eval", *common, "--checkpoint", ckpt, "--label", name,
+                       "--report-dir", tmp_path / "rep-eval") == 0
+            suite = records(tmp_path / "rep" / "suite.txt", name)
+            assert len(suite) == 9
+            assert suite == records(tmp_path / "rep-eval" / f"eval-{name}.txt", name)
+
+    def test_dynamic_keeps_one_catalog_across_caps(self, tmp_path, tiny_config):
+        # id 10 only leads a 4-item session: the cap of 6 keeps it, the cap of 2 drops it
+        sessions, _ = generate_synthetic(9, 150, length_range=(3, 6), seed=4)
+        raw = tmp_path / "s.jsonl"
+        write_sessions([Session("long", PURCHASE, -1, (10, 1, 2, 3))] + sessions, raw)
+        rng = np.random.default_rng(4)
+        cache = tmp_path / "style.s4se"
+        save_style_cache({pid: rng.standard_normal(512).astype(np.float32)
+                          for pid in range(1, 11)}, cache)
+        cfg = tmp_path / "style.cfg"
+        cfg.write_text(tiny_config.read_text()
+                       + f"train.configuration=P+Style\nstyle_cache={cache}\n")
+        assert run("dynamic", "--config", cfg, "--sessions", raw, "--max-lens", "6,2",
+                   "--epochs", 1, "--report-dir", tmp_path / "rep") == 0
+        lines = (tmp_path / "rep" / "dynamic.txt").read_text().splitlines()
+        assert [line.split()[0] for line in lines[2:]] == ["6", "2"]
+
+    @pytest.mark.parametrize("configuration", ["P", "P+Style"])
+    def test_dynamic_empty_sessions_is_input_error(self, tmp_path, tiny_config, capsys,
+                                                   configuration):
+        raw = tmp_path / "empty.jsonl"
+        raw.write_text("")
+        cfg = tmp_path / "dyn.cfg"
+        cfg.write_text(tiny_config.read_text() + f"train.configuration={configuration}\n")
+        assert run("dynamic", "--config", cfg, "--sessions", raw, "--max-lens", "2,4",
+                   "--report-dir", tmp_path / "rep") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error input-error:") and err.count("\n") == 1, err
+
     def test_sweep_budget(self, tmp_path, tiny_config):
         prep = make_prepared(tmp_path)
         assert run("sweep", "--config", tiny_config, "--data", prep,
@@ -313,6 +366,16 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error input-error:") and err.count("\n") == 1, err
         assert f"{cfg}:2: not UTF-8" in err
+
+    def test_repeated_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("seed=1\n# again\nseed = 2\n")
+        assert run("synth", "--config", cfg, "--products", 4, "--sessions", 5,
+                   "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error config-error:") and err.count("\n") == 1, err
+        assert f"{cfg}:3: repeated key 'seed'" in err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run("synth", "--config", tmp_path / "nope.cfg", "--products", 4,

@@ -18,6 +18,7 @@ from stylerec.data import (
     generate_style_correlated,
     generate_synthetic,
     make_transition,
+    max_product_id,
     parse_sessions,
     prepare_dataset,
     remove_overlap,
@@ -214,7 +215,17 @@ class TestTemporalSplit:
         sessions = [Session("a", PURCHASE, 0, (1, 41)), Session("b", PURCHASE, 1, (2, 3)),
                     Session("c", PURCHASE, 2, (4, 5)), Session("d", PURCHASE, 3, (6, 7))]
         ds = temporal_split(sessions, train_frac=0.5, val_frac=0.25)
-        assert ds.catalog_size == 41
+        assert ds.catalog_size == 41 == max_product_id(sessions)
+
+    def test_max_product_id_of_no_sessions_is_input_error(self):
+        with pytest.raises(InputError, match="no sessions"):
+            max_product_id([])
+
+    def test_given_catalog_size_outlasts_truncation(self):
+        # id 9 only leads a long session; a cap of 2 cuts it off
+        sessions = [Session("long", PURCHASE, 0, (9, 1, 2))] + make_sessions(8, start_t=1)
+        assert prepare_dataset(sessions, max_len=2).catalog_size == 5
+        assert prepare_dataset(sessions, max_len=2, catalog_size=9).catalog_size == 9
 
     def test_prepare_dataset_pipeline(self):
         sessions = [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stylerec import tensor as T
+from stylerec import training
 from stylerec.data import PURCHASE, Session, generate_synthetic, prepare_dataset
 from stylerec.errors import ConfigError, ContractError
 from stylerec.metrics import FULL_CATALOG, NEGSAMPLE
@@ -26,9 +27,10 @@ from stylerec.training import (
     SweepRun,
     TrainConfig,
     _catalog_pool,
-    curve_series,
+    curve_lines,
     dynamic_experiment,
     evaluate,
+    evaluate_test_split,
     evaluate_with_scorer,
     l2_penalty,
     oracle_scorer,
@@ -296,6 +298,18 @@ class TestEvaluate:
         b = evaluate(params, ds.test, mode=NEGSAMPLE, n_negatives=100, seed=6)
         assert a.ranks == b.ranks
 
+    def test_test_split_protocol(self):
+        ds, params, _ = self.make_eval_setup(n=80)
+        neg = evaluate_test_split(params, ds, TrainConfig(seed=6))
+        assert neg.mode == NEGSAMPLE
+        assert neg.ranks == evaluate(params, ds.test, mode=NEGSAMPLE, seed=6).ranks
+        few = evaluate_test_split(params, ds, TrainConfig(seed=6, eval_negatives=3))
+        assert few.ranks == evaluate(params, ds.test, n_negatives=3, seed=6).ranks
+        # 150 products minus up to 8 session items cannot supply 145 negatives
+        full = evaluate_test_split(params, ds, TrainConfig(seed=6, eval_negatives=145))
+        assert full.mode == FULL_CATALOG
+        assert full.ranks == evaluate(params, ds.test, mode=FULL_CATALOG).ranks
+
     def test_empty_sessions_rejected(self):
         _, params, _ = self.make_eval_setup(n=60)
         with pytest.raises(ContractError):
@@ -358,10 +372,19 @@ class TestSuiteAndExperiments:
             uses_cart = "Cart" in name
             assert (stuff["result"].cart_sessions_used > 0) == uses_cart
 
-    def test_suite_requires_style_table(self):
+    def test_suite_requires_style_table(self, monkeypatch):
         ds, _ = tiny_dataset()
+        calls = []
+        real_train = training.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(args[2].configuration)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train", counting_train)
         with pytest.raises(ConfigError):
             run_configuration_suite(ds, dict(TINY_MODEL), TrainConfig(epochs=1))
+        assert calls == []  # fails before any configuration trains
 
     def test_suite_rejects_use_style_kwarg(self):
         ds, _ = tiny_dataset()
@@ -375,9 +398,10 @@ class TestSuiteAndExperiments:
         curve = dynamic_experiment(sessions, [2, 4], kwargs,
                                    TrainConfig(epochs=1, seed=13))
         assert [m for m, _ in curve] == [2, 4]
-        series = curve_series(curve, "HR@5")
-        lines = series.splitlines()
-        assert len(lines) == 2 and lines[0].startswith("2 ")
+        lines = curve_lines(curve)
+        assert lines[0] == "max_len HR@5 HR@10 HR@20 NDCG@5 NDCG@10 NDCG@20 MRR@5 MRR@10 MRR@20"
+        assert len(lines) == 3 and lines[1].startswith("2 ") and lines[2].startswith("4 ")
+        assert lines[1].split()[1] == f"{curve[0][1]['HR@5']:.6f}"
 
     def test_dynamic_rejects_bad_lengths(self):
         sessions, _ = generate_synthetic(8, 60, seed=14)
