@@ -115,6 +115,9 @@ class RunConfig:
             raise ConfigError("set the global seed, not train.seed")
         if key == "model.use_style":
             raise ConfigError("set train.configuration, not model.use_style")
+        if key == "model.max_len":
+            raise ConfigError("the prepared dataset sets max_len (preprocess --max-len), "
+                              "not model.max_len")
         if not dot:
             setattr(self, key, parse_field(RunConfig, key, raw, key, ConfigError))
         elif section in _SECTIONS:
@@ -327,6 +330,9 @@ def cmd_eval(rc: RunConfig, args: argparse.Namespace) -> int:
     if ds.catalog_size != params.catalog_size:
         raise ConfigError(f"checkpoint expects a catalog of {params.catalog_size}, "
                           f"dataset has {ds.catalog_size}")
+    if ds.max_len != params.config.max_len:
+        raise ConfigError(f"checkpoint was trained with max_len {params.config.max_len}, "
+                          f"dataset has {ds.max_len}")
     table = _load_style_table(rc, ds.catalog_size) if params.config.use_style else None
     report = evaluate_test_split(params, ds, cfg, table)
     shown = format_report_table({args.label: report})
@@ -361,7 +367,7 @@ def cmd_dynamic(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     sessions = parse_sessions(_require_file(rc.sessions, "sessions file"))
     table = _load_style_table(rc, max_product_id(sessions)) if cfg.use_style else None
-    curve = dynamic_experiment(sessions, rc.max_lens, _model_kwargs(rc, "max_len"), cfg,
+    curve = dynamic_experiment(sessions, rc.max_lens, _model_kwargs(rc), cfg,
                                style_table=table, log=print)
     lines = [f"seed: {cfg.seed}", *curve_lines(curve)]
     _report(rc, "dynamic", lines, "\n".join(lines))

@@ -70,7 +70,6 @@ class PreparedDataset:
     test: list
     catalog_size: int
     max_len: int
-    padding_id: int = PADDING_ID
 
     def all_sessions(self):
         return list(self.train) + list(self.val) + list(self.test)
@@ -79,7 +78,7 @@ class PreparedDataset:
         doc = {
             "catalog_size": self.catalog_size,
             "max_len": self.max_len,
-            "padding_id": self.padding_id,
+            "padding_id": PADDING_ID,
             "train": [s.to_row() for s in self.train],
             "val": [s.to_row() for s in self.val],
             "test": [s.to_row() for s in self.test],
@@ -92,9 +91,10 @@ class PreparedDataset:
         try:
             doc = json.loads(text)
             splits = {k: [Session.from_row(r) for r in doc[k]] for k in ("train", "val", "test")}
+            if doc.get("padding_id", PADDING_ID) != PADDING_ID:
+                raise InputError(f"prepared dataset padding_id must be 0, not {doc['padding_id']!r}")
             return cls(**splits, catalog_size=int(doc["catalog_size"]),
-                       max_len=int(doc["max_len"]),
-                       padding_id=int(doc.get("padding_id", PADDING_ID)))
+                       max_len=int(doc["max_len"]))
         except KeyError as e:
             raise InputError(f"prepared dataset lacks key {e}") from None
         except (TypeError, ValueError) as e:  # JSONDecodeError is a ValueError

@@ -323,17 +323,17 @@ def product_table(params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def score(history, candidate_ids, params: ModelParams,
-          table: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+          table: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Cosine similarity between one history vector and candidate embeddings.
 
     Inference-only: accepts a [d_product] vector (or 1-row Tensor) and
     returns a float array over candidates. Downstream sorts break ties by
     ascending product id. ``table`` is ``product_table(params)``, built
-    once for many calls; without it the candidate rows are converted here.
-    With it, a candidate set wider than a quarter of the catalog is scored
-    by one product over the whole table, which beats gathering its rows;
-    the dot products then agree with the gathered ones to within an ulp
-    or two (BLAS sums a row differently by its place in the matrix).
+    once for many calls. A candidate set wider than a quarter of the
+    catalog is scored by one product over the whole table, which beats
+    gathering its rows; the dot products then agree with the gathered
+    ones to within an ulp or two (BLAS sums a row differently by its
+    place in the matrix).
     """
     h = history.data if isinstance(history, T.Tensor) else np.asarray(history)
     h = np.squeeze(h)
@@ -344,18 +344,14 @@ def score(history, candidate_ids, params: ModelParams,
         raise ContractError("score needs at least one candidate")
     if ids.min() < 1 or ids.max() > params.catalog_size:
         raise ContractError(f"candidate ids must lie in 1..{params.catalog_size}")
+    full, norms = table
+    if full.shape != params.product_emb.shape:
+        raise ContractError(f"product table {full.shape} does not match the "
+                            f"embeddings {params.product_emb.shape}")
     hn = np.linalg.norm(h)
     h64 = h.astype(np.float64)
-    if table is None:
-        emb = params.product_emb.data[ids].astype(np.float64)
-        en, dots = np.linalg.norm(emb, axis=1), emb @ h64
-    else:
-        full, norms = table
-        if full.shape != params.product_emb.shape:
-            raise ContractError(f"product table {full.shape} does not match the "
-                                f"embeddings {params.product_emb.shape}")
-        en = norms[ids]
-        dots = (full @ h64)[ids] if 4 * ids.size > len(full) else full[ids] @ h64
+    en = norms[ids]
+    dots = (full @ h64)[ids] if 4 * ids.size > len(full) else full[ids] @ h64
     if hn == 0.0 or np.any(en == 0.0):
         raise NumericError("cosine scoring hit a zero-norm vector")
     return dots / (en * hn)

@@ -55,8 +55,8 @@ class TapeNode:
 class Tensor:
     """Immutable dense array plus autodiff metadata.
 
-    ``data`` is row-major; dims are ``data.shape``. Use float64 for
-    gradient checking, float32 for training.
+    ``data`` is row-major. Use float64 for gradient checking, float32 for
+    training.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node")
@@ -71,10 +71,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.node: Optional[TapeNode] = None
-
-    @property
-    def dims(self):
-        return list(self.data.shape)
 
     @property
     def shape(self):
@@ -454,11 +450,12 @@ def backward(loss: Tensor) -> dict:
 
     Returns a map ``{tensor: gradient array}`` covering every leaf in
     the recorded graph that requires grad. Gradients match their tensor's
-    dims. Each leaf's ``.grad`` accumulates across calls: the first call
-    stores a private copy of the gradient, and later calls add into that
-    array in place. Nothing here clears it; set ``.grad = None`` to start
-    over. The returned arrays are the ``.grad`` arrays themselves, so a
-    later call on the same leaves changes them.
+    dims. Each leaf's ``.grad`` accumulates across calls: a leaf without
+    one gets a private copy of its gradient, and a leaf with one has the
+    gradient added into that array in place, so the parameters of an
+    ``Adam`` accumulate into its ``grad`` buffer. Nothing here clears it;
+    the caller owns zeroing. The returned arrays are the ``.grad`` arrays
+    themselves, so a later call on the same leaves changes them.
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor")

@@ -47,6 +47,7 @@ EVAL_BATCH = 256  # sessions per encode call in evaluate
 # scratch pair take about 1.3 MB at 2**15; 2**14..2**16 step equally fast
 # on a 2 MB-L2 Xeon, while 2**12 loses a third to per-call overhead.
 ADAM_BLOCK = 1 << 15
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba)
 
 
 @dataclass(frozen=True)
@@ -153,62 +154,67 @@ def _train_exclusions(sessions: Sequence[Session], catalog_size: int) -> List[fr
 
 
 class Adam:
-    """Adam optimizer; moments kept in float64, updates cast to param dtype.
+    """Adam over one flat buffer that owns the parameters' memory.
 
-    ``step`` updates each parameter's ``data`` and its moments in place,
-    ``ADAM_BLOCK`` elements at a time, through one float64 scratch pair
-    shared by all parameters. Every element goes through the same float64
-    operations in the same order as the out-of-place formula
+    ``Adam(params, lr)`` copies every tensor's values into one contiguous
+    array, ``data``, and makes each tensor's ``.data`` its view of it and
+    its ``.grad`` its view of one zeroed array, ``grad``, into which
+    ``tensor.backward`` accumulates. A caller must then write parameters
+    in place (``t.data[...] = x``): a rebound ``.data`` misses the updates.
 
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * (g * g)
-        p = (p - lr * (m / b1c) / (sqrt(v / b2c) + eps)).astype(p.dtype)
+    ``step(g)`` updates ``data`` and the float64 moments in place,
+    ``ADAM_BLOCK`` elements at a time, through one float64 scratch pair.
+    Every element goes through the same float64 operations in the same
+    order as the out-of-place formula
+
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * (g * g)
+        p = (p - lr * (m / b1c) / (sqrt(v / b2c) + EPS)).astype(p.dtype)
 
     so the result is bit-identical to it, without a float64 copy of every
     parameter and gradient on each step.
     """
 
-    def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
+    def __init__(self, params: ModelParams, lr: float):
+        tensors = [t for _, t in params.items()]
+        if len({t.dtype for t in tensors}) != 1:
+            raise ContractError("Adam needs one dtype for all parameters")
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros(t.shape) for name, t in params.items()}
-        self.v = {name: np.zeros(t.shape) for name, t in params.items()}
+        self.data = np.concatenate([t.data.reshape(-1) for t in tensors])
+        self.grad = np.zeros_like(self.data)
+        self.m, self.v = np.zeros(self.data.size), np.zeros(self.data.size)
         self._scratch = np.empty((2, ADAM_BLOCK))
+        ends = np.cumsum([t.data.size for t in tensors])[:-1]
+        for t, data, grad in zip(tensors, np.split(self.data, ends), np.split(self.grad, ends)):
+            t.data, t.grad = data.reshape(t.shape), grad.reshape(t.shape)
 
-    def step(self, grads: Dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
+        """One update of ``data`` from ``grad``, an array of ``data``'s shape."""
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        b1c = 1.0 - b1 ** self.t
-        b2c = 1.0 - b2 ** self.t
-        for name, g in grads.items():
-            p = self.params.tensors[name]
-            p.data = np.require(p.data, requirements="CW")  # reshape(-1) must be a view
-            p_flat, g_flat = p.data.reshape(-1), g.reshape(-1)
-            m_flat, v_flat = self.m[name].reshape(-1), self.v[name].reshape(-1)
-            for i in range(0, p_flat.size, ADAM_BLOCK):
-                j = min(i + ADAM_BLOCK, p_flat.size)
-                pb, mb, vb = p_flat[i:j], m_flat[i:j], v_flat[i:j]
-                a, b = self._scratch[0, :j - i], self._scratch[1, :j - i]
-                np.copyto(a, g_flat[i:j])  # exact widening to float64
-                np.multiply(a, a, out=b)
-                np.multiply(mb, b1, out=mb)
-                np.multiply(a, 1 - b1, out=a)
-                np.add(mb, a, out=mb)
-                np.multiply(vb, b2, out=vb)
-                np.multiply(b, 1 - b2, out=b)
-                np.add(vb, b, out=vb)
-                np.divide(mb, b1c, out=a)
-                np.multiply(a, lr, out=a)
-                np.divide(vb, b2c, out=b)
-                np.sqrt(b, out=b)
-                np.add(b, eps, out=b)
-                np.divide(a, b, out=a)
-                np.copyto(b, pb)  # widening first beats a mixed-dtype subtract
-                np.subtract(b, a, out=b)
-                np.copyto(pb, b, casting="same_kind")  # the one rounding to p's dtype
+        b1c = 1.0 - BETA1 ** self.t
+        b2c = 1.0 - BETA2 ** self.t
+        for i in range(0, self.data.size, ADAM_BLOCK):
+            j = min(i + ADAM_BLOCK, self.data.size)
+            pb, mb, vb = self.data[i:j], self.m[i:j], self.v[i:j]
+            a, b = self._scratch[0, :j - i], self._scratch[1, :j - i]
+            np.copyto(a, grad[i:j])  # exact widening to float64
+            np.multiply(a, a, out=b)
+            np.multiply(mb, BETA1, out=mb)
+            np.multiply(a, 1 - BETA1, out=a)
+            np.add(mb, a, out=mb)
+            np.multiply(vb, BETA2, out=vb)
+            np.multiply(b, 1 - BETA2, out=b)
+            np.add(vb, b, out=vb)
+            np.divide(mb, b1c, out=a)
+            np.multiply(a, self.lr, out=a)
+            np.divide(vb, b2c, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, EPS, out=b)
+            np.divide(a, b, out=a)
+            np.copyto(b, pb)  # widening first beats a mixed-dtype subtract
+            np.subtract(b, a, out=b)
+            np.copyto(pb, b, casting="same_kind")  # the one rounding to p's dtype
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +271,9 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
                           f"configuration {cfg.configuration!r}")
     if cfg.use_style and style_table is None:
         raise ConfigError(f"configuration {cfg.configuration!r} needs a style table")
+    if model_cfg.max_len != dataset.max_len:
+        raise ConfigError(f"model max_len {model_cfg.max_len} differs from the dataset's "
+                          f"{dataset.max_len}")
 
     def keep(s: Session) -> bool:
         return s.kind == PURCHASE or cfg.use_cart
@@ -289,7 +298,7 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
     history: List[dict] = []
     best_epoch = -1
     best_ndcg = -1.0
-    best_state: Dict[str, np.ndarray] = {}
+    best = None
     for epoch in range(cfg.epochs):
         order = rng_for(cfg.seed, "shuffle", epoch).permutation(n)
         neg_rng = rng_for(cfg.seed, "train-neg", epoch)
@@ -307,19 +316,9 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
             if not np.isfinite(value):
                 raise NumericError(f"training diverged: loss {value} at epoch {epoch}, "
                                    f"batch {batches}")
-            grads = T.backward(loss)
-            by_name = {}
-            for name, t in params.items():
-                g = grads.get(t)
-                if g is None:
-                    continue
-                if cfg.l2:
-                    g = g + 2.0 * cfg.l2 * t.data
-                by_name[name] = g
-            # padding row stays frozen: drop whatever the scatter put there
-            if "product_emb" in by_name:
-                by_name["product_emb"][0] = 0.0
-            adam.step(by_name)
+            T.backward(loss)
+            params.product_emb.grad[0] = 0.0  # the padding row stays frozen
+            adam.step(adam.grad + 2.0 * cfg.l2 * adam.data if cfg.l2 else adam.grad)
             total += value + l2_penalty(params, cfg.l2)
             batches += 1
         val_report = evaluate(params, val_sessions, mode=val_mode,
@@ -334,9 +333,8 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
         if val_report["NDCG@5"] > best_ndcg:
             best_ndcg = val_report["NDCG@5"]
             best_epoch = epoch
-            best_state = {name: t.data.copy() for name, t in params.items()}
-    for name, t in params.items():
-        t.data = best_state[name]
+            best = adam.data.copy()
+    adam.data[...] = best
     return TrainResult(params=params, history=history, best_epoch=best_epoch,
                        best_val_ndcg5=best_ndcg, val_mode=val_mode,
                        cart_sessions_used=cart_used,

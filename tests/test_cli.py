@@ -2,10 +2,12 @@
 
 import argparse
 import json
+import os
 import struct
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +233,21 @@ class TestTrainEval:
         assert run("eval", "--config", tiny_config, "--checkpoint", ckpt,
                    "--data", other, "--report-dir", tmp_path / "rep") == 2
 
+    def test_max_len_mismatch_rejected(self, tmp_path, tiny_config, capsys):
+        raw = make_raw(tmp_path)
+        prep = make_prepared(tmp_path, raw)
+        short = tmp_path / "short.json"
+        assert run("preprocess", "--sessions", raw, "--out", short, "--max-len", 3) == 0
+        ckpt = tmp_path / "m.s4ck"
+        assert run("train", "--config", tiny_config, "--data", prep, "--out", ckpt,
+                   "--report-dir", tmp_path / "rep") == 0
+        capsys.readouterr()
+        assert run("eval", "--config", tiny_config, "--checkpoint", ckpt,
+                   "--data", short, "--report-dir", tmp_path / "rep-short") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error config-error:") and "max_len" in err, err
+        assert err.count("\n") == 1 and not (tmp_path / "rep-short").exists()
+
 
 class TestSuiteDynamicSweep:
     def make_style_setup(self, tmp_path):
@@ -401,7 +418,8 @@ class TestPreparedDatasetInput:
         b"[]",  # not an object
         json.dumps({**GOOD, "test": [{**GOOD["test"][0], "t": "x"}]}).encode(),  # bad t
         json.dumps(GOOD).encode().replace(b'"a"', b'"caf\xe9"'),  # not UTF-8
-    ], ids=["json", "missing-split", "list", "bad-t", "not-utf8"])
+        json.dumps({**GOOD, "padding_id": 7}).encode(),  # the program pads with 0 only
+    ], ids=["json", "missing-split", "list", "bad-t", "not-utf8", "padding-id"])
     def test_malformed_dataset_is_input_error(self, tmp_path, capsys, blob):
         data = tmp_path / "prep.json"
         data.write_bytes(blob)
@@ -445,6 +463,7 @@ class TestConfigPath:
         ("", ("train", "--epochs", "abc")),
         ("", ("frobnicate",)),
         ("model.use_style=true\n", ("train",)),
+        ("model.max_len=5\n", ("train",)),  # the prepared dataset owns max_len
     ])
     def test_bad_setting_is_one_config_error_line(self, tmp_path, tiny_config, capsys,
                                                   cfg_line, argv):
@@ -646,9 +665,11 @@ class TestErrorSurface:
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "s.jsonl"
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "stylerec.cli", "synth", "--products", "4",
              "--sessions", "5", "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
         assert out.is_file()

@@ -378,7 +378,7 @@ class TestHistoryAndScore:
     def test_score_of_matching_embedding_is_one(self):
         _, params, _ = self.make()
         h = params.product_emb.data[4].copy()
-        s = score(h, np.array([4, 5, 6]), params)
+        s = score(h, np.array([4, 5, 6]), params, product_table(params))
         assert s[0] == pytest.approx(1.0)
         assert np.all(s <= 1.0 + 1e-12) and np.all(s >= -1.0 - 1e-12)
 
@@ -387,21 +387,24 @@ class TestHistoryAndScore:
         rng = np.random.default_rng(15)
         h = rng.standard_normal(params.config.d_product)
         cands = np.arange(1, 10)
-        np.testing.assert_allclose(score(h, cands, params), score(3.7 * h, cands, params),
-                                   rtol=1e-12)
+        table = product_table(params)
+        np.testing.assert_allclose(score(h, cands, params, table),
+                                   score(3.7 * h, cands, params, table), rtol=1e-12)
 
     def test_score_zero_norm_rejected(self):
         _, params, _ = self.make()
         with pytest.raises(NumericError):
-            score(np.zeros(params.config.d_product), np.array([1]), params)
+            score(np.zeros(params.config.d_product), np.array([1]), params,
+                  product_table(params))
 
     def test_score_candidate_range_checked(self):
         _, params, _ = self.make()
         h = np.ones(params.config.d_product)
+        table = product_table(params)
         with pytest.raises(ContractError):
-            score(h, np.array([0]), params)
+            score(h, np.array([0]), params, table)
         with pytest.raises(ContractError):
-            score(h, np.array([], dtype=np.int64), params)
+            score(h, np.array([], dtype=np.int64), params, table)
 
 
 class TestProductTable:
@@ -433,7 +436,11 @@ class TestProductTable:
             for ids in (full, negsample):
                 with_table = score(h, ids, params, table)
                 assert with_table.dtype == np.float64
-                np.testing.assert_array_max_ulp(with_table, score(h, ids, params), maxulp=2)
+                # the reference gathers and converts the candidate rows alone
+                emb = params.product_emb.data[ids].astype(np.float64)
+                gathered = (emb @ h.astype(np.float64)) / (np.linalg.norm(emb, axis=1)
+                                                           * np.linalg.norm(h))
+                np.testing.assert_array_max_ulp(with_table, gathered, maxulp=2)
 
     def test_mismatched_table_rejected(self):
         params, _ = self.make()
@@ -589,10 +596,10 @@ class TestCheckpoint:
         pe = positional_encoding(cfg.max_len, cfg.d_model)
         ids, mask = batch_for([[1, 4, 2]], cfg.max_len)
         hist = history_vector(encode(ids, mask, params, pe), mask, params)
-        s1 = score(hist.data[0], np.arange(1, 10), params)
+        s1 = score(hist.data[0], np.arange(1, 10), params, product_table(params))
         path = tmp_path / "model.s4ck"
         save_checkpoint(params, path)
         back = load_checkpoint(path)
         hist2 = history_vector(encode(ids, mask, back, pe), mask, back)
-        s2 = score(hist2.data[0], np.arange(1, 10), back)
+        s2 = score(hist2.data[0], np.arange(1, 10), back, product_table(back))
         np.testing.assert_array_equal(s1, s2)

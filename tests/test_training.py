@@ -1,6 +1,7 @@
 """Training-loop, sampling, evaluation-protocol, and experiment tests."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -107,41 +108,111 @@ class TestSampleNegatives:
 
 
 class TestAdam:
+    # one f32 model over more than one ADAM_BLOCK; rounding p to f32 hides a
+    # last-bit change of the update, so one f64 model of small updates pins it
+    CASES = ((np.float32, {"big": (3, ADAM_BLOCK // 2 + 11), "small": (7, 5)}, 1.0),
+             (np.float64, {"exact": (4, 6), "row": (9,)}, 1e-3))
+
     def test_in_place_step_bit_identical_to_formula(self):
-        """Blocked in-place steps equal the out-of-place f64 formula bit for bit."""
+        """Blocked steps over the flat buffer equal the out-of-place f64 formula bit
+        for bit, and every tensor keeps its views of ``adam.data`` and ``adam.grad``."""
         rng = np.random.default_rng(40)
-        # f32 tensors above and below one block. Rounding p hides a last-bit
-        # change of the update, so an f64 tensor of the update's size pins it.
-        shapes = {"big": (3, ADAM_BLOCK // 2 + 11), "small": (7, 5), "exact": (4, 6)}
-        dtypes = {"big": np.float32, "small": np.float32, "exact": np.float64}
-        scales = {"big": 1.0, "small": 1.0, "exact": 1e-3}
-        tensors = {name: T.Tensor(scales[name] * rng.standard_normal(shape),
-                                  requires_grad=True, dtype=dtypes[name])
-                   for name, shape in shapes.items()}
-        params = ModelParams(ModelConfig(), 1, tensors)
-        arrays = {name: t.data for name, t in tensors.items()}
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
-        adam = Adam(params, lr, b1, b2, eps)
-        ref_p = {name: a.copy() for name, a in arrays.items()}
-        ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
-        ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
-        for step in range(1, 4):
-            grads = {name: rng.standard_normal(shape).astype(np.float32)
-                     for name, shape in shapes.items()}
-            adam.step(grads)
-            b1c, b2c = 1.0 - b1 ** step, 1.0 - b2 ** step
-            for name, g in grads.items():
-                g = g.astype(np.float64)
-                ref_m[name] = b1 * ref_m[name] + (1 - b1) * g
-                ref_v[name] = b2 * ref_v[name] + (1 - b2) * (g * g)
-                update = lr * (ref_m[name] / b1c) / (np.sqrt(ref_v[name] / b2c) + eps)
-                ref_p[name] = (ref_p[name].astype(np.float64) - update).astype(dtypes[name])
-            for name in shapes:
-                assert params[name].data is arrays[name]
-                np.testing.assert_array_equal(params[name].data, ref_p[name])
-                np.testing.assert_array_equal(adam.m[name], ref_m[name])
-                np.testing.assert_array_equal(adam.v[name], ref_v[name])
-        assert adam.m["big"].dtype == np.float64 and params["big"].dtype == np.float32
+        for dtype, shapes, scale in self.CASES:
+            tensors = {name: T.Tensor(scale * rng.standard_normal(shape), requires_grad=True,
+                                      dtype=dtype) for name, shape in shapes.items()}
+            params = ModelParams(ModelConfig(), 1, tensors)
+            ref_p = {name: t.data.copy() for name, t in tensors.items()}
+            ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
+            ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
+            adam = Adam(params, lr)
+            assert adam.data.dtype == dtype and adam.m.dtype == np.float64
+            assert not adam.grad.any()
+            for step in range(1, 4):
+                for name, shape in shapes.items():
+                    params[name].grad[...] = rng.standard_normal(shape).astype(np.float32)
+                adam.step(adam.grad)
+                b1c, b2c = 1.0 - b1 ** step, 1.0 - b2 ** step
+                for name, t in tensors.items():
+                    g = t.grad.astype(np.float64)
+                    ref_m[name] = b1 * ref_m[name] + (1 - b1) * g
+                    ref_v[name] = b2 * ref_v[name] + (1 - b2) * (g * g)
+                    update = lr * (ref_m[name] / b1c) / (np.sqrt(ref_v[name] / b2c) + eps)
+                    ref_p[name] = (ref_p[name].astype(np.float64) - update).astype(dtype)
+                    assert np.shares_memory(t.data, adam.data)
+                    assert np.shares_memory(t.grad, adam.grad)
+                    np.testing.assert_array_equal(t.data, ref_p[name])
+                np.testing.assert_array_equal(adam.m, np.concatenate(
+                    [ref_m[name].reshape(-1) for name in shapes]))
+                np.testing.assert_array_equal(adam.v, np.concatenate(
+                    [ref_v[name].reshape(-1) for name in shapes]))
+
+    def test_backward_accumulates_into_the_buffer(self):
+        params = init_params(ModelConfig(**TINY_MODEL), catalog_size=6, seed=2)
+        pos_enc = positional_encoding(8, 4)
+        ids, mask = np.array([[1, 2, 3]]), np.array([[True, True, True]])
+
+        def loss():
+            return training_loss(params, ids, mask, np.array([4]), np.array([5]), pos_enc)
+
+        grads = T.backward(loss())
+        fresh = {name: grads[t].copy() for name, t in params.items()}
+        adam = Adam(params, 1e-3)
+        T.backward(loss())
+        T.backward(loss())
+        for name, t in params.items():
+            assert np.shares_memory(t.grad, adam.grad)
+            np.testing.assert_array_equal(t.grad, fresh[name] + fresh[name])
+
+    def test_mixed_dtypes_rejected(self):
+        tensors = {"a": T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True),
+                   "b": T.Tensor(np.ones(3), requires_grad=True)}
+        with pytest.raises(ContractError):
+            Adam(ModelParams(ModelConfig(), 1, tensors), 1e-3)
+
+
+def params_digest(params: ModelParams) -> str:
+    """SHA-256 of every parameter's name and bytes, in insertion order."""
+    h = hashlib.sha256()
+    for name, t in params.items():
+        h.update(name.encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+class TestSeededTraining:
+    """Three short seeded ``train`` runs, pinned bit for bit: the final
+    parameters and the per-epoch loss/val history. Recorded before Adam
+    took over the parameters' memory; a change to any number training
+    produces fails here."""
+
+    MODEL = dict(d_product=16, d_model=8, n_blocks=1, n_heads=2, d_ffn=32, max_len=6)
+    # configuration, dropout, l2; the style model spans several ADAM_BLOCKs
+    RUNS = (("P", 0.0, 0.0), ("P+Cart", 0.0, 1e-4), ("P+Style", 0.1, 1e-3))
+    RECORDED = {
+        "P": ("5ff6c4c791b7ee3a22a8434ac6d6ca8a8c0493b9e73bb662e58d3557a0a19d97",
+              "4977e5665efbe0360cdf389adc1446aa926dd791e3bf5779dd1cfabecd3cf2fb"),
+        "P+Cart": ("b5618014ddf5d80a29fd2af8c17c9c64026a75cc1b040a303395f6a76cda6de9",
+                   "4b2eb117eadfe0d9a242f25961874e510ab8dfa6c4d3bc3d694daeb77320df79"),
+        "P+Style": ("9d0c5a5ac8bfe8e90fe216c864c12ff093333685f59d7fc039d4994638c80f13",
+                    "d39fd9248425a971dfce322c55ea4104fb6787391f5e613a0dbbebf421f27b5d"),
+    }
+
+    def test_final_parameters_and_history_are_pinned(self):
+        sessions, _ = generate_synthetic(30, 300, length_range=(3, 6), seed=21,
+                                         cart_ratio=0.3)
+        ds = prepare_dataset(sessions, max_len=6)
+        style = np.random.default_rng(21).standard_normal((31, 512)).astype(np.float32)
+        style[0] = 0.0
+        got = {}
+        for configuration, dropout, l2 in self.RUNS:
+            cfg = TrainConfig(epochs=3, seed=21, batch_size=32, learning_rate=3e-3, l2=l2,
+                              configuration=configuration)
+            model_cfg = ModelConfig(dropout=dropout, use_style=cfg.use_style, **self.MODEL)
+            result = train(ds, model_cfg, cfg, style_table=style if cfg.use_style else None)
+            got[configuration] = (params_digest(result.params),
+                                  hashlib.sha256(json.dumps(result.history).encode()).hexdigest())
+        assert got == self.RECORDED
 
 
 class TestTrainingLoss:
@@ -187,6 +258,12 @@ class TestTrain:
         r1 = train(ds, m, TrainConfig(epochs=1, seed=1))
         r2 = train(ds, m, TrainConfig(epochs=1, seed=2))
         assert r1.history[0]["loss"] != r2.history[0]["loss"]
+
+    def test_model_max_len_must_match_dataset(self):
+        ds, _ = tiny_dataset()
+        m = ModelConfig(**{**TINY_MODEL, "max_len": 5})
+        with pytest.raises(ConfigError, match="max_len 5 differs from the dataset's 8"):
+            train(ds, m, TrainConfig(epochs=1))
 
     def test_padding_embedding_row_stays_frozen(self):
         ds, _ = tiny_dataset()
