@@ -71,6 +71,7 @@ from .training import (
     dynamic_experiment,
     evaluate_test_split,
     run_configuration_suite,
+    run_model_config,
     sweep,
     train,
 )
@@ -206,13 +207,6 @@ def _load_style_table(rc: RunConfig, catalog_size: int) -> np.ndarray:
     return style_table(catalog_size, load_style_cache(_require_file(rc.style_cache, "style cache")))
 
 
-def _model_kwargs(rc: RunConfig, *owned: str, **defaults) -> Dict[str, object]:
-    """``model.*`` settings over ``defaults``, minus the keys in ``owned``
-    (the experiment sets them)."""
-    kwargs = {**defaults, **rc.model}
-    return {k: v for k, v in kwargs.items() if k not in owned}
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -308,8 +302,8 @@ def cmd_synth(rc: RunConfig, args: argparse.Namespace) -> int:
 def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     ds, table = _inputs(rc, cfg.use_style)
-    model_cfg = ModelConfig(use_style=cfg.use_style, **_model_kwargs(rc, max_len=ds.max_len))
-    result = train(ds, model_cfg, cfg, style_table=table, log=print)
+    result = train(ds, run_model_config(rc.model, cfg, ds.max_len), cfg, style_table=table,
+                   log=print)
     ckpt = _save(result.params, rc, cfg.configuration, args.out)
     lines = [f"checkpoint: {ckpt.name}",
              f"fingerprint: {result.fingerprint}",
@@ -352,8 +346,7 @@ def cmd_eval(rc: RunConfig, args: argparse.Namespace) -> int:
 def cmd_suite(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     ds, table = _inputs(rc, use_style=True)
-    results = run_configuration_suite(ds, _model_kwargs(rc, max_len=ds.max_len), cfg,
-                                      style_table=table, log=print)
+    results = run_configuration_suite(ds, rc.model, cfg, style_table=table, log=print)
     lines = [f"seed: {cfg.seed}", f"test_sessions: {len(ds.test)}", ""]
     for name, bundle in results.items():
         _save(bundle["result"].params, rc, name)
@@ -367,8 +360,8 @@ def cmd_dynamic(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     sessions = parse_sessions(_require_file(rc.sessions, "sessions file"))
     table = _load_style_table(rc, max_product_id(sessions)) if cfg.use_style else None
-    curve = dynamic_experiment(sessions, rc.max_lens, _model_kwargs(rc), cfg,
-                               style_table=table, log=print)
+    curve = dynamic_experiment(sessions, rc.max_lens, rc.model, cfg, style_table=table,
+                               log=print)
     lines = [f"seed: {cfg.seed}", *curve_lines(curve)]
     _report(rc, "dynamic", lines, "\n".join(lines))
     return 0
@@ -377,8 +370,9 @@ def cmd_dynamic(rc: RunConfig, args: argparse.Namespace) -> int:
 def cmd_sweep(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     ds, table = _inputs(rc, cfg.use_style)
-    result = sweep(ds, _model_kwargs(rc, "d_ffn", max_len=ds.max_len), cfg,
-                   style_table=table, budget=args.budget, log=print)
+    # one config file serves train and sweep, and the sweep's grid sets d_ffn
+    kwargs = {k: v for k, v in rc.model.items() if k != "d_ffn"}
+    result = sweep(ds, kwargs, cfg, style_table=table, budget=args.budget, log=print)
     lines = [f"seed: {cfg.seed}", "hidden l2 val_ndcg5 best_epoch"]
     for run in result.runs:
         lines.append(f"{run.hidden_dim} {run.l2} {run.val_ndcg5:.6f} {run.best_epoch}")

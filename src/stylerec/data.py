@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .seeding import rng_for
+from .style import STYLE_DIM
 
 PURCHASE = "purchase"
 CART = "cart"
@@ -46,7 +47,8 @@ class Session:
             raise InputError(f"session {self.session_id!r}: unknown kind {self.kind!r}")
         if not self.items:
             raise InputError(f"session {self.session_id!r}: empty item list")
-        if any((not isinstance(i, (int, np.integer))) or i < 1 for i in self.items):
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i < 1
+               for i in self.items):
             raise InputError(f"session {self.session_id!r}: item ids must be integers >= 1 (0 is padding)")
         object.__setattr__(self, "items", tuple(int(i) for i in self.items))
 
@@ -57,8 +59,18 @@ class Session:
 
     @classmethod
     def from_row(cls, row) -> "Session":
-        """Inverse of ``to_row``; a bad field raises KeyError, TypeError or ValueError."""
-        return cls(str(row["session_id"]), row["kind"], int(row["t"]), tuple(row["items"]))
+        """Inverse of ``to_row``; a missing or mistyped field raises InputError."""
+        if not isinstance(row, dict) or not {"session_id", "kind", "t", "items"} <= row.keys():
+            raise InputError("a session must be a JSON object with session_id, kind, t and items")
+        return cls(str(row["session_id"]), row["kind"], json_value(row["t"], int, "session t"),
+                   tuple(json_value(row["items"], list, "session items")))
+
+
+def json_value(value, kind: type, what: str):
+    """``value`` if it has JSON type ``kind`` (a bool is no int), else an InputError."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise InputError(f"{what} must be a JSON {kind.__name__}, not {value!r}")
+    return value
 
 
 @dataclass
@@ -91,10 +103,10 @@ class PreparedDataset:
         try:
             doc = json.loads(text)
             splits = {k: [Session.from_row(r) for r in doc[k]] for k in ("train", "val", "test")}
-            if doc.get("padding_id", PADDING_ID) != PADDING_ID:
+            if json_value(doc.get("padding_id", PADDING_ID), int, "padding_id") != PADDING_ID:
                 raise InputError(f"prepared dataset padding_id must be 0, not {doc['padding_id']!r}")
-            return cls(**splits, catalog_size=int(doc["catalog_size"]),
-                       max_len=int(doc["max_len"]))
+            return cls(**splits, catalog_size=json_value(doc["catalog_size"], int, "catalog_size"),
+                       max_len=json_value(doc["max_len"], int, "max_len"))
         except KeyError as e:
             raise InputError(f"prepared dataset lacks key {e}") from None
         except (TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
@@ -124,13 +136,9 @@ def parse_sessions(path) -> list:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            session = Session.from_row(json.loads(line))
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-        try:
-            session = Session.from_row(obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}:{lineno}: missing or malformed field ({exc})") from exc
         except InputError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         if session.session_id in seen:
@@ -427,7 +435,6 @@ def generate_style_correlated(
     catalog_size: int,
     n_sessions: int,
     n_clusters: int = 5,
-    style_dim: int = 512,
     length_range=(3, 12),
     seed: int = 0,
     dominant_mass: float = 0.8,
@@ -451,9 +458,9 @@ def generate_style_correlated(
         cluster_of=cluster_of,
     )
     rng = rng_for(seed, "style-clusters")
-    centroids = rng.standard_normal((n_clusters, style_dim))
+    centroids = rng.standard_normal((n_clusters, STYLE_DIM))
     vectors = {}
     for idx in range(catalog_size):
-        noise = rng.standard_normal(style_dim) * style_noise
+        noise = rng.standard_normal(STYLE_DIM) * style_noise
         vectors[idx + 1] = (centroids[cluster_of[idx]] + noise).astype(np.float32)
     return sessions, oracle, vectors

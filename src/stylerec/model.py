@@ -215,14 +215,13 @@ def build_input(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
     if length > pos_enc.shape[0]:
         raise ShapeError(f"session length {length} exceeds positional table {pos_enc.shape[0]}")
     dtype = params.product_emb.dtype
-    parts = [T.embedding_lookup(params.product_emb, ids)]
-    pe = np.broadcast_to(pos_enc[:length].astype(dtype), (b, length, cfg.d_model))
-    parts.append(T.Tensor(pe.copy()))
+    parts = [T.embedding_lookup(params.product_emb, ids),
+             T.Tensor(np.broadcast_to(pos_enc[:length].astype(dtype), (b, length, cfg.d_model)))]
     if cfg.use_style:
         if style_table.shape != (params.catalog_size + 1, STYLE_DIM):
             raise ShapeError(f"style table shape {style_table.shape}, expected "
                              f"{(params.catalog_size + 1, STYLE_DIM)}")
-        parts.append(T.embedding_lookup(T.Tensor(style_table.astype(dtype)), ids))
+        parts.append(T.Tensor(style_table[ids].astype(dtype, copy=False)))
     return T.concat_last_dim(parts)
 
 
@@ -255,17 +254,14 @@ def multi_head_attention(h: T.Tensor, params: ModelParams, block: int,
 
 
 def transformer_block(h: T.Tensor, params: ModelParams, block: int, mask: np.ndarray,
-                      training: bool = False, seeds: Optional[SeedStream] = None) -> T.Tensor:
-    """One encoder block: MHA and FFN sublayers, each with dropout,
-    residual connection, and layer normalization."""
+                      seeds: Optional[SeedStream] = None) -> T.Tensor:
+    """One encoder block: MHA and FFN sublayers, each with dropout (on when
+    ``seeds`` is given), residual connection, and layer normalization."""
     cfg = params.config
-    mode = "train" if training else "eval"
-    if training and cfg.dropout > 0.0 and seeds is None:
-        raise ContractError("training with dropout needs a seed stream")
 
     def drop(x):
-        seed = seeds.next_seed() if training and cfg.dropout > 0.0 else None
-        return T.dropout(x, cfg.dropout, seed=seed, mode=mode)
+        seed = seeds.next_seed() if seeds is not None and cfg.dropout > 0.0 else None
+        return T.dropout(x, cfg.dropout, seed=seed, mode="eval" if seeds is None else "train")
 
     att = multi_head_attention(h, params, block, mask)
     h1 = T.layer_norm(T.add(h, drop(att)),
@@ -279,12 +275,13 @@ def transformer_block(h: T.Tensor, params: ModelParams, block: int, mask: np.nda
 
 
 def encode(ids: np.ndarray, mask: np.ndarray, params: ModelParams, pos_enc: np.ndarray,
-           style_table: Optional[np.ndarray] = None, training: bool = False,
+           style_table: Optional[np.ndarray] = None,
            seeds: Optional[SeedStream] = None) -> T.Tensor:
-    """Run the full encoder stack; returns hidden states [B, L, input_dim]."""
+    """Run the full encoder stack; returns hidden states [B, L, input_dim].
+    Passing ``seeds`` runs dropout in train mode."""
     h = build_input(ids, mask, params, pos_enc, style_table)
     for b in range(params.config.n_blocks):
-        h = transformer_block(h, params, b, mask, training=training, seeds=seeds)
+        h = transformer_block(h, params, b, mask, seeds=seeds)
     return h
 
 

@@ -53,10 +53,10 @@ class TapeNode:
 
 
 class Tensor:
-    """Immutable dense array plus autodiff metadata.
+    """Dense array plus autodiff metadata.
 
     ``data`` is row-major. Use float64 for gradient checking, float32 for
-    training.
+    training. ``training.Adam`` updates its parameters' ``data`` in place.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node")

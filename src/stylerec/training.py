@@ -223,11 +223,10 @@ class Adam:
 
 def training_loss(params: ModelParams, ids: np.ndarray, mask: np.ndarray,
                   pos_ids: np.ndarray, neg_ids: np.ndarray, pos_enc: np.ndarray,
-                  style_table: Optional[np.ndarray] = None, training: bool = False,
+                  style_table: Optional[np.ndarray] = None,
                   seeds: Optional[SeedStream] = None) -> T.Tensor:
     """Mean pairwise loss for one batch (L2 penalty handled by the caller)."""
-    hidden = encode(ids, mask, params, pos_enc, style_table,
-                    training=training, seeds=seeds)
+    hidden = encode(ids, mask, params, pos_enc, style_table, seeds)
     hist = history_vector(hidden, mask, params)
     pos_emb = T.embedding_lookup(params.product_emb, pos_ids)
     neg_emb = T.embedding_lookup(params.product_emb, neg_ids)
@@ -286,9 +285,8 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
     cart_used = sum(s.kind == CART for s in train_sessions + val_sessions)
 
     P = dataset.catalog_size
-    max_len = model_cfg.max_len
-    ids, mask, truth = _session_arrays(train_sessions, max_len)
-    pos_enc = positional_encoding(max_len, model_cfg.d_model)
+    ids, mask, truth = _session_arrays(train_sessions, dataset.max_len)
+    pos_enc = positional_encoding(dataset.max_len, model_cfg.d_model)
     params = init_params(model_cfg, P, cfg.seed)
     adam = Adam(params, cfg.learning_rate)
     exclusions = _train_exclusions(train_sessions, P)
@@ -311,7 +309,7 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
             seeds = SeedStream(cfg.seed, "dropout", epoch, b0)
             loss = training_loss(params, ids[sel], mask[sel], truth[sel],
                                  negatives[b0:b0 + cfg.batch_size], pos_enc,
-                                 style_table, training=True, seeds=seeds)
+                                 style_table, seeds)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"training diverged: loss {value} at epoch {epoch}, "
@@ -442,23 +440,31 @@ def oracle_scorer(oracle):
 # experiments
 # ---------------------------------------------------------------------------
 
+def run_model_config(model_kwargs: dict, cfg: TrainConfig, max_len: int, **owned) -> ModelConfig:
+    """One run's ModelConfig: use_style from ``cfg``, max_len from the dataset and
+    ``owned`` from the driver; ``model_kwargs`` sets every other field and none of these."""
+    owned = dict(use_style=cfg.use_style, max_len=max_len, **owned)
+    clash = sorted(set(model_kwargs) & set(owned))
+    if clash:
+        raise ConfigError(f"the run sets {', '.join(clash)}; the model settings must not")
+    return ModelConfig(**owned, **model_kwargs)
+
+
 def run_configuration_suite(dataset: PreparedDataset, model_kwargs: dict,
                             base_cfg: TrainConfig,
                             style_table: Optional[np.ndarray] = None, *,
                             log: Optional[Callable[[str], None]] = None) -> Dict[str, dict]:
     """Train and test all four data configurations with shared seeds.
 
-    ``model_kwargs`` must not pin use_style; each configuration sets it.
-    The test split is identical across configurations by construction.
+    ``model_kwargs`` go through ``run_model_config``. The test split is
+    identical across configurations by construction.
     """
-    if "use_style" in model_kwargs:
-        raise ConfigError("use_style is decided per configuration")
     if style_table is None:
         raise ConfigError("the P+Style and P+Cart+Style configurations need a style table")
     results: Dict[str, dict] = {}
     for name in CONFIGURATIONS:
         cfg = replace(base_cfg, configuration=name)
-        model_cfg = ModelConfig(use_style=cfg.use_style, **model_kwargs)
+        model_cfg = run_model_config(model_kwargs, cfg, dataset.max_len)
         table = style_table if cfg.use_style else None
         if log:
             log(f"training configuration {name}")
@@ -478,13 +484,11 @@ def dynamic_experiment(raw_sessions: Sequence[Session], max_lens: Sequence[int],
         raise ConfigError("dynamic experiment needs at least one max_len")
     if any(m < 2 for m in max_lens):
         raise ConfigError("max_len values must be >= 2")
-    if "use_style" in model_kwargs or "max_len" in model_kwargs:
-        raise ConfigError("the experiment owns use_style and max_len; leave them out")
     catalog_size = max_product_id(raw_sessions)
     curve = []
     for max_len in max_lens:
         ds = prepare_dataset(raw_sessions, max_len=max_len, catalog_size=catalog_size)
-        model_cfg = ModelConfig(use_style=cfg.use_style, max_len=max_len, **model_kwargs)
+        model_cfg = run_model_config(model_kwargs, cfg, max_len)
         if log:
             log(f"dynamic: max_len {max_len}")
         result = train(ds, model_cfg, cfg, style_table=style_table, log=log)
@@ -527,8 +531,6 @@ def sweep(dataset: PreparedDataset, model_kwargs: dict, cfg: TrainConfig,
     Deterministic order; selection by val NDCG@5, ties broken by smaller
     hidden dim, then smaller L2.
     """
-    if "d_ffn" in model_kwargs or "use_style" in model_kwargs:
-        raise ConfigError("the sweep owns d_ffn and use_style; leave them out")
     combos = [(h, lam) for h in cfg.hidden_dim_grid for lam in cfg.l2_grid]
     if budget is not None:
         if budget < 1:
@@ -540,7 +542,7 @@ def sweep(dataset: PreparedDataset, model_kwargs: dict, cfg: TrainConfig,
     for hidden, lam in combos:
         if log:
             log(f"sweep: hidden {hidden}, l2 {lam}")
-        model_cfg = ModelConfig(use_style=cfg.use_style, d_ffn=hidden, **model_kwargs)
+        model_cfg = run_model_config(model_kwargs, cfg, dataset.max_len, d_ffn=hidden)
         result = train(dataset, model_cfg, replace(cfg, l2=lam), style_table=style_table)
         run = SweepRun(hidden_dim=hidden, l2=lam, val_ndcg5=result.best_val_ndcg5,
                        best_epoch=result.best_epoch, fingerprint=result.fingerprint)

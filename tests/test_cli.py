@@ -419,7 +419,18 @@ class TestPreparedDatasetInput:
         json.dumps({**GOOD, "test": [{**GOOD["test"][0], "t": "x"}]}).encode(),  # bad t
         json.dumps(GOOD).encode().replace(b'"a"', b'"caf\xe9"'),  # not UTF-8
         json.dumps({**GOOD, "padding_id": 7}).encode(),  # the program pads with 0 only
-    ], ids=["json", "missing-split", "list", "bad-t", "not-utf8", "padding-id"])
+        # JSON numbers are taken as given: int() would truncate or parse these
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "t": 3.7}]}).encode(),
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "items": [True, 2]}]}).encode(),
+        json.dumps({**GOOD, "max_len": 6.9}).encode(),
+        json.dumps({**GOOD, "max_len": "8"}).encode(),
+        json.dumps({**GOOD, "catalog_size": "8"}).encode(),
+        json.dumps({**GOOD, "catalog_size": 8.0}).encode(),
+        json.dumps({**GOOD, "catalog_size": True}).encode(),
+        json.dumps({**GOOD, "padding_id": False}).encode(),  # False == 0 in Python
+    ], ids=["json", "missing-split", "list", "bad-t", "not-utf8", "padding-id", "float-t",
+            "bool-item", "float-max-len", "string-max-len", "string-catalog-size",
+            "float-catalog-size", "bool-catalog-size", "bool-padding-id"])
     def test_malformed_dataset_is_input_error(self, tmp_path, capsys, blob):
         data = tmp_path / "prep.json"
         data.write_bytes(blob)

@@ -95,6 +95,27 @@ class TestParsing:
         with pytest.raises(InputError, match=r":1:"):
             parse_sessions(path)
 
+    @pytest.mark.parametrize("row, field", [
+        ({"t": 3.7}, "t must be a JSON int"),  # int() would truncate it to 3
+        ({"t": "3"}, "t must be a JSON int"),
+        ({"t": True}, "t must be a JSON int"),
+        ({"items": [True, 2]}, "item ids must be integers"),  # a bool is not an id
+        ({"items": "12"}, "items must be a JSON list"),
+        ({"items": 5}, "items must be a JSON list"),
+    ], ids=["float-t", "string-t", "bool-t", "bool-item", "string-items", "int-items"])
+    def test_mistyped_field_reports_line(self, tmp_path, row, field):
+        path = tmp_path / "typed.jsonl"
+        good = {"session_id": "a", "kind": "purchase", "t": 0, "items": [1, 2]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "session_id": "b", **row}))
+        with pytest.raises(InputError, match=rf"typed\.jsonl:2: .*{field}"):
+            parse_sessions(path)
+
+    def test_non_object_line_reports_line(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(InputError, match=r"list\.jsonl:1: a session must be a JSON object"):
+            parse_sessions(path)
+
     def test_non_utf8_reports_line(self, tmp_path):
         path = tmp_path / "latin1.jsonl"
         path.write_bytes(b'{"session_id": "a", "kind": "purchase", "t": 0, "items": [1, 2]}\n'

@@ -332,15 +332,28 @@ class TestTransformerBlock:
         assert out.shape == (1, cfg.max_len, cfg.input_dim)
 
     def test_dropout_needs_seed_stream(self):
+        # a seed stream turns dropout on, one seed per sublayer; without one
+        # the block computes what it does with dropout 0
         cfg = tiny_config(dropout=0.5)
-        params = init_params(cfg, catalog_size=5, seed=5)
-        h = T.Tensor(np.ones((1, cfg.max_len, cfg.input_dim), dtype=np.float32))
+        params = init_params(cfg, catalog_size=5, seed=5, dtype=np.float64)
+        h = T.Tensor(np.random.default_rng(5).standard_normal((1, cfg.max_len, cfg.input_dim)))
         _, mask = batch_for([[1, 2]], cfg.max_len)
-        with pytest.raises(ContractError):
-            transformer_block(h, params, 0, mask, training=True)
-        out = transformer_block(h, params, 0, mask, training=True,
-                                seeds=SeedStream(1, "drop"))
-        assert out.shape == h.shape
+        no_dropout = ModelParams(tiny_config(dropout=0.0), 5, params.tensors)
+        np.testing.assert_array_equal(transformer_block(h, params, 0, mask).data,
+                                      transformer_block(h, no_dropout, 0, mask).data)
+
+        stream = SeedStream(1, "drop")
+        s1, s2 = stream.next_seed(), stream.next_seed()
+        ln1 = (params["block0.ln1.gamma"], params["block0.ln1.beta"])
+        ln2 = (params["block0.ln2.gamma"], params["block0.ln2.beta"])
+        att = T.dropout(multi_head_attention(h, params, 0, mask), 0.5, seed=s1)
+        h1 = T.layer_norm(T.add(h, att), *ln1)
+        inner = T.relu(T.add(T.matmul(h1, params["block0.ffn.w1"]), params["block0.ffn.b1"]))
+        ffn = T.add(T.matmul(inner, params["block0.ffn.w2"]), params["block0.ffn.b2"])
+        expected = T.layer_norm(T.add(h1, T.dropout(ffn, 0.5, seed=s2)), *ln2)
+        seeded = transformer_block(h, params, 0, mask, seeds=SeedStream(1, "drop"))
+        np.testing.assert_array_equal(seeded.data, expected.data)
+        assert not np.array_equal(seeded.data, transformer_block(h, params, 0, mask).data)
 
 
 class TestHistoryAndScore:

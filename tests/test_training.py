@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,8 @@ from stylerec.training import (
 
 TINY_MODEL = dict(d_product=8, d_model=4, n_blocks=1, n_heads=2, d_ffn=8,
                   dropout=0.0, max_len=8)
+# the model settings a driver takes: the run sets max_len from the dataset
+TINY_KWARGS = {k: v for k, v in TINY_MODEL.items() if k != "max_len"}
 
 
 def tiny_dataset(P=8, n=120, seed=0, cart_ratio=0.0, length_range=(3, 6)):
@@ -180,39 +186,57 @@ def params_digest(params: ModelParams) -> str:
     return h.hexdigest()
 
 
+# training sums through BLAS, whose result bits can depend on its thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SEEDED_MODEL = dict(d_product=16, d_model=8, n_blocks=1, n_heads=2, d_ffn=32, max_len=6)
+# configuration, dropout, l2; the style model spans several ADAM_BLOCKs
+SEEDED_RUNS = (("P", 0.0, 0.0), ("P+Cart", 0.0, 1e-4), ("P+Style", 0.1, 1e-3))
+
+
+def seeded_training_digests() -> dict:
+    """Per configuration of ``SEEDED_RUNS``: the digest of the final parameters
+    and of the JSON per-epoch history of a short seeded ``train`` run."""
+    sessions, _ = generate_synthetic(30, 300, length_range=(3, 6), seed=21, cart_ratio=0.3)
+    ds = prepare_dataset(sessions, max_len=6)
+    style = np.random.default_rng(21).standard_normal((31, 512)).astype(np.float32)
+    style[0] = 0.0
+    got = {}
+    for configuration, dropout, l2 in SEEDED_RUNS:
+        cfg = TrainConfig(epochs=3, seed=21, batch_size=32, learning_rate=3e-3, l2=l2,
+                          configuration=configuration)
+        model_cfg = ModelConfig(dropout=dropout, use_style=cfg.use_style, **SEEDED_MODEL)
+        result = train(ds, model_cfg, cfg, style_table=style if cfg.use_style else None)
+        got[configuration] = [params_digest(result.params),
+                              hashlib.sha256(json.dumps(result.history).encode()).hexdigest()]
+    return got
+
+
 class TestSeededTraining:
     """Three short seeded ``train`` runs, pinned bit for bit: the final
-    parameters and the per-epoch loss/val history. Recorded before Adam
-    took over the parameters' memory; a change to any number training
-    produces fails here."""
+    parameters and the per-epoch loss/val history. A change to any number
+    training produces fails here. The runs go through a child process with
+    one BLAS thread, so the digests do not depend on the machine's CPU count."""
 
-    MODEL = dict(d_product=16, d_model=8, n_blocks=1, n_heads=2, d_ffn=32, max_len=6)
-    # configuration, dropout, l2; the style model spans several ADAM_BLOCKs
-    RUNS = (("P", 0.0, 0.0), ("P+Cart", 0.0, 1e-4), ("P+Style", 0.1, 1e-3))
     RECORDED = {
-        "P": ("5ff6c4c791b7ee3a22a8434ac6d6ca8a8c0493b9e73bb662e58d3557a0a19d97",
-              "4977e5665efbe0360cdf389adc1446aa926dd791e3bf5779dd1cfabecd3cf2fb"),
-        "P+Cart": ("b5618014ddf5d80a29fd2af8c17c9c64026a75cc1b040a303395f6a76cda6de9",
-                   "4b2eb117eadfe0d9a242f25961874e510ab8dfa6c4d3bc3d694daeb77320df79"),
-        "P+Style": ("9d0c5a5ac8bfe8e90fe216c864c12ff093333685f59d7fc039d4994638c80f13",
-                    "d39fd9248425a971dfce322c55ea4104fb6787391f5e613a0dbbebf421f27b5d"),
+        "P": ["5ff6c4c791b7ee3a22a8434ac6d6ca8a8c0493b9e73bb662e58d3557a0a19d97",
+              "4977e5665efbe0360cdf389adc1446aa926dd791e3bf5779dd1cfabecd3cf2fb"],
+        "P+Cart": ["b5618014ddf5d80a29fd2af8c17c9c64026a75cc1b040a303395f6a76cda6de9",
+                   "4b2eb117eadfe0d9a242f25961874e510ab8dfa6c4d3bc3d694daeb77320df79"],
+        "P+Style": ["e2d30065f95cb08bf17074cb4214b989b79d264d886516c8d61f127d10019428",
+                    "3d798d51fb0607eb32704bd999344394f0553a38fe6ecba9034c6b228e90ba98"],
     }
 
-    def test_final_parameters_and_history_are_pinned(self):
-        sessions, _ = generate_synthetic(30, 300, length_range=(3, 6), seed=21,
-                                         cart_ratio=0.3)
-        ds = prepare_dataset(sessions, max_len=6)
-        style = np.random.default_rng(21).standard_normal((31, 512)).astype(np.float32)
-        style[0] = 0.0
-        got = {}
-        for configuration, dropout, l2 in self.RUNS:
-            cfg = TrainConfig(epochs=3, seed=21, batch_size=32, learning_rate=3e-3, l2=l2,
-                              configuration=configuration)
-            model_cfg = ModelConfig(dropout=dropout, use_style=cfg.use_style, **self.MODEL)
-            result = train(ds, model_cfg, cfg, style_table=style if cfg.use_style else None)
-            got[configuration] = (params_digest(result.params),
-                                  hashlib.sha256(json.dumps(result.history).encode()).hexdigest())
-        assert got == self.RECORDED
+    def test_final_parameters_and_history_are_pinned(self, tmp_path):
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                             os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, **{var: "1" for var in BLAS_THREAD_VARS})
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, test_training; "
+             "print(json.dumps(test_training.seeded_training_digests()))"],
+            cwd=tmp_path, capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == self.RECORDED
 
 
 class TestTrainingLoss:
@@ -439,7 +463,7 @@ class TestSuiteAndExperiments:
         ds = prepare_dataset(sessions, max_len=8)
         rng = np.random.default_rng(12)
         style = rng.standard_normal((9, 512)).astype(np.float32)
-        out = run_configuration_suite(ds, dict(TINY_MODEL),
+        out = run_configuration_suite(ds, dict(TINY_KWARGS),
                                       TrainConfig(epochs=1, seed=12),
                                       style_table=style)
         assert tuple(out) == CONFIGURATIONS
@@ -459,20 +483,21 @@ class TestSuiteAndExperiments:
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(training, "train", counting_train)
-        with pytest.raises(ConfigError):
-            run_configuration_suite(ds, dict(TINY_MODEL), TrainConfig(epochs=1))
+        with pytest.raises(ConfigError, match="need a style table"):
+            run_configuration_suite(ds, dict(TINY_KWARGS), TrainConfig(epochs=1))
         assert calls == []  # fails before any configuration trains
 
     def test_suite_rejects_use_style_kwarg(self):
         ds, _ = tiny_dataset()
-        with pytest.raises(ConfigError):
-            run_configuration_suite(ds, dict(use_style=True, **TINY_MODEL),
-                                    TrainConfig(epochs=1))
+        style = np.zeros((ds.catalog_size + 1, 512), dtype=np.float32)
+        for owned, value in (("use_style", True), ("max_len", 8)):
+            with pytest.raises(ConfigError, match=f"the run sets {owned};"):
+                run_configuration_suite(ds, {**TINY_KWARGS, owned: value},
+                                        TrainConfig(epochs=1), style_table=style)
 
     def test_dynamic_curve_length_and_series(self):
         sessions, _ = generate_synthetic(8, 150, length_range=(4, 7), seed=13)
-        kwargs = {k: v for k, v in TINY_MODEL.items() if k != "max_len"}
-        curve = dynamic_experiment(sessions, [2, 4], kwargs,
+        curve = dynamic_experiment(sessions, [2, 4], TINY_KWARGS,
                                    TrainConfig(epochs=1, seed=13))
         assert [m for m, _ in curve] == [2, 4]
         lines = curve_lines(curve)
@@ -482,15 +507,21 @@ class TestSuiteAndExperiments:
 
     def test_dynamic_rejects_bad_lengths(self):
         sessions, _ = generate_synthetic(8, 60, seed=14)
-        kwargs = {k: v for k, v in TINY_MODEL.items() if k != "max_len"}
         with pytest.raises(ConfigError):
-            dynamic_experiment(sessions, [1, 4], kwargs, TrainConfig(epochs=1))
+            dynamic_experiment(sessions, [1, 4], TINY_KWARGS, TrainConfig(epochs=1))
         with pytest.raises(ConfigError):
-            dynamic_experiment(sessions, [], kwargs, TrainConfig(epochs=1))
+            dynamic_experiment(sessions, [], TINY_KWARGS, TrainConfig(epochs=1))
+
+    def test_dynamic_rejects_owned_kwargs(self):
+        sessions, _ = generate_synthetic(8, 60, seed=14)
+        for owned, value in (("use_style", False), ("max_len", 4)):
+            with pytest.raises(ConfigError, match=f"the run sets {owned};"):
+                dynamic_experiment(sessions, [4], {**TINY_KWARGS, owned: value},
+                                   TrainConfig(epochs=1))
 
     def test_sweep_single_point_grid(self):
         ds, _ = tiny_dataset(P=8, n=100, seed=15)
-        kwargs = {k: v for k, v in TINY_MODEL.items() if k != "d_ffn"}
+        kwargs = {k: v for k, v in TINY_KWARGS.items() if k != "d_ffn"}
         cfg = TrainConfig(epochs=1, seed=15, hidden_dim_grid=(16,), l2_grid=(0.001,))
         result = sweep(ds, kwargs, cfg)
         assert len(result.runs) == 1
@@ -499,7 +530,7 @@ class TestSuiteAndExperiments:
 
     def test_sweep_budget_and_order(self):
         ds, _ = tiny_dataset(P=8, n=100, seed=16)
-        kwargs = {k: v for k, v in TINY_MODEL.items() if k != "d_ffn"}
+        kwargs = {k: v for k, v in TINY_KWARGS.items() if k != "d_ffn"}
         cfg = TrainConfig(epochs=1, seed=16, hidden_dim_grid=(8, 16),
                           l2_grid=(0.1, 0.001))
         result = sweep(ds, kwargs, cfg, budget=3)
@@ -518,8 +549,10 @@ class TestSuiteAndExperiments:
 
     def test_sweep_rejects_owned_kwargs(self):
         ds, _ = tiny_dataset()
-        with pytest.raises(ConfigError):
-            sweep(ds, dict(TINY_MODEL), TrainConfig(epochs=1))
+        kwargs = {k: v for k, v in TINY_KWARGS.items() if k != "d_ffn"}
+        for owned, value in (("d_ffn", 8), ("use_style", False), ("max_len", 8)):
+            with pytest.raises(ConfigError, match=f"the run sets {owned};"):
+                sweep(ds, {**kwargs, owned: value}, TrainConfig(epochs=1))
 
 
 class TestTrainConfigValidation:
