@@ -663,6 +663,164 @@ class TestCheckpointMutations:
         assert (tmp_path / "rep" / "eval-eval.txt").read_bytes() == report
 
 
+# training sums through BLAS, whose result bits can depend on its thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PIN_CONFIG = ("seed=7\nmodel.d_product=8\nmodel.d_model=4\nmodel.n_blocks=1\n"
+              "model.n_heads=2\nmodel.d_ffn=8\nmodel.dropout=0.1\ntrain.epochs=2\n"
+              "train.learning_rate=0.005\ntrain.batch_size=32\n")  # train.l2 stays at 1e-4
+PIN_RUN = ("--config", "in/run.cfg", "--report-dir", "out/rep")
+PIN_INVOCATIONS = (
+    ("synth", "synth", "--products", "10", "--sessions", "150", "--seed", "3",
+     "--out", "out/plain.jsonl", "--length-min", "3", "--length-max", "6",
+     "--cart-ratio", "0.3"),
+    ("synth-styled", "synth", "--products", "10", "--sessions", "150", "--seed", "2",
+     "--out", "out/styled.jsonl", "--style-correlated", "--clusters", "2",
+     "--length-min", "3", "--length-max", "6", "--cart-ratio", "0.3"),
+    ("preprocess", "preprocess", "--sessions", "out/styled.jsonl", "--out", "out/prep.json",
+     "--max-len", "6"),
+    ("stylegen", "stylegen", "--pseudo", "--images", "in/img", "--products", "10",
+     "--out", "out/pseudo.s4se", "--seed", "5"),
+    ("train-P", "train", *PIN_RUN, "--data", "out/prep.json", "--configuration", "P",
+     "--checkpoint-dir", "out/ck"),
+    ("train-P+Cart+Style", "train", *PIN_RUN, "--data", "out/prep.json",
+     "--configuration", "P+Cart+Style", "--style-cache", "out/pseudo.s4se",
+     "--checkpoint-dir", "out/ck"),
+    ("eval-negsample", "eval", *PIN_RUN, "--data", "out/prep.json",
+     "--checkpoint", "out/ck/model-P.s4ck", "--mode", "negsample", "--negatives", "3",
+     "--label", "neg"),
+    ("eval-full-catalog", "eval", *PIN_RUN, "--data", "out/prep.json",
+     "--checkpoint", "out/ck/model-P+Cart+Style.s4ck", "--style-cache", "out/pseudo.s4se",
+     "--mode", "full-catalog", "--label", "full"),
+    ("suite", "suite", *PIN_RUN, "--data", "out/prep.json",
+     "--style-cache", "out/styled.jsonl.style.s4se", "--epochs", "1",
+     "--checkpoint-dir", "out/ck-suite"),
+    ("dynamic", "dynamic", *PIN_RUN, "--sessions", "out/plain.jsonl", "--max-lens", "2,4",
+     "--epochs", "1"),
+    ("sweep", "sweep", *PIN_RUN, "--data", "out/prep.json", "--budget", "2",
+     "--hidden-dims", "4,8", "--l2-grid", "0.001", "--epochs", "1",
+     "--checkpoint-dir", "out/ck-sweep"),
+)
+
+
+def cli_pin_digests() -> dict:
+    """Run ``PIN_INVOCATIONS`` in the current directory; return the SHA-256 of
+    each invocation's stdout and of every file they wrote under ``out/``."""
+    import contextlib
+    import hashlib
+    import io
+
+    Path("in/img").mkdir(parents=True)
+    Path("in/run.cfg").write_text(PIN_CONFIG, encoding="utf-8")
+    rng = np.random.default_rng(0)
+    for pid in range(1, 9):  # products 9 and 10 have no image
+        np.save(f"in/img/{pid}.npy", rng.random((8, 8, 3)))
+    got = {}
+    for name, *argv in PIN_INVOCATIONS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv)
+        assert code == 0, f"{name} exited {code}"
+        got[f"stdout {name}"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    for path in sorted(Path("out").rglob("*")):
+        if path.is_file():
+            got[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return got
+
+
+class TestCliPin:
+    """Every file and stdout of 11 invocations of the 8 subcommands on one
+    tiny seeded config, pinned bit for bit. The runs go through a child
+    process with one BLAS thread, so the digests do not depend on the
+    machine's CPU count.
+
+    To re-record, run ``cli_pin_digests()`` the same way (one BLAS thread,
+    in an empty directory) and paste its output here, replacing only the
+    entries that the change is meant to move; CHANGES.md names each one
+    and why it moved.
+    """
+
+    RECORDED = {
+        "stdout synth":
+            "eb183fc472be25ca27c3b88f309d847f73754ae00e0a53b14572c9c06fe201a2",
+        "stdout synth-styled":
+            "c54f4918ab674dad212450bf035d7e349fd60b5c8ade22cde38b84ef4b7d41db",
+        "stdout preprocess":
+            "203665746d6684a6a3660557caeef271f45ebd0cade306657d7233bafc071967",
+        "stdout stylegen":
+            "80a8f5cd2c839df39b2738f6746d224ddbf90425fca773841da74c2246c29940",
+        "stdout train-P":
+            "68a2593818eb0ba8227abc8da57d7c620337ef88640b46fb87d404cc4221c190",
+        "stdout train-P+Cart+Style":
+            "d52520f489a4b3badca948b0d7641cacb84dd906721e89d96fa7ca73586a0d73",
+        "stdout eval-negsample":
+            "7b14b10f24eb87223e9f161a1ba2fd21e986b064f81db25d5a81909da06204c8",
+        "stdout eval-full-catalog":
+            "a4b33fe246dc4b04a7e8c45b9ea4dcdb121c7a4d699d1e6211d67ac543580b6c",
+        "stdout suite":
+            "4174fe7e345777f949be1014264873b9bc91c065ed69e42de7247ecda428b2e5",
+        "stdout dynamic":
+            "74dd9ba592e60b5fd369d569d17fdefac98b721ec0979da78e2de6243e7ddea7",
+        "stdout sweep":
+            "86ae0c617fcda224ad74a1d781f14310902dbaee0ea07cbd386b37da55d661c1",
+        "out/ck/model-P+Cart+Style.s4ck":
+            "28f7190770497c6dc6bab29d155fe2ae33a33654435732e35de7d63843f43dc9",
+        "out/ck/model-P.s4ck":
+            "57eef4fb382442624431841d0370c0135afac455600f19602dcebfa87148d61c",
+        "out/ck-suite/model-P+Cart+Style.s4ck":
+            "27abd056a9be54123164b102a3c79ffcd7d3106118d3083496cea4fa0cb0ddad",
+        "out/ck-suite/model-P+Cart.s4ck":
+            "b0e0f094c487dca2d195365abed36e2e3a33b3d0ba4b82ff116f61080354f358",
+        "out/ck-suite/model-P+Style.s4ck":
+            "b38a8cd42cbf11b26c579fad937b0e2d0de828aac202793d75f26c0d74c15666",
+        "out/ck-suite/model-P.s4ck":
+            "d3b3e774f7737927fba70a30da3ce06601ffea5534239fe3a2c45aa2190da128",
+        "out/ck-sweep/model-sweep-best.s4ck":
+            "31bbd7f03733e6d5713b6b01f553330f80d8648fb2045049525c3e1412fd8b1f",
+        "out/plain.jsonl":
+            "96b17ecd78e0cc25813eb60edc1e89288de1b8ff97f47d6a9b50b1a9071f1f88",
+        "out/plain.jsonl.oracle.npz":
+            "ed869f49de61af4e9434ebafe6cca1cd9fe4a88c3ff6a52bf974959050316209",
+        "out/prep.json":
+            "b67cf383ace267c906c0b6f23712ed0ba2bb8d761b348ddaffa758eeec88e001",
+        "out/prep.json.stats.txt":
+            "c0a7155141bd127209f68828d15569db1692a6c7820c32abae9e9f1aa96534ca",
+        "out/pseudo.s4se":
+            "030c2aef31deb91b3c3c0af54fe4a18fb85deb2cee8d5e8ad19d9822c96403d1",
+        "out/rep/dynamic.txt":
+            "737439970c256113f9b8e83e75f63ac61c39354d68cd8f278b9d319f02ff37d7",
+        "out/rep/eval-full.txt":
+            "d6b4ffa3376727df63d314843a769b46cda86a4642b4611d55eeff6b10c0e6f9",
+        "out/rep/eval-neg.txt":
+            "691f223694405cd1e760ef7d126d59374eca6d04cb0ac49daf184514de7944a3",
+        "out/rep/suite.txt":
+            "d01de5654b8a76e6f60a68d58e8fc8bcd1e4ad13e557f5977b27335f1f393455",
+        "out/rep/sweep.txt":
+            "3fafbf401887e350d049c96ddfcf89bad49e4231ccc527bac1affe3fdf819ee1",
+        "out/rep/train-P+Cart+Style.txt":
+            "526dfa5b4fd32820a490b29045e354819a66786c22915b47340aabee3fd5bed9",
+        "out/rep/train-P.txt":
+            "9d38773dadb9eafd0db5543beaaaa7fba05576f6b3f7ae5d129130fedba2820e",
+        "out/styled.jsonl":
+            "ec8102484ed54ab8ca29c2c337d01e5c3dcafe4213c2625dc3b725aafca8bad8",
+        "out/styled.jsonl.oracle.npz":
+            "a2e6b638972111598d4d82b73ab1f095da496e793a945c394c3a6ce33e163fa2",
+        "out/styled.jsonl.style.s4se":
+            "c14aae2f88aad75384b1b713a563332ec8a32aae8e997e66eeceb41e7bef93cb",
+    }
+
+    def test_outputs_are_pinned(self, tmp_path):
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                             os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, **{var: "1" for var in BLAS_THREAD_VARS})
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, test_cli; "
+             "print(json.dumps(test_cli.cli_pin_digests(), indent=1))"],
+            cwd=tmp_path, capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == self.RECORDED
+
+
 class TestErrorSurface:
     def test_numeric_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(rc, args):
