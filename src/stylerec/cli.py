@@ -6,12 +6,11 @@ override it. All randomness flows from a single global seed. Outputs are
 deterministic: rerunning a command on identical inputs writes byte
 identical artifacts.
 
-Exit codes: 0 success, 1 input error (unreadable or malformed files),
-2 configuration error (bad values, violated contracts), 3 numeric
-failure. Errors print one machine-parsable line to stderr:
-``error <kind>: <detail>``. Argument errors (an unknown subcommand, a
-missing flag, a malformed value) also print one ``error config-error:``
-line and exit 2.
+Exit code 0 is success. An error prints one machine-parsable line to
+stderr, ``error <kind>: <detail>``, and exits with the code its class in
+``errors.py`` carries: 1 for input, 2 for configuration, 3 for numeric
+failures. Argument errors (an unknown subcommand, a missing flag, a
+malformed value) also print one ``error config-error:`` line and exit 2.
 
 Every flag that sets a run setting has the config key as its argparse
 dest (``--epochs`` is ``train.epochs``, ``--negatives`` is
@@ -41,16 +40,7 @@ from .data import (
     read_text,
     write_sessions,
 )
-from .errors import (
-    ConfigError,
-    ContractError,
-    FormatError,
-    InputError,
-    MaskError,
-    NumericError,
-    ShapeError,
-    StyleRecError,
-)
+from .errors import ConfigError, InputError, StyleRecError
 from .metrics import FULL_CATALOG, NEGSAMPLE, format_report_table
 from .kv import parse_field
 from .model import ModelConfig, load_checkpoint, save_checkpoint
@@ -74,16 +64,6 @@ from .training import (
     run_model_config,
     sweep,
     train,
-)
-
-_ERROR_KINDS = (
-    (InputError, "input-error", 1),
-    (FormatError, "format-error", 1),
-    (ConfigError, "config-error", 2),
-    (ContractError, "contract-error", 2),
-    (ShapeError, "shape-error", 2),
-    (MaskError, "mask-error", 2),
-    (NumericError, "numeric-error", 3),
 )
 
 
@@ -404,6 +384,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--report-dir", dest="report_dir", help="report output directory")
     common.add_argument("--checkpoint-dir", dest="checkpoint_dir",
                         help="checkpoint output directory")
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--data", dest="data", help="prepared dataset file")
+    dataset.add_argument("--style-cache", dest="style_cache")
+    epochs = argparse.ArgumentParser(add_help=False)
+    epochs.add_argument("--epochs", dest="train.epochs")
 
     parser = _Parser(
         prog="stylerec",
@@ -442,18 +427,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", type=int, default=5)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", parents=[common], help="train one configuration")
-    p.add_argument("--data", dest="data", help="prepared dataset file")
-    p.add_argument("--style-cache", dest="style_cache")
+    p = sub.add_parser("train", parents=[common, dataset, epochs],
+                       help="train one configuration")
     p.add_argument("--configuration", dest="train.configuration", choices=CONFIGURATIONS)
-    p.add_argument("--epochs", dest="train.epochs")
     p.add_argument("--out", help="checkpoint output path")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
+    p = sub.add_parser("eval", parents=[common, dataset], help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", dest="data", help="prepared dataset file")
-    p.add_argument("--style-cache", dest="style_cache")
     p.add_argument("--mode", dest="train.eval_mode",
                    choices=("auto", NEGSAMPLE, FULL_CATALOG))
     p.add_argument("--negatives", dest="train.eval_negatives",
@@ -461,29 +442,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default="eval", help="name used in report lines")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("suite", parents=[common],
+    p = sub.add_parser("suite", parents=[common, dataset, epochs],
                        help="train and test all four data configurations")
-    p.add_argument("--data", dest="data", help="prepared dataset file")
-    p.add_argument("--style-cache", dest="style_cache")
-    p.add_argument("--epochs", dest="train.epochs")
     p.set_defaults(func=cmd_suite)
 
-    p = sub.add_parser("dynamic", parents=[common],
+    p = sub.add_parser("dynamic", parents=[common, epochs],
                        help="retrain across session-length caps and report the curve")
     p.add_argument("--sessions", dest="sessions", help="raw session JSONL file")
     p.add_argument("--max-lens", dest="max_lens", help="comma-separated lengths")
-    p.add_argument("--epochs", dest="train.epochs")
     p.set_defaults(func=cmd_dynamic)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, dataset, epochs],
                        help="grid-search feed-forward width and L2 penalty")
-    p.add_argument("--data", dest="data", help="prepared dataset file")
-    p.add_argument("--style-cache", dest="style_cache")
     p.add_argument("--budget", type=int, help="cap on grid points, in order")
     p.add_argument("--hidden-dims", dest="train.hidden_dim_grid",
                    help="comma-separated widths")
     p.add_argument("--l2-grid", dest="train.l2_grid", help="comma-separated penalties")
-    p.add_argument("--epochs", dest="train.epochs")
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -494,12 +468,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         return args.func(build_run_config(args), args)
     except StyleRecError as e:
-        for cls, kind, code in _ERROR_KINDS:
-            if isinstance(e, cls):
-                print(f"error {kind}: {e}", file=sys.stderr)
-                return code
-        print(f"error internal: {e}", file=sys.stderr)  # pragma: no cover
-        return 2  # pragma: no cover
+        print(f"error {e.kind}: {e}", file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -115,9 +115,6 @@ class ModelParams:
     def product_emb(self) -> T.Tensor:
         return self.tensors["product_emb"]
 
-    def l2_norm_squared(self) -> float:
-        return float(sum((t.data.astype(np.float64) ** 2).sum() for t in self.tensors.values()))
-
 
 def positional_encoding(max_len: int, d_model: int) -> np.ndarray:
     """Fixed sinusoid table: even dims sin(pos/10000^(2i/d)), odd dims cos."""

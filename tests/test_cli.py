@@ -1,6 +1,9 @@
 """End-to-end command-line tests: every subcommand, exit codes, determinism."""
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import struct
@@ -12,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stylerec import cli
+from stylerec import cli, errors
 from stylerec.data import PURCHASE, PreparedDataset, Session, generate_synthetic, write_sessions
-from stylerec.errors import FormatError, InputError, NumericError
+from stylerec.errors import FormatError, InputError
 from stylerec.style import load_style_cache, save_style_cache, write_feature_maps
 from stylerec.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from stylerec.training import CONFIGURATIONS, TrainConfig
+from test_training import one_blas_thread_json
 
 
 def run(*argv) -> int:
@@ -663,8 +667,6 @@ class TestCheckpointMutations:
         assert (tmp_path / "rep" / "eval-eval.txt").read_bytes() == report
 
 
-# training sums through BLAS, whose result bits can depend on its thread count
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PIN_CONFIG = ("seed=7\nmodel.d_product=8\nmodel.d_model=4\nmodel.n_blocks=1\n"
               "model.n_heads=2\nmodel.d_ffn=8\nmodel.dropout=0.1\ntrain.epochs=2\n"
               "train.learning_rate=0.005\ntrain.batch_size=32\n")  # train.l2 stays at 1e-4
@@ -705,10 +707,6 @@ PIN_INVOCATIONS = (
 def cli_pin_digests() -> dict:
     """Run ``PIN_INVOCATIONS`` in the current directory; return the SHA-256 of
     each invocation's stdout and of every file they wrote under ``out/``."""
-    import contextlib
-    import hashlib
-    import io
-
     Path("in/img").mkdir(parents=True)
     Path("in/run.cfg").write_text(PIN_CONFIG, encoding="utf-8")
     rng = np.random.default_rng(0)
@@ -733,10 +731,11 @@ class TestCliPin:
     process with one BLAS thread, so the digests do not depend on the
     machine's CPU count.
 
-    To re-record, run ``cli_pin_digests()`` the same way (one BLAS thread,
-    in an empty directory) and paste its output here, replacing only the
-    entries that the change is meant to move; CHANGES.md names each one
-    and why it moved.
+    To re-record, print ``one_blas_thread_json("test_cli.cli_pin_digests", d)``
+    for an empty directory ``d``, from ``tests/`` with ``src/`` on the path,
+    and replace only the entries that the change is meant to move. Losses
+    reported with the default ``train.l2`` move with the penalty's float
+    summation; checkpoints move only with the training itself.
     """
 
     RECORDED = {
@@ -751,15 +750,15 @@ class TestCliPin:
         "stdout train-P":
             "68a2593818eb0ba8227abc8da57d7c620337ef88640b46fb87d404cc4221c190",
         "stdout train-P+Cart+Style":
-            "d52520f489a4b3badca948b0d7641cacb84dd906721e89d96fa7ca73586a0d73",
+            "3010e331eea3e497cab1b0097ad4c74e83579e79ab89484aa5a4176e10f74562",
         "stdout eval-negsample":
             "7b14b10f24eb87223e9f161a1ba2fd21e986b064f81db25d5a81909da06204c8",
         "stdout eval-full-catalog":
             "a4b33fe246dc4b04a7e8c45b9ea4dcdb121c7a4d699d1e6211d67ac543580b6c",
         "stdout suite":
-            "4174fe7e345777f949be1014264873b9bc91c065ed69e42de7247ecda428b2e5",
+            "0499234050d7d953f21daecf6ab2c757c81726ac207b447d5f2e76e6458eecc7",
         "stdout dynamic":
-            "74dd9ba592e60b5fd369d569d17fdefac98b721ec0979da78e2de6243e7ddea7",
+            "b363c15b970c4c6d7f2c722dbb35f5dbc88948e06624e1f9dc6322d27d30a130",
         "stdout sweep":
             "86ae0c617fcda224ad74a1d781f14310902dbaee0ea07cbd386b37da55d661c1",
         "out/ck/model-P+Cart+Style.s4ck":
@@ -797,9 +796,9 @@ class TestCliPin:
         "out/rep/sweep.txt":
             "3fafbf401887e350d049c96ddfcf89bad49e4231ccc527bac1affe3fdf819ee1",
         "out/rep/train-P+Cart+Style.txt":
-            "526dfa5b4fd32820a490b29045e354819a66786c22915b47340aabee3fd5bed9",
+            "56a792b0666cedcdcfc7460e33e678f09d81bd2a4a2046e91dfca18e0491bae5",
         "out/rep/train-P.txt":
-            "9d38773dadb9eafd0db5543beaaaa7fba05576f6b3f7ae5d129130fedba2820e",
+            "1ac24ca3064a949d068a539c82fdf9dd1210826c43e845bb67560a67f2e0c0f7",
         "out/styled.jsonl":
             "ec8102484ed54ab8ca29c2c337d01e5c3dcafe4213c2625dc3b725aafca8bad8",
         "out/styled.jsonl.oracle.npz":
@@ -809,28 +808,38 @@ class TestCliPin:
     }
 
     def test_outputs_are_pinned(self, tmp_path):
-        here = Path(__file__).resolve().parent
-        path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
-                                             os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, **{var: "1" for var in BLAS_THREAD_VARS})
-        proc = subprocess.run(
-            [sys.executable, "-c", "import json, test_cli; "
-             "print(json.dumps(test_cli.cli_pin_digests(), indent=1))"],
-            cwd=tmp_path, capture_output=True, text=True, env=env, timeout=600)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == self.RECORDED
+        assert one_blas_thread_json("test_cli.cli_pin_digests", tmp_path) == self.RECORDED
+
+
+# the kinds and exit codes README documents; errors.py owns them
+ERROR_SURFACE = (
+    (errors.InputError, "input-error", 1),
+    (errors.FormatError, "format-error", 1),
+    (errors.ConfigError, "config-error", 2),
+    (errors.ContractError, "contract-error", 2),
+    (errors.ShapeError, "shape-error", 2),
+    (errors.MaskError, "mask-error", 2),
+    (errors.NumericError, "numeric-error", 3),
+    (errors.StyleRecError, "internal", 2),
+)
 
 
 class TestErrorSurface:
-    def test_numeric_error_exit_code(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("cls, kind, code", ERROR_SURFACE,
+                             ids=[cls.__name__ for cls, _, _ in ERROR_SURFACE])
+    def test_error_class_sets_kind_and_exit_code(self, tmp_path, monkeypatch, capsys,
+                                                 cls, kind, code):
         def boom(rc, args):
-            raise NumericError("diverged")
+            raise cls("boom")
 
         monkeypatch.setattr(cli, "cmd_synth", boom)
         assert run("synth", "--products", 4, "--sessions", 5,
-                   "--out", tmp_path / "x") == 3
-        err = capsys.readouterr().err
-        assert err == "error numeric-error: diverged\n"
+                   "--out", tmp_path / "x") == code
+        assert capsys.readouterr().err == f"error {kind}: boom\n"
+
+    def test_every_error_class_is_documented(self):
+        documented = {cls for cls, _, _ in ERROR_SURFACE}
+        assert set(errors.StyleRecError.__subclasses__()) | {errors.StyleRecError} == documented
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "s.jsonl"

@@ -188,6 +188,23 @@ def params_digest(params: ModelParams) -> str:
 
 # training sums through BLAS, whose result bits can depend on its thread count
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def one_blas_thread_json(call: str, cwd):
+    """The JSON that ``call``, a function of a tests module, returns when run in a
+    child process in ``cwd`` with one BLAS thread."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **{var: "1" for var in BLAS_THREAD_VARS})
+    module = call.partition(".")[0]
+    proc = subprocess.run([sys.executable, "-c", f"import json, {module}; "
+                           f"print(json.dumps({call}()))"],
+                          cwd=cwd, capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 SEEDED_MODEL = dict(d_product=16, d_model=8, n_blocks=1, n_heads=2, d_ffn=32, max_len=6)
 # configuration, dropout, l2; the style model spans several ADAM_BLOCKs
 SEEDED_RUNS = (("P", 0.0, 0.0), ("P+Cart", 0.0, 1e-4), ("P+Style", 0.1, 1e-3))
@@ -221,22 +238,14 @@ class TestSeededTraining:
         "P": ["5ff6c4c791b7ee3a22a8434ac6d6ca8a8c0493b9e73bb662e58d3557a0a19d97",
               "4977e5665efbe0360cdf389adc1446aa926dd791e3bf5779dd1cfabecd3cf2fb"],
         "P+Cart": ["b5618014ddf5d80a29fd2af8c17c9c64026a75cc1b040a303395f6a76cda6de9",
-                   "4b2eb117eadfe0d9a242f25961874e510ab8dfa6c4d3bc3d694daeb77320df79"],
+                   "56ef9fefb79f20f272849ed2c660e3affe0b452005bc4d312b77f67f56ee8854"],
         "P+Style": ["e2d30065f95cb08bf17074cb4214b989b79d264d886516c8d61f127d10019428",
-                    "3d798d51fb0607eb32704bd999344394f0553a38fe6ecba9034c6b228e90ba98"],
+                    "a8fd467768cacf81318acca01d954fa9dd39705fa2ec4d7a12b2d7638d6553c5"],
     }
 
     def test_final_parameters_and_history_are_pinned(self, tmp_path):
-        here = Path(__file__).resolve().parent
-        path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
-                                             os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, **{var: "1" for var in BLAS_THREAD_VARS})
-        proc = subprocess.run(
-            [sys.executable, "-c", "import json, test_training; "
-             "print(json.dumps(test_training.seeded_training_digests()))"],
-            cwd=tmp_path, capture_output=True, text=True, env=env, timeout=600)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == self.RECORDED
+        got = one_blas_thread_json("test_training.seeded_training_digests", tmp_path)
+        assert got == self.RECORDED
 
 
 class TestTrainingLoss:
@@ -254,14 +263,41 @@ class TestTrainingLoss:
         loss = training_loss(params, ids, mask, np.array([4]), np.array([5]), pos_enc)
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
         lam = 0.01
-        total = loss.item() + l2_penalty(params, lam)
-        assert total == pytest.approx(np.log(2.0) + lam * params.l2_norm_squared(),
-                                      rel=1e-12)
+        squares = sum(float((t.data ** 2).sum()) for _, t in params.items())
+        total = loss.item() + l2_penalty(Adam(params, 1e-3).data, lam)
+        assert total == pytest.approx(np.log(2.0) + lam * squares, rel=1e-12)
 
     def test_zero_l2_penalty_is_exactly_zero(self):
         cfg = ModelConfig(**TINY_MODEL)
         params = init_params(cfg, catalog_size=6, seed=2)
-        assert l2_penalty(params, 0.0) == 0.0
+        assert l2_penalty(Adam(params, 1e-3).data, 0.0) == 0.0
+
+    def test_one_batch_epoch_reports_penalty_at_the_stepped_parameters(self, monkeypatch):
+        """With one batch per epoch, the reported loss is that batch's loss plus
+        the L2 penalty of the parameters the loss was computed at, which are
+        the ones ``Adam.step`` receives, not the ones it returns."""
+        ds, _ = tiny_dataset()
+        lam = 0.1
+        losses, stepped = [], []
+        loss_fn, step = training.training_loss, training.Adam.step
+
+        def record_loss(*args, **kwargs):
+            loss = loss_fn(*args, **kwargs)
+            losses.append(loss.item())
+            return loss
+
+        def record_step(self, grad):
+            stepped.append(self.data.astype(np.float64))
+            return step(self, grad)
+
+        monkeypatch.setattr(training, "training_loss", record_loss)
+        monkeypatch.setattr(training.Adam, "step", record_step)
+        cfg = TrainConfig(epochs=1, seed=5, batch_size=len(ds.train), learning_rate=0.05,
+                          l2=lam)
+        result = train(ds, ModelConfig(**TINY_MODEL), cfg)
+        assert len(losses) == len(stepped) == 1
+        want = losses[0] + lam * float(np.dot(stepped[0], stepped[0]))
+        assert result.history[0]["loss"] == pytest.approx(want, rel=1e-6)
 
 
 class TestTrain:
