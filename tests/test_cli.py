@@ -825,6 +825,16 @@ ERROR_SURFACE = (
 
 
 class TestErrorSurface:
+    def test_numeric_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        def boom(rc, args):
+            raise errors.NumericError("diverged")
+
+        monkeypatch.setattr(cli, "cmd_synth", boom)
+        assert run("synth", "--products", 4, "--sessions", 5,
+                   "--out", tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert err == "error numeric-error: diverged\n"
+
     @pytest.mark.parametrize("cls, kind, code", ERROR_SURFACE,
                              ids=[cls.__name__ for cls, _, _ in ERROR_SURFACE])
     def test_error_class_sets_kind_and_exit_code(self, tmp_path, monkeypatch, capsys,
