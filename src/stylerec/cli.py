@@ -211,18 +211,28 @@ def cmd_preprocess(rc: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _stylegen_layers(args: argparse.Namespace, pid: int, seed: int):
-    """Feature maps for one product, or None when it has no image."""
-    if args.features:
-        path = Path(args.features) / f"{pid}.s4rf"
-        if not path.is_file():
-            return None
-        return load_feature_maps(path)
-    path = Path(args.images) / f"{pid}.npy"
+def _stylegen_vector(args: argparse.Namespace, pid: int, seed: int):
+    """Raw style vector of one product, or None when it has no image. A file that
+    does not load, or makes the vector non-finite, is an InputError naming it."""
+    folder, suffix = (args.features, "s4rf") if args.features else (args.images, "npy")
+    path = Path(folder) / f"{pid}.{suffix}"
     if not path.is_file():
         return None
-    image = np.load(path)
-    return pseudo_feature_provider(image, seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports these
+        if args.features:
+            layers = load_feature_maps(path)
+        else:
+            try:
+                image = np.load(path)
+            except (OSError, EOFError, ValueError) as e:  # bad bytes or pickled data
+                raise InputError(f"{path}: not a readable .npy image ({e})") from None
+            if not isinstance(image, np.ndarray) or image.dtype.kind not in "biuf":
+                raise InputError(f"{path}: not an array of real numbers")
+            layers = pseudo_feature_provider(image, seed)
+        vec = extract_style_embedding(layers)
+    if not np.isfinite(vec).all():
+        raise InputError(f"{path}: non-finite values give a non-finite style vector")
+    return vec
 
 
 def cmd_stylegen(rc: RunConfig, args: argparse.Namespace) -> int:
@@ -237,12 +247,10 @@ def cmd_stylegen(rc: RunConfig, args: argparse.Namespace) -> int:
     raw: Dict[int, np.ndarray] = {}
     image_ids = set()
     for pid in range(1, args.products + 1):
-        layers = _stylegen_layers(args, pid, provider_seed)
-        if layers is None:
-            raw[pid] = np.zeros(512, dtype=np.float32)
-            continue
-        raw[pid] = extract_style_embedding(layers)
-        image_ids.add(pid)
+        vec = _stylegen_vector(args, pid, provider_seed)
+        raw[pid] = np.zeros(512, dtype=np.float32) if vec is None else vec
+        if vec is not None:
+            image_ids.add(pid)
     vectors = standardize_embeddings(raw, image_ids)
     save_style_cache(vectors, Path(args.out))
     missing = args.products - len(image_ids)

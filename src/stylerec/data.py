@@ -45,12 +45,16 @@ class Session:
     def __post_init__(self):
         if self.kind not in (PURCHASE, CART):
             raise InputError(f"session {self.session_id!r}: unknown kind {self.kind!r}")
-        if not self.items:
+        items = tuple(self.items)
+        if not items:
             raise InputError(f"session {self.session_id!r}: empty item list")
-        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i < 1
-               for i in self.items):
+        ints = set(map(type, items)) == {int}
+        # numpy integers become int; bools, floats and strings are no ids
+        if not ints and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in items):
+            items, ints = tuple(map(int, items)), True
+        if not ints or min(items) < 1:
             raise InputError(f"session {self.session_id!r}: item ids must be integers >= 1 (0 is padding)")
-        object.__setattr__(self, "items", tuple(int(i) for i in self.items))
+        object.__setattr__(self, "items", items)
 
     def to_row(self) -> dict:
         """The JSON object sessions files and prepared datasets store."""
@@ -73,6 +77,10 @@ def json_value(value, kind: type, what: str):
     return value
 
 
+# one session row of a prepared dataset as json.dumps(..., indent=1) nests it
+_ROW = '  {{\n   "session_id": {},\n   "kind": {},\n   "t": {},\n   "items": [\n    {}\n   ]\n  }}'
+
+
 @dataclass
 class PreparedDataset:
     """Temporal train/val/test splits after preprocessing."""
@@ -87,15 +95,15 @@ class PreparedDataset:
         return list(self.train) + list(self.val) + list(self.test)
 
     def to_json(self) -> str:
-        doc = {
-            "catalog_size": self.catalog_size,
-            "max_len": self.max_len,
-            "padding_id": PADDING_ID,
-            "train": [s.to_row() for s in self.train],
-            "val": [s.to_row() for s in self.val],
-            "test": [s.to_row() for s in self.test],
-        }
-        return json.dumps(doc, indent=1)
+        """The text of ``json.dumps(doc, indent=1)``, written row by row from a template."""
+        parts = [json.dumps({"catalog_size": self.catalog_size, "max_len": self.max_len,
+                             "padding_id": PADDING_ID}, indent=1)[:-2]]
+        for name in ("train", "val", "test"):
+            rows = ",\n".join(_ROW.format(json.dumps(s.session_id), json.dumps(s.kind), s.t,
+                                          ",\n    ".join(map(str, s.items)))
+                              for s in getattr(self, name))
+            parts.append(f',\n "{name}": [\n{rows}\n ]' if rows else f',\n "{name}": []')
+        return "".join(parts) + "\n}"
 
     @classmethod
     def from_json(cls, text: str) -> "PreparedDataset":

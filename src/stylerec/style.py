@@ -15,6 +15,7 @@ Externally computed activations can be supplied via S4RF files instead.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
@@ -153,11 +154,29 @@ def style_table(catalog_size: int, vectors: Dict[int, np.ndarray]) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def _conv2d_same(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """3x3 stride-1 same-padding convolution: [C, H, W] x [F, C, 3, 3] -> [F, H, W]."""
+    """3x3 stride-1 same-padding convolution as one GEMM: [C, H, W] x [F, C*9] -> [F, H, W],
+    the filters flattened over (c, i, j) like the nine shifted copies of the input."""
     c, h, w = x.shape
-    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
-    return np.einsum("chwij,fcij->fhw", windows, weights, optimize=True)
+    padded = np.zeros((c, h + 2, w + 2))
+    padded[:, 1:-1, 1:-1] = x
+    cols = np.empty((c, 3, 3, h, w))
+    for i in range(3):
+        for j in range(3):
+            cols[:, i, j] = padded[:, i:i + h, j:j + w]
+    return (weights @ cols.reshape(c * 9, h * w)).reshape(-1, h, w)
+
+
+@functools.lru_cache(maxsize=16)
+def _pseudo_weights(seed: int, c: int):
+    """Both frozen filter banks as read-only [64, C*9] and [64, 576] matrices; keyed
+    on ``c`` too, because the second bank's draw follows the first's C*64*9 normals."""
+    rng = rng_for(seed, "pseudo-features")
+    w1 = rng.standard_normal((_MAPS_PER_LAYER, c, 3, 3)) / np.sqrt(9.0 * c)
+    w2 = rng.standard_normal((_MAPS_PER_LAYER, _MAPS_PER_LAYER, 3, 3)) / np.sqrt(9.0 * _MAPS_PER_LAYER)
+    banks = (w1.reshape(_MAPS_PER_LAYER, -1), w2.reshape(_MAPS_PER_LAYER, -1))
+    for bank in banks:
+        bank.flags.writeable = False
+    return banks
 
 
 def pseudo_feature_provider(image: np.ndarray, seed: int) -> List[np.ndarray]:
@@ -174,9 +193,7 @@ def pseudo_feature_provider(image: np.ndarray, seed: int) -> List[np.ndarray]:
     h, w, c = img.shape
     if h < 8 or w < 8:
         raise ContractError(f"image must be at least 8x8, got {h}x{w}")
-    rng = rng_for(seed, "pseudo-features")
-    w1 = rng.standard_normal((_MAPS_PER_LAYER, c, 3, 3)) / np.sqrt(9.0 * c)
-    w2 = rng.standard_normal((_MAPS_PER_LAYER, _MAPS_PER_LAYER, 3, 3)) / np.sqrt(9.0 * _MAPS_PER_LAYER)
+    w1, w2 = _pseudo_weights(seed, c)
     layer1 = np.maximum(_conv2d_same(img.transpose(2, 0, 1), w1), 0.0)
     layer2 = np.maximum(_conv2d_same(layer1, w2), 0.0)
     return [layer1.astype(np.float32), layer2.astype(np.float32)]

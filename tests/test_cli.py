@@ -125,6 +125,12 @@ class TestPreprocess:
         assert ":2:" in capsys.readouterr().err
 
 
+def npz_bytes(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
 class TestStylegen:
     def write_features(self, directory, pid, seed):
         rng = np.random.default_rng(seed)
@@ -165,6 +171,53 @@ class TestStylegen:
                    "--out", tmp_path / "c.s4se")
         assert code == 1
         assert capsys.readouterr().err.startswith("error format-error:")
+
+    def run_pseudo(self, tmp_path, bad_image) -> int:
+        """stylegen over a good image 1 and an image 2 that ``bad_image(path)`` writes."""
+        images = tmp_path / "img"
+        images.mkdir()
+        np.save(images / "1.npy", np.random.default_rng(1).random((8, 8, 3)))
+        bad_image(images / "2.npy")
+        return run("stylegen", "--pseudo", "--images", images, "--products", 2,
+                   "--out", tmp_path / "c.s4se")
+
+    def assert_input_error_naming(self, capsys, tmp_path, name):
+        err = capsys.readouterr().err
+        assert err.startswith("error input-error:") and err.count("\n") == 1
+        assert name in err
+        assert not (tmp_path / "c.s4se").exists()
+
+    @pytest.mark.parametrize("bad_image", [
+        lambda p: p.write_bytes(b"garbage bytes, not an array"),
+        lambda p: p.write_bytes(b""),
+        lambda p: np.save(p, np.array([{"a": 1}], dtype=object), allow_pickle=True),
+        lambda p: np.save(p, np.full((8, 8, 3), "x")),
+        lambda p: np.save(p, np.full((8, 8, 3), 1 + 2j)),
+        lambda p: p.write_bytes(npz_bytes(a=np.ones((8, 8, 3)))),
+    ], ids=["garbage", "empty", "pickled", "text", "complex", "npz"])
+    def test_unreadable_image_is_input_error(self, tmp_path, capsys, bad_image):
+        assert self.run_pseudo(tmp_path, bad_image) == 1
+        self.assert_input_error_naming(capsys, tmp_path, "2.npy")
+
+    @pytest.mark.parametrize("value, pixels", [
+        (np.nan, np.s_[:]), (np.nan, np.s_[3, 4, 0]), (np.inf, np.s_[0, 0, 2]),
+        (-np.inf, np.s_[:]), (1e300, np.s_[:])],
+        ids=["all-nan", "one-nan", "one-inf", "all-minus-inf", "overflow"])
+    def test_non_finite_image_is_input_error(self, tmp_path, capsys, value, pixels):
+        image = np.random.default_rng(2).random((8, 8, 3))
+        image[pixels] = value
+        assert self.run_pseudo(tmp_path, lambda p: np.save(p, image)) == 1
+        self.assert_input_error_naming(capsys, tmp_path, "2.npy")
+
+    def test_non_finite_features_are_input_error(self, tmp_path, capsys):
+        feat = tmp_path / "feat"
+        feat.mkdir()
+        layers = [np.ones((64, 6, 6), dtype=np.float32) for _ in range(2)]
+        layers[1][5, 2, 2] = np.nan
+        write_feature_maps(layers, feat / "1.s4rf")
+        assert run("stylegen", "--features", feat, "--products", 1,
+                   "--out", tmp_path / "c.s4se") == 1
+        self.assert_input_error_naming(capsys, tmp_path, "1.s4rf")
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert run("stylegen", "--products", 2, "--out", tmp_path / "c") == 2

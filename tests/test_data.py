@@ -58,6 +58,18 @@ class TestSessionValidation:
         assert s.items == (4, 7)
         assert all(type(i) is int for i in s.items)
 
+    @pytest.mark.parametrize("item", [np.int64(4), np.int32(4)], ids=["int64", "int32"])
+    def test_numpy_integers_become_int(self, item):
+        s = Session("a", PURCHASE, 0, (item, 7))
+        assert s.items == (4, 7) and type(s.items[0]) is int
+
+    @pytest.mark.parametrize("item", [True, np.bool_(True), 1.0, "3", 0, -1],
+                             ids=["bool", "np.bool_", "float", "str", "zero", "negative"])
+    def test_non_id_item_rejected_with_one_message(self, item):
+        with pytest.raises(InputError, match=r"^session 'a': item ids must be integers >= 1 "
+                                             r"\(0 is padding\)$"):
+            Session("a", PURCHASE, 0, (2, item))
+
 
 class TestParsing:
     def test_round_trip(self, tmp_path):
@@ -273,6 +285,37 @@ class TestTemporalSplit:
         assert back.train == ds.train and back.val == ds.val and back.test == ds.test
         assert back.catalog_size == ds.catalog_size and back.max_len == ds.max_len
         assert back.to_json() == text
+
+
+def oracle_json(ds) -> str:
+    """The prepared-dataset document through the json encoder itself."""
+    doc = {"catalog_size": ds.catalog_size, "max_len": ds.max_len, "padding_id": 0,
+           **{k: [s.to_row() for s in getattr(ds, k)] for k in ("train", "val", "test")}}
+    return json.dumps(doc, indent=1)
+
+
+class TestToJson:
+    """``to_json`` writes its text directly; ``json.dumps(doc, indent=1)`` is the oracle."""
+
+    @pytest.mark.parametrize("splits", [
+        {"train": [Session("séance-ü", PURCHASE, 1, (3, 4)), Session("日本\u2028", CART, 2, (5, 6))]},
+        {"train": [Session('q"uote\\back\nline\t', PURCHASE, 0, (1, 2))]},
+        {"train": [Session("one", PURCHASE, 7, (9,))], "test": [Session("two", PURCHASE, 8, (1,))]},
+        {"val": [Session("v", CART, 3, (2, 1, 2))]},
+        {},
+    ], ids=["non-ascii", "escapes", "single-item", "only-val", "all-empty"])
+    def test_matches_json_dumps(self, splits):
+        ds = PreparedDataset(**{k: splits.get(k, []) for k in ("train", "val", "test")},
+                             catalog_size=12, max_len=5)
+        text = ds.to_json()
+        assert text == oracle_json(ds)
+        back = PreparedDataset.from_json(text)
+        assert (back.train, back.val, back.test) == (ds.train, ds.val, ds.test)
+
+    def test_matches_json_dumps_on_a_prepared_dataset(self):
+        sessions, _ = generate_synthetic(40, 300, length_range=(2, 9), seed=4, cart_ratio=0.3)
+        ds = prepare_dataset(sessions, max_len=6)
+        assert ds.to_json() == oracle_json(ds)
 
 
 class TestStatistics:

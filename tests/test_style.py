@@ -1,5 +1,6 @@
 """Style module tests: gram/loss oracles, pooling, provider, binary formats."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from stylerec.errors import ConfigError, ContractError, FormatError, ShapeError
 from stylerec.style import (
     STYLE_DIM,
+    _pseudo_weights,
     content_loss,
     extract_style_embedding,
     gram,
@@ -21,6 +23,7 @@ from stylerec.style import (
     style_table,
     write_feature_maps,
 )
+from test_training import one_blas_thread_json
 
 
 def brute_force_gram(stack):
@@ -275,6 +278,69 @@ class TestPseudoProvider:
     def test_grayscale_accepted(self):
         layers = pseudo_feature_provider(np.ones((8, 8)), seed=2)
         assert layers[0].shape == (64, 8, 8)
+
+
+# three provider seeds, the last one as large as the CLI's derived seeds
+PIN_SEEDS = (0, 1, 2**63 + 12345)
+
+
+def pin_images() -> dict:
+    """Six seeded images: uint8 RGB, RGBA, float grayscale, one channel, zeros."""
+    rng = np.random.default_rng(51)
+    u8 = lambda *shape: rng.integers(0, 256, size=shape, dtype=np.uint8)  # noqa: E731
+    return {"32x32x3": u8(32, 32, 3), "10x12x3": u8(10, 12, 3), "17x9x4": u8(17, 9, 4),
+            "gray8x8": rng.standard_normal((8, 8)), "9x9x1": u8(9, 9, 1),
+            "zeros": np.zeros((12, 8, 3), dtype=np.uint8)}
+
+
+def provider_digests() -> dict:
+    """Per image of ``pin_images``: the SHA-256 of the provider's maps and of
+    their style embedding, over the three ``PIN_SEEDS``."""
+    got = {}
+    for name, image in pin_images().items():
+        maps, emb = hashlib.sha256(), hashlib.sha256()
+        for seed in PIN_SEEDS:
+            layers = pseudo_feature_provider(image, seed)
+            for layer in layers:
+                maps.update(layer.tobytes())
+            emb.update(extract_style_embedding(layers).tobytes())
+        got[name] = [maps.hexdigest(), emb.hexdigest()]
+    return got
+
+
+class TestProviderPin:
+    """The pseudo provider's maps and embeddings, pinned bit for bit on six
+    image shapes and three seeds. The digests come from a child process with
+    one BLAS thread, so they do not depend on the machine's CPU count."""
+
+    RECORDED = {
+        "32x32x3": ["878e09f488cbc71444a6e53541cb1db843b16b66d9bb2c917084920cfa9fc9bf",
+                    "176f2a280329f53e2322011da7dbb3320846fe071931eb2e32226a7f514e60c6"],
+        "10x12x3": ["59cf5f25e5b5cb19c19b36a48c39e1433cb88b38f005a863bdaaaf115ba275e6",
+                    "9a6af9aa2ab78c66e13d7e683b7362e7699e499053445534236381368d75fe53"],
+        "17x9x4": ["fd2a6033b17c55d74fa7d82c7a24cb5c54a10c95a191dd6605ef9c628fe29cf1",
+                   "711ec178c6092b64bd7ca386dc20b8930d628666613531c44a84844c77e6dedf"],
+        "gray8x8": ["5777af980820e7b7edf476c05c5f1eb5cb474472295205a78a1018631c991d04",
+                    "d52c90390e283e59ad1378fadbb56024d9ce41bb7925174c6898a800089deffc"],
+        "9x9x1": ["30c03ca14e6dc50c59523de34aeb683675cf413c00b44b7da5b54dffed5b2cf5",
+                  "efccd8743da333856b613ae9c1cf77bb249c951ccf13ee9843c5b965767fd26b"],
+        "zeros": ["8123c216413f82bbaa0339c27a43d9822c2a043e20662b27c97874429b996e9a",
+                  "f3cc103136423a57975750907ebc1d367e2985ac6338976d4d5a439f50323f4a"],
+    }
+
+    def test_provider_outputs_are_pinned(self, tmp_path):
+        assert one_blas_thread_json("test_style.provider_digests", tmp_path) == self.RECORDED
+
+    def test_filter_banks_are_cached_read_only(self):
+        w1, w2 = banks = _pseudo_weights(9, 3)
+        assert w1.shape == (64, 27) and w2.shape == (64, 576)
+        assert not w1.flags.writeable and not w2.flags.writeable
+        with pytest.raises(ValueError):
+            w1[0, 0] = 0.0
+        assert _pseudo_weights(9, 3) is banks
+        for other in (_pseudo_weights(9, 1), _pseudo_weights(10, 3)):
+            assert other is not banks
+            assert not np.array_equal(other[1], w2)
 
 
 class TestS4RF:
