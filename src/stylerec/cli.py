@@ -228,6 +228,9 @@ def _stylegen_vector(args: argparse.Namespace, pid: int, seed: int):
                 raise InputError(f"{path}: not a readable .npy image ({e})") from None
             if not isinstance(image, np.ndarray) or image.dtype.kind not in "biuf":
                 raise InputError(f"{path}: not an array of real numbers")
+            if image.ndim not in (2, 3) or min(image.shape[:2]) < 8 or not image.size:
+                raise InputError(f"{path}: image must be H x W or H x W x C with H, W >= 8 "
+                                 f"and C >= 1, got shape {image.shape}")
             layers = pseudo_feature_provider(image, seed)
         vec = extract_style_embedding(layers)
     if not np.isfinite(vec).all():

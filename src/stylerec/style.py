@@ -48,9 +48,9 @@ def gram(maps) -> np.ndarray:
     """Pairwise dot products of flattened feature maps: [N, H, W] -> [N, N]."""
     stack = _as_stack(maps)
     flat = stack.reshape(stack.shape[0], -1)
-    g = flat @ flat.T
-    # mirror the lower triangle so symmetry holds exactly, not just to rounding
-    return np.tril(g) + np.tril(g, -1).T
+    # both operands view one buffer, so numpy computes one triangle (BLAS syrk)
+    # and copies it to the other: the result is exactly symmetric
+    return flat @ flat.T
 
 
 def style_loss(input_grams: Sequence[np.ndarray], style_grams: Sequence[np.ndarray],

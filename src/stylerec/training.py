@@ -15,6 +15,9 @@ P+Cart+Style.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -43,10 +46,16 @@ CONFIGURATIONS = ("P", "P+Style", "P+Cart", "P+Cart+Style")
 HIDDEN_DIM_GRID = (8, 16, 32, 64, 128, 256)
 L2_GRID = (0.1, 0.001, 0.0001, 0.00001)
 EVAL_BATCH = 256  # sessions per encode call in evaluate
-# Elements per Adam block. A block's slices of p, g, m, v and the float64
-# scratch pair take about 1.3 MB at 2**15; 2**14..2**16 step equally fast
-# on a 2 MB-L2 Xeon, while 2**12 loses a third to per-call overhead.
+# Elements per Adam block, the unit the Adam workers share out. A block's
+# slices of p, g, m, v and one worker's float64 scratch pair take about
+# 1.3 MB at 2**15; 2**14..2**16 step equally fast on a 2 MB-L2 Xeon, while
+# 2**12 loses a third to per-call overhead.
 ADAM_BLOCK = 1 << 15
+# Threads that update Adam blocks: the caller, plus one helper when the
+# process may run on two CPUs. numpy releases the interpreter lock inside
+# its ufunc loops, so the two overlap.
+ADAM_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba)
 
 
@@ -153,6 +162,15 @@ def _train_exclusions(sessions: Sequence[Session], catalog_size: int) -> List[fr
     return out
 
 
+@functools.cache
+def _adam_helper():
+    """The process's one Adam helper thread, shared by every ``Adam``; it starts
+    on the first task and idles outside ``Adam.step``."""
+    # imported here so that runs which never train do not load it
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1, thread_name_prefix="adam-helper")
+
+
 class Adam:
     """Adam over one flat buffer that owns the parameters' memory.
 
@@ -163,7 +181,10 @@ class Adam:
     in place (``t.data[...] = x``): a rebound ``.data`` misses the updates.
 
     ``step(g)`` updates ``data`` and the float64 moments in place,
-    ``ADAM_BLOCK`` elements at a time, through one float64 scratch pair.
+    ``ADAM_BLOCK`` elements at a time. ``workers`` threads (default
+    ``ADAM_WORKERS``: the caller and, at 2, the process's one helper
+    thread) take blocks from one shared counter, each through its own
+    float64 scratch pair, so a descheduled worker just takes fewer blocks.
     Every element goes through the same float64 operations in the same
     order as the out-of-place formula
 
@@ -171,20 +192,23 @@ class Adam:
         v = BETA2 * v + (1 - BETA2) * (g * g)
         p = (p - lr * (m / b1c) / (sqrt(v / b2c) + EPS)).astype(p.dtype)
 
-    so the result is bit-identical to it, without a float64 copy of every
-    parameter and gradient on each step.
+    so the result is bit-identical to it at any worker count, without a
+    float64 copy of every parameter and gradient on each step.
     """
 
-    def __init__(self, params: ModelParams, lr: float):
+    def __init__(self, params: ModelParams, lr: float, workers: int = ADAM_WORKERS):
         tensors = [t for _, t in params.items()]
         if len({t.dtype for t in tensors}) != 1:
             raise ContractError("Adam needs one dtype for all parameters")
+        if workers not in (1, 2):
+            raise ContractError(f"Adam runs on 1 or 2 workers, got {workers}")
         self.lr = lr
         self.t = 0
         self.data = np.concatenate([t.data.reshape(-1) for t in tensors])
         self.grad = np.zeros_like(self.data)
         self.m, self.v = np.zeros(self.data.size), np.zeros(self.data.size)
-        self._scratch = np.empty((2, ADAM_BLOCK))
+        self.workers = workers if self.data.size > ADAM_BLOCK else 1
+        self._scratch = np.empty((self.workers, 2, ADAM_BLOCK))
         ends = np.cumsum([t.data.size for t in tensors])[:-1]
         for t, data, grad in zip(tensors, np.split(self.data, ends), np.split(self.grad, ends)):
             t.data, t.grad = data.reshape(t.shape), grad.reshape(t.shape)
@@ -194,10 +218,27 @@ class Adam:
         self.t += 1
         b1c = 1.0 - BETA1 ** self.t
         b2c = 1.0 - BETA2 ** self.t
-        for i in range(0, self.data.size, ADAM_BLOCK):
+        # next() on a count is atomic under the interpreter lock: each block once
+        work = functools.partial(self._update_blocks, itertools.count(0, ADAM_BLOCK),
+                                 grad, b1c, b2c)
+        if self.workers == 1:
+            work(self._scratch[0])
+            return
+        helper = _adam_helper().submit(work, self._scratch[1])
+        try:
+            work(self._scratch[0])
+        finally:
+            if not helper.cancel():  # it started: wait for the block it may hold
+                helper.result()
+
+    def _update_blocks(self, blocks, grad, b1c, b2c, scratch) -> None:
+        """Update every block whose start this worker takes from ``blocks``."""
+        for i in blocks:
+            if i >= self.data.size:
+                return
             j = min(i + ADAM_BLOCK, self.data.size)
             pb, mb, vb = self.data[i:j], self.m[i:j], self.v[i:j]
-            a, b = self._scratch[0, :j - i], self._scratch[1, :j - i]
+            a, b = scratch[0, :j - i], scratch[1, :j - i]
             np.copyto(a, grad[i:j])  # exact widening to float64
             np.multiply(a, a, out=b)
             np.multiply(mb, BETA1, out=mb)

@@ -199,6 +199,15 @@ class TestStylegen:
         assert self.run_pseudo(tmp_path, bad_image) == 1
         self.assert_input_error_naming(capsys, tmp_path, "2.npy")
 
+    @pytest.mark.parametrize("shape", [(4, 8, 3), (8, 7), (8, 8, 0), (8, 8, 3, 2), (64,)],
+                             ids=["short", "narrow-2d", "no-channels", "rank-4", "rank-1"])
+    def test_bad_shape_image_is_input_error(self, tmp_path, capsys, shape):
+        assert self.run_pseudo(tmp_path, lambda p: np.save(p, np.ones(shape))) == 1
+        assert capsys.readouterr().err == (
+            f"error input-error: {tmp_path / 'img' / '2.npy'}: image must be H x W or "
+            f"H x W x C with H, W >= 8 and C >= 1, got shape {shape}\n")
+        assert not (tmp_path / "c.s4se").exists()
+
     @pytest.mark.parametrize("value, pixels", [
         (np.nan, np.s_[:]), (np.nan, np.s_[3, 4, 0]), (np.inf, np.s_[0, 0, 2]),
         (-np.inf, np.s_[:]), (1e300, np.s_[:])],

@@ -72,6 +72,17 @@ class TestGram:
         g = gram(rng.standard_normal((16, 9, 9)))
         assert np.array_equal(g, g.T)
 
+    def test_pseudo_layer_gram_is_exactly_symmetric_unmirrored(self):
+        """On a 64 x 1024 pseudo-provider layer, the product numpy returns is
+        exactly symmetric and equals its lower triangle mirrored, the value
+        ``gram`` returned when it mirrored that triangle itself."""
+        image = np.random.default_rng(36).random((32, 32, 3))
+        layer = pseudo_feature_provider(image, seed=7)[1]
+        assert layer.shape == (64, 32, 32)
+        g = gram(layer)
+        assert np.array_equal(g, g.T)
+        assert np.array_equal(g, np.tril(g) + np.tril(g, -1).T)
+
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(34)
         for trial in range(5):

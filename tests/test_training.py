@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from stylerec.model import (
 )
 from stylerec.training import (
     ADAM_BLOCK,
+    ADAM_WORKERS,
     CONFIGURATIONS,
     Adam,
     SweepRun,
@@ -114,14 +116,27 @@ class TestSampleNegatives:
 
 
 class TestAdam:
-    # one f32 model over more than one ADAM_BLOCK; rounding p to f32 hides a
-    # last-bit change of the update, so one f64 model of small updates pins it
-    CASES = ((np.float32, {"big": (3, ADAM_BLOCK // 2 + 11), "small": (7, 5)}, 1.0),
+    # one f32 model over six ADAM_BLOCKs, which two workers share out; rounding p
+    # to f32 hides a last-bit change of the update, so one f64 model of small
+    # updates pins it
+    CASES = ((np.float32, {"big": (5, ADAM_BLOCK + 11), "small": (7, 5)}, 1.0),
              (np.float64, {"exact": (4, 6), "row": (9,)}, 1e-3))
 
     def test_in_place_step_bit_identical_to_formula(self):
         """Blocked steps over the flat buffer equal the out-of-place f64 formula bit
-        for bit, and every tensor keeps its views of ``adam.data`` and ``adam.grad``."""
+        for bit at one and at two workers, so the worker count cannot change a bit,
+        and every tensor keeps its views of ``adam.data`` and ``adam.grad``. A short
+        switch interval interleaves the two workers' block claims as finely as the
+        interpreter allows: a block updated twice or skipped breaks the equality."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2):
+                self.check_steps_against_formula(workers)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def check_steps_against_formula(self, workers):
         rng = np.random.default_rng(40)
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
         for dtype, shapes, scale in self.CASES:
@@ -131,8 +146,9 @@ class TestAdam:
             ref_p = {name: t.data.copy() for name, t in tensors.items()}
             ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
             ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
-            adam = Adam(params, lr)
+            adam = Adam(params, lr, workers=workers)
             assert adam.data.dtype == dtype and adam.m.dtype == np.float64
+            assert adam.workers == (workers if adam.data.size > ADAM_BLOCK else 1)
             assert not adam.grad.any()
             for step in range(1, 4):
                 for name, shape in shapes.items():
@@ -175,6 +191,28 @@ class TestAdam:
                    "b": T.Tensor(np.ones(3), requires_grad=True)}
         with pytest.raises(ContractError):
             Adam(ModelParams(ModelConfig(), 1, tensors), 1e-3)
+
+    @pytest.mark.parametrize("workers", [0, 3])
+    def test_worker_count_is_one_or_two(self, workers):
+        tensors = {"a": T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)}
+        with pytest.raises(ContractError, match=f"1 or 2 workers, got {workers}"):
+            Adam(ModelParams(ModelConfig(), 1, tensors), 1e-3, workers=workers)
+
+    def test_train_calls_share_one_helper_thread(self):
+        """Every ``Adam`` shares the process's one helper thread: the first
+        ``train`` of a model over two ADAM_BLOCKs starts at most that thread,
+        and a second ``train`` starts none."""
+        ds, _ = tiny_dataset()
+        m = ModelConfig(**{**TINY_MODEL, "d_product": 64, "d_ffn": 256})
+        assert Adam(init_params(m, ds.catalog_size, 0), 1e-3).workers == ADAM_WORKERS
+        cfg = TrainConfig(epochs=1, seed=6, batch_size=32)
+        before = threading.active_count()
+        train(ds, m, cfg)
+        after_one = threading.active_count()
+        train(ds, m, cfg)
+        assert threading.active_count() <= after_one <= before + 1
+        helpers = [t for t in threading.enumerate() if t.name.startswith("adam-helper")]
+        assert len(helpers) == ADAM_WORKERS - 1
 
 
 def params_digest(params: ModelParams) -> str:
