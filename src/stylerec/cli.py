@@ -40,7 +40,7 @@ from .data import (
     read_text,
     write_sessions,
 )
-from .errors import ConfigError, InputError, StyleRecError
+from .errors import ConfigError, InputError, ShapeError, StyleRecError
 from .metrics import FULL_CATALOG, NEGSAMPLE, format_report_table
 from .kv import parse_field
 from .model import ModelConfig, load_checkpoint, save_checkpoint
@@ -228,10 +228,10 @@ def _stylegen_vector(args: argparse.Namespace, pid: int, seed: int):
                 raise InputError(f"{path}: not a readable .npy image ({e})") from None
             if not isinstance(image, np.ndarray) or image.dtype.kind not in "biuf":
                 raise InputError(f"{path}: not an array of real numbers")
-            if image.ndim not in (2, 3) or min(image.shape[:2]) < 8 or not image.size:
-                raise InputError(f"{path}: image must be H x W or H x W x C with H, W >= 8 "
-                                 f"and C >= 1, got shape {image.shape}")
-            layers = pseudo_feature_provider(image, seed)
+            try:
+                layers = pseudo_feature_provider(image, seed)
+            except ShapeError as e:
+                raise InputError(f"{path}: {e}") from None
         vec = extract_style_embedding(layers)
     if not np.isfinite(vec).all():
         raise InputError(f"{path}: non-finite values give a non-finite style vector")

@@ -113,8 +113,16 @@ class PreparedDataset:
             splits = {k: [Session.from_row(r) for r in doc[k]] for k in ("train", "val", "test")}
             if json_value(doc.get("padding_id", PADDING_ID), int, "padding_id") != PADDING_ID:
                 raise InputError(f"prepared dataset padding_id must be 0, not {doc['padding_id']!r}")
-            return cls(**splits, catalog_size=json_value(doc["catalog_size"], int, "catalog_size"),
-                       max_len=json_value(doc["max_len"], int, "max_len"))
+            catalog_size = json_value(doc["catalog_size"], int, "catalog_size")
+            max_len = json_value(doc["max_len"], int, "max_len")
+            if catalog_size < 1 or max_len < 2:
+                raise InputError(f"prepared dataset needs catalog_size >= 1 and max_len >= 2, "
+                                 f"got {catalog_size} and {max_len}")
+            for s in splits["train"] + splits["val"] + splits["test"]:
+                if len(s.items) < 2 or max(s.items) > catalog_size:
+                    raise InputError(f"session {s.session_id!r}: a prepared session needs 2 or more "
+                                     f"ids <= catalog_size {catalog_size}, got {list(s.items)}")
+            return cls(**splits, catalog_size=catalog_size, max_len=max_len)
         except KeyError as e:
             raise InputError(f"prepared dataset lacks key {e}") from None
         except (TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
@@ -218,22 +226,18 @@ def max_product_id(sessions: Sequence[Session]) -> int:
 
 def temporal_split(
     sessions: Sequence[Session],
-    train_frac: float = DEFAULT_TRAIN_FRAC,
-    val_frac: float = DEFAULT_VAL_FRAC,
     max_len: int = 20,
     catalog_size: Optional[int] = None,
 ) -> PreparedDataset:
-    """Split chronologically: earliest fraction trains, then val, then test.
+    """Split chronologically at 14/2/2: the earliest sessions train, then val, then test.
 
     Ties on ``t`` break by session_id so the split is deterministic. Cart
     sessions are excluded from the test split.
     """
-    if not (0 < train_frac and 0 < val_frac and train_frac + val_frac < 1):
-        raise ConfigError(f"bad split fractions train={train_frac}, val={val_frac}")
     ordered = sorted(sessions, key=lambda s: (s.t, s.session_id))
     n = len(ordered)
-    n_train = int(round(n * train_frac))
-    n_val = int(round(n * val_frac))
+    n_train = int(round(n * DEFAULT_TRAIN_FRAC))
+    n_val = int(round(n * DEFAULT_VAL_FRAC))
     train = ordered[:n_train]
     val = ordered[n_train:n_train + n_val]
     test = [s for s in ordered[n_train + n_val:] if s.kind == PURCHASE]
@@ -250,12 +254,12 @@ def temporal_split(
 def prepare_dataset(
     sessions: Sequence[Session],
     max_len: int = 20,
-    train_frac: float = DEFAULT_TRAIN_FRAC,
-    val_frac: float = DEFAULT_VAL_FRAC,
     catalog_size: Optional[int] = None,
 ) -> PreparedDataset:
     """Full preprocessing pipeline: overlap removal, per-session cleaning,
     temporal split with purchase-only test."""
+    if max_len < 2:
+        raise ConfigError(f"max_len must be >= 2, got {max_len}")
     purchases = [s for s in sessions if s.kind == PURCHASE]
     carts = [s for s in sessions if s.kind == CART]
     purchases, carts = remove_overlap(purchases, carts)
@@ -266,8 +270,7 @@ def prepare_dataset(
             cleaned.append(c)
     if not cleaned:
         raise ConfigError("no sessions survive preprocessing")
-    return temporal_split(cleaned, train_frac=train_frac, val_frac=val_frac,
-                          max_len=max_len, catalog_size=catalog_size)
+    return temporal_split(cleaned, max_len=max_len, catalog_size=catalog_size)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +331,6 @@ class SyntheticOracle:
         if not np.allclose(sums, 1.0, atol=1e-9):
             raise ConfigError("oracle transition rows must sum to 1")
 
-    @property
-    def catalog_size(self) -> int:
-        return self.transition.shape[-1]
-
     def next_distribution(self, prev_items: Sequence[int]) -> np.ndarray:
         """P(next product | history), indexed by 0-based item index."""
         if not prev_items:
@@ -352,18 +351,6 @@ class SyntheticOracle:
             order=np.array(self.order, dtype=np.int64),
             cluster_of=self.cluster_of if self.cluster_of is not None else np.array([]),
         )
-
-    @classmethod
-    def load(cls, path) -> "SyntheticOracle":
-        with np.load(path) as z:
-            cluster = z["cluster_of"]
-            return cls(
-                transition=z["transition"],
-                initial=z["initial"],
-                seed=int(z["seed"]),
-                order=int(z["order"]),
-                cluster_of=cluster if cluster.size else None,
-            )
 
 
 def make_transition(P: int, seed: int, dominant_mass: float = 0.8, order: int = 1,
@@ -447,13 +434,12 @@ def generate_style_correlated(
     seed: int = 0,
     dominant_mass: float = 0.8,
     cart_ratio: float = 0.3,
-    style_noise: float = 0.1,
 ):
     """Markov sessions whose co-purchased items share style clusters.
 
     Items are assigned to contiguous clusters; each state's dominant
     successor stays within the cluster, and every item's style vector is
-    its cluster centroid plus small noise. Returns
+    its cluster centroid plus Gaussian noise of deviation 0.1. Returns
     ``(sessions, oracle, style_vectors)`` with style_vectors keyed by
     product id.
     """
@@ -469,6 +455,6 @@ def generate_style_correlated(
     centroids = rng.standard_normal((n_clusters, STYLE_DIM))
     vectors = {}
     for idx in range(catalog_size):
-        noise = rng.standard_normal(STYLE_DIM) * style_noise
+        noise = rng.standard_normal(STYLE_DIM) * 0.1
         vectors[idx + 1] = (centroids[cluster_of[idx]] + noise).astype(np.float32)
     return sessions, oracle, vectors

@@ -320,7 +320,7 @@ def score(history, candidate_ids, params: ModelParams,
           table: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Cosine similarity between one history vector and candidate embeddings.
 
-    Inference-only: accepts a [d_product] vector (or 1-row Tensor) and
+    Inference-only: accepts a [d_product] vector (or a 1-row array) and
     returns a float array over candidates. Downstream sorts break ties by
     ascending product id. ``table`` is ``product_table(params)``, built
     once for many calls. A candidate set wider than a quarter of the
@@ -329,8 +329,7 @@ def score(history, candidate_ids, params: ModelParams,
     ones to within an ulp or two (BLAS sums a row differently by its
     place in the matrix).
     """
-    h = history.data if isinstance(history, T.Tensor) else np.asarray(history)
-    h = np.squeeze(h)
+    h = np.squeeze(np.asarray(history))
     if h.ndim != 1:
         raise ShapeError(f"score expects one history vector, got shape {h.shape}")
     ids = np.asarray(candidate_ids)

@@ -16,7 +16,7 @@ Externally computed activations can be supplied via S4RF files instead.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -30,18 +30,11 @@ _POOL = 4
 
 
 def _as_stack(maps) -> np.ndarray:
-    """Coerce a layer to an [N, H, W] float64 array; reject ragged maps."""
-    if isinstance(maps, np.ndarray):
-        if maps.ndim != 3 or maps.shape[0] < 1:
-            raise ShapeError(f"layer must be [N, H, W] with N >= 1, got {maps.shape}")
-        return maps.astype(np.float64, copy=False)
-    maps = list(maps)
-    if not maps:
-        raise ShapeError("empty layer")
-    shapes = {np.asarray(m).shape for m in maps}
-    if len(shapes) != 1 or next(iter(shapes)).__len__() != 2:
-        raise ShapeError(f"feature maps in a layer must share one 2-D shape, got {sorted(shapes)}")
-    return np.stack([np.asarray(m, dtype=np.float64) for m in maps])
+    """A layer as an [N, H, W] float64 array; anything else, a list too, is a ShapeError."""
+    if not isinstance(maps, np.ndarray) or maps.ndim != 3 or maps.shape[0] < 1:
+        raise ShapeError(f"layer must be an [N, H, W] array with N >= 1, "
+                         f"got {getattr(maps, 'shape', type(maps).__name__)}")
+    return maps.astype(np.float64, copy=False)
 
 
 def gram(maps) -> np.ndarray:
@@ -103,9 +96,7 @@ def extract_style_embedding(layers: Sequence) -> np.ndarray:
             raise ConfigError(f"style embedding needs {_MAPS_PER_LAYER} maps per layer, got {n}")
         g = gram(stack) / (n * h * w)
         parts.append(max_pool2d(g, _POOL).ravel())
-    out = np.concatenate(parts)
-    assert out.shape == (STYLE_DIM,)
-    return out
+    return np.concatenate(parts)
 
 
 def standardize_embeddings(raw: Dict[int, np.ndarray],
@@ -180,20 +171,18 @@ def _pseudo_weights(seed: int, c: int):
 
 
 def pseudo_feature_provider(image: np.ndarray, seed: int) -> List[np.ndarray]:
-    """Two frozen seeded conv layers over an H x W x 3 image.
+    """Two frozen seeded conv layers over an H x W (x C) image, H and W at least 8.
 
     Both layers use 64 bias-free 3x3 filters with same padding and ReLU, so a
     zero image yields zero maps and equal seeds yield bit-identical stacks.
     """
     img = np.asarray(image, dtype=np.float64)
+    if img.ndim not in (2, 3) or min(img.shape[:2]) < 8 or not img.size:
+        raise ShapeError(f"image must be H x W or H x W x C with H, W >= 8 "
+                         f"and C >= 1, got shape {img.shape}")
     if img.ndim == 2:
         img = img[:, :, None]
-    if img.ndim != 3:
-        raise ShapeError(f"image must be H x W x C, got {img.shape}")
-    h, w, c = img.shape
-    if h < 8 or w < 8:
-        raise ContractError(f"image must be at least 8x8, got {h}x{w}")
-    w1, w2 = _pseudo_weights(seed, c)
+    w1, w2 = _pseudo_weights(seed, img.shape[2])
     layer1 = np.maximum(_conv2d_same(img.transpose(2, 0, 1), w1), 0.0)
     layer2 = np.maximum(_conv2d_same(layer1, w2), 0.0)
     return [layer1.astype(np.float32), layer2.astype(np.float32)]

@@ -181,8 +181,8 @@ class Adam:
     in place (``t.data[...] = x``): a rebound ``.data`` misses the updates.
 
     ``step(g)`` updates ``data`` and the float64 moments in place,
-    ``ADAM_BLOCK`` elements at a time. ``workers`` threads (default
-    ``ADAM_WORKERS``: the caller and, at 2, the process's one helper
+    ``ADAM_BLOCK`` elements at a time. ``ADAM_WORKERS`` threads (read when
+    the ``Adam`` is built: the caller and, at 2, the process's one helper
     thread) take blocks from one shared counter, each through its own
     float64 scratch pair, so a descheduled worker just takes fewer blocks.
     Every element goes through the same float64 operations in the same
@@ -196,18 +196,16 @@ class Adam:
     float64 copy of every parameter and gradient on each step.
     """
 
-    def __init__(self, params: ModelParams, lr: float, workers: int = ADAM_WORKERS):
+    def __init__(self, params: ModelParams, lr: float):
         tensors = [t for _, t in params.items()]
         if len({t.dtype for t in tensors}) != 1:
             raise ContractError("Adam needs one dtype for all parameters")
-        if workers not in (1, 2):
-            raise ContractError(f"Adam runs on 1 or 2 workers, got {workers}")
         self.lr = lr
         self.t = 0
         self.data = np.concatenate([t.data.reshape(-1) for t in tensors])
         self.grad = np.zeros_like(self.data)
         self.m, self.v = np.zeros(self.data.size), np.zeros(self.data.size)
-        self.workers = workers if self.data.size > ADAM_BLOCK else 1
+        self.workers = ADAM_WORKERS if self.data.size > ADAM_BLOCK else 1
         self._scratch = np.empty((self.workers, 2, ADAM_BLOCK))
         ends = np.cumsum([t.data.size for t in tensors])[:-1]
         for t, data, grad in zip(tensors, np.split(self.data, ends), np.split(self.grad, ends)):
@@ -548,7 +546,6 @@ class SweepRun:
     l2: float
     val_ndcg5: float
     best_epoch: int
-    fingerprint: str
 
 
 @dataclass
@@ -585,7 +582,7 @@ def sweep(dataset: PreparedDataset, model_kwargs: dict, cfg: TrainConfig,
         model_cfg = run_model_config(model_kwargs, cfg, dataset.max_len, d_ffn=hidden)
         result = train(dataset, model_cfg, replace(cfg, l2=lam), style_table=style_table)
         run = SweepRun(hidden_dim=hidden, l2=lam, val_ndcg5=result.best_val_ndcg5,
-                       best_epoch=result.best_epoch, fingerprint=result.fingerprint)
+                       best_epoch=result.best_epoch)
         runs.append(run)
         if best is None or sweep_order_key(run) < sweep_order_key(best):
             best, best_result = run, result

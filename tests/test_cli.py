@@ -105,11 +105,13 @@ class TestPreprocess:
         assert run("preprocess", "--sessions", raw, "--out", out2, "--max-len", 8) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_max_len_1_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("max_len", [1, 0, -3])
+    def test_max_len_below_2_is_config_error(self, tmp_path, capsys, max_len):
         raw = make_raw(tmp_path)
-        code = run("preprocess", "--sessions", raw, "--out", tmp_path / "x", "--max-len", 1)
+        code = run("preprocess", "--sessions", raw, "--out", tmp_path / "x", "--max-len", max_len)
         assert code == 2
-        assert capsys.readouterr().err.startswith("error config-error:")
+        assert capsys.readouterr().err == f"error config-error: max_len must be >= 2, got {max_len}\n"
+        assert not (tmp_path / "x").exists() and not (tmp_path / "x.stats.txt").exists()
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = run("preprocess", "--sessions", tmp_path / "nope.jsonl",
@@ -494,9 +496,15 @@ class TestPreparedDatasetInput:
         json.dumps({**GOOD, "catalog_size": 8.0}).encode(),
         json.dumps({**GOOD, "catalog_size": True}).encode(),
         json.dumps({**GOOD, "padding_id": False}).encode(),  # False == 0 in Python
+        # well-typed, but no dataset preprocess writes
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "items": [1, 9]}]}).encode(),
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "items": [3]}]}).encode(),
+        json.dumps({**GOOD, "max_len": 1}).encode(),
+        json.dumps({**GOOD, "catalog_size": 0}).encode(),
     ], ids=["json", "missing-split", "list", "bad-t", "not-utf8", "padding-id", "float-t",
             "bool-item", "float-max-len", "string-max-len", "string-catalog-size",
-            "float-catalog-size", "bool-catalog-size", "bool-padding-id"])
+            "float-catalog-size", "bool-catalog-size", "bool-padding-id", "id-above-catalog",
+            "one-item-session", "max-len-1", "catalog-size-0"])
     def test_malformed_dataset_is_input_error(self, tmp_path, capsys, blob):
         data = tmp_path / "prep.json"
         data.write_bytes(blob)

@@ -13,7 +13,6 @@ from stylerec.errors import (
     InputError,
     MaskError,
     NumericError,
-    ShapeError,
 )
 from stylerec.model import (
     ModelConfig,

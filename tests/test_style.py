@@ -46,11 +46,10 @@ class TestGram:
         assert g[0, 0] == 16.0
 
     def test_disjoint_supports_orthogonal(self):
-        a = np.zeros((4, 4))
-        b = np.zeros((4, 4))
-        a[:2] = 3.0
-        b[2:] = 5.0
-        g = gram([a, b])
+        stack = np.zeros((2, 4, 4))
+        stack[0, :2] = 3.0
+        stack[1, 2:] = 5.0
+        g = gram(stack)
         assert g[0, 1] == 0.0 and g[1, 0] == 0.0
         assert g[0, 0] == 9.0 * 8 and g[1, 1] == 25.0 * 8
 
@@ -96,10 +95,14 @@ class TestGram:
             assert gram(rng.standard_normal((6, h, w))).shape == (6, 6)
 
     def test_ragged_maps_rejected(self):
-        with pytest.raises(ShapeError):
-            gram([np.zeros((3, 3)), np.zeros((4, 3))])
+        # a layer is one [N, H, W] array: a list of maps is rejected, ragged or not
+        for maps in ([np.zeros((3, 3)), np.zeros((4, 3))], [np.zeros((3, 3))] * 2):
+            with pytest.raises(ShapeError, match=r"\[N, H, W\] array .*got list"):
+                gram(maps)
 
     def test_empty_layer_rejected(self):
+        with pytest.raises(ShapeError):
+            gram(np.zeros((0, 4, 4)))
         with pytest.raises(ShapeError):
             gram([])
 
@@ -283,7 +286,7 @@ class TestPseudoProvider:
         assert not np.array_equal(f_shift[:, :, 14:], f[:, :, 13:15])
 
     def test_small_image_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ShapeError, match=r"H, W >= 8 and C >= 1, got shape \(4, 8, 3\)"):
             pseudo_feature_provider(np.zeros((4, 8, 3)), seed=0)
 
     def test_grayscale_accepted(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fd import check_gradients, numeric_grad, rel_error
+from fd import check_gradients
 from stylerec import tensor as T
 from stylerec.errors import ContractError, MaskError, NumericError, ShapeError
 

@@ -122,16 +122,18 @@ class TestAdam:
     CASES = ((np.float32, {"big": (5, ADAM_BLOCK + 11), "small": (7, 5)}, 1.0),
              (np.float64, {"exact": (4, 6), "row": (9,)}, 1e-3))
 
-    def test_in_place_step_bit_identical_to_formula(self):
+    def test_in_place_step_bit_identical_to_formula(self, monkeypatch):
         """Blocked steps over the flat buffer equal the out-of-place f64 formula bit
-        for bit at one and at two workers, so the worker count cannot change a bit,
-        and every tensor keeps its views of ``adam.data`` and ``adam.grad``. A short
-        switch interval interleaves the two workers' block claims as finely as the
-        interpreter allows: a block updated twice or skipped breaks the equality."""
+        for bit at one and at two workers (``ADAM_WORKERS`` when the ``Adam`` is
+        built), so the worker count cannot change a bit, and every tensor keeps its
+        views of ``adam.data`` and ``adam.grad``. A short switch interval interleaves
+        the two workers' block claims as finely as the interpreter allows: a block
+        updated twice or skipped breaks the equality."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2):
+                monkeypatch.setattr(training, "ADAM_WORKERS", workers)
                 self.check_steps_against_formula(workers)
         finally:
             sys.setswitchinterval(interval)
@@ -146,7 +148,7 @@ class TestAdam:
             ref_p = {name: t.data.copy() for name, t in tensors.items()}
             ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
             ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
-            adam = Adam(params, lr, workers=workers)
+            adam = Adam(params, lr)
             assert adam.data.dtype == dtype and adam.m.dtype == np.float64
             assert adam.workers == (workers if adam.data.size > ADAM_BLOCK else 1)
             assert not adam.grad.any()
@@ -191,12 +193,6 @@ class TestAdam:
                    "b": T.Tensor(np.ones(3), requires_grad=True)}
         with pytest.raises(ContractError):
             Adam(ModelParams(ModelConfig(), 1, tensors), 1e-3)
-
-    @pytest.mark.parametrize("workers", [0, 3])
-    def test_worker_count_is_one_or_two(self, workers):
-        tensors = {"a": T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)}
-        with pytest.raises(ContractError, match=f"1 or 2 workers, got {workers}"):
-            Adam(ModelParams(ModelConfig(), 1, tensors), 1e-3, workers=workers)
 
     def test_train_calls_share_one_helper_thread(self):
         """Every ``Adam`` shares the process's one helper thread: the first
@@ -613,10 +609,10 @@ class TestSuiteAndExperiments:
 
     def test_sweep_tie_break_order(self):
         runs = [
-            SweepRun(hidden_dim=64, l2=0.001, val_ndcg5=0.5, best_epoch=0, fingerprint="a"),
-            SweepRun(hidden_dim=16, l2=0.1, val_ndcg5=0.5, best_epoch=0, fingerprint="b"),
-            SweepRun(hidden_dim=16, l2=0.001, val_ndcg5=0.5, best_epoch=0, fingerprint="c"),
-            SweepRun(hidden_dim=8, l2=0.1, val_ndcg5=0.4, best_epoch=0, fingerprint="d"),
+            SweepRun(hidden_dim=64, l2=0.001, val_ndcg5=0.5, best_epoch=0),
+            SweepRun(hidden_dim=16, l2=0.1, val_ndcg5=0.5, best_epoch=0),
+            SweepRun(hidden_dim=16, l2=0.001, val_ndcg5=0.5, best_epoch=0),
+            SweepRun(hidden_dim=8, l2=0.1, val_ndcg5=0.4, best_epoch=0),
         ]
         best = min(runs, key=sweep_order_key)
         assert (best.hidden_dim, best.l2) == (16, 0.001)
