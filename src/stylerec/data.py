@@ -119,9 +119,10 @@ class PreparedDataset:
                 raise InputError(f"prepared dataset needs catalog_size >= 1 and max_len >= 2, "
                                  f"got {catalog_size} and {max_len}")
             for s in splits["train"] + splits["val"] + splits["test"]:
-                if len(s.items) < 2 or max(s.items) > catalog_size:
-                    raise InputError(f"session {s.session_id!r}: a prepared session needs 2 or more "
-                                     f"ids <= catalog_size {catalog_size}, got {list(s.items)}")
+                if not 2 <= len(s.items) <= max_len or max(s.items) > catalog_size:
+                    raise InputError(f"session {s.session_id!r}: a prepared session needs 2 to "
+                                     f"max_len {max_len} ids <= catalog_size {catalog_size}, "
+                                     f"got {list(s.items)}")
             return cls(**splits, catalog_size=catalog_size, max_len=max_len)
         except KeyError as e:
             raise InputError(f"prepared dataset lacks key {e}") from None

@@ -195,15 +195,28 @@ def _check_ids_mask(ids: np.ndarray, mask: np.ndarray, catalog_size: int) -> Tup
     return ids, mask
 
 
-def build_input(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
-                pos_enc: np.ndarray, style_table: Optional[np.ndarray] = None) -> T.Tensor:
+def _cut_mask(mask: np.ndarray, hidden: T.Tensor) -> np.ndarray:
+    """``mask`` [B, L] cut to the W columns of ``hidden`` [B, W, D]; the
+    columns cut must be padding."""
+    mask = np.asarray(mask, dtype=bool)
+    if hidden.data.ndim != 3 or mask.ndim != 2 or mask.shape[0] != hidden.shape[0] \
+            or mask.shape[1] < hidden.shape[1]:
+        raise ShapeError(f"need [B, W, D] hidden states and a [B, L >= W] mask, "
+                         f"got {hidden.shape} and {mask.shape}")
+    if mask[:, hidden.shape[1]:].any():
+        raise MaskError("the mask has valid positions past the hidden states' width")
+    return mask[:, :hidden.shape[1]]
+
+
+def build_input(ids: np.ndarray, params: ModelParams, pos_enc: np.ndarray,
+                style_table: Optional[np.ndarray] = None) -> T.Tensor:
     """Concatenate product, positional, and optional style embeddings.
 
-    ``ids``/``mask`` are [B, L]; the result is [B, L, input_dim]. Padding
-    positions pick up zero product/style rows but real positional rows.
+    ``ids`` is [B, L], already checked by ``encode``; the result is
+    [B, L, input_dim]. Padding positions pick up zero product/style rows
+    but real positional rows.
     """
     cfg = params.config
-    ids, mask = _check_ids_mask(ids, mask, params.catalog_size)
     if cfg.use_style and style_table is None:
         raise ContractError("use_style is on but no style table was provided")
     if not cfg.use_style and style_table is not None:
@@ -232,9 +245,6 @@ def multi_head_attention(h: T.Tensor, params: ModelParams, block: int,
     cfg = params.config
     if h.data.ndim != 3 or h.shape[-1] != cfg.input_dim:
         raise ShapeError(f"attention input must be [B, L, {cfg.input_dim}], got {h.shape}")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != h.shape[:2]:
-        raise MaskError(f"mask shape {mask.shape} does not match input {h.shape}")
     if not mask.any(axis=1).all():
         raise MaskError("a session in the batch has no valid positions")
     key_mask = mask[:, None, :]  # broadcast over query positions
@@ -253,12 +263,18 @@ def multi_head_attention(h: T.Tensor, params: ModelParams, block: int,
 def transformer_block(h: T.Tensor, params: ModelParams, block: int, mask: np.ndarray,
                       seeds: Optional[SeedStream] = None) -> T.Tensor:
     """One encoder block: MHA and FFN sublayers, each with dropout (on when
-    ``seeds`` is given), residual connection, and layer normalization."""
+    ``seeds`` is given), residual connection, and layer normalization.
+
+    ``h`` is [B, W, D] and ``mask`` [B, L >= W]; dropout draws its keep
+    masks at [B, L, D] and keeps their first W columns."""
     cfg = params.config
+    drawn = np.shape(mask) + (cfg.input_dim,)
+    mask = _cut_mask(mask, h)
 
     def drop(x):
         seed = seeds.next_seed() if seeds is not None and cfg.dropout > 0.0 else None
-        return T.dropout(x, cfg.dropout, seed=seed, mode="eval" if seeds is None else "train")
+        return T.dropout(x, cfg.dropout, seed=seed, mode="eval" if seeds is None else "train",
+                         shape=drawn)
 
     att = multi_head_attention(h, params, block, mask)
     h1 = T.layer_norm(T.add(h, drop(att)),
@@ -274,9 +290,13 @@ def transformer_block(h: T.Tensor, params: ModelParams, block: int, mask: np.nda
 def encode(ids: np.ndarray, mask: np.ndarray, params: ModelParams, pos_enc: np.ndarray,
            style_table: Optional[np.ndarray] = None,
            seeds: Optional[SeedStream] = None) -> T.Tensor:
-    """Run the full encoder stack; returns hidden states [B, L, input_dim].
-    Passing ``seeds`` runs dropout in train mode."""
-    h = build_input(ids, mask, params, pos_enc, style_table)
+    """Run the encoder stack over the batch's longest session. ``ids``/``mask``
+    are [B, L]; the result is [B, W, input_dim], W the most valid positions of
+    any session. Padding never reaches a valid position (zero attention weight;
+    every other op is per position). Passing ``seeds`` runs dropout in train mode."""
+    ids, mask = _check_ids_mask(ids, mask, params.catalog_size)
+    width = int(mask.any(axis=0).sum())  # padding is a suffix of every row
+    h = build_input(ids[:, :width], params, pos_enc, style_table)
     for b in range(params.config.n_blocks):
         h = transformer_block(h, params, b, mask, seeds=seeds)
     return h
@@ -284,16 +304,12 @@ def encode(ids: np.ndarray, mask: np.ndarray, params: ModelParams, pos_enc: np.n
 
 def history_vector(hidden: T.Tensor, mask: np.ndarray, params: ModelParams) -> T.Tensor:
     """Hidden state at each session's last valid position, projected to
-    d_product by W_out. Output is [B, d_product]."""
-    mask = np.asarray(mask, dtype=bool)
-    if hidden.data.ndim != 3 or mask.shape != hidden.shape[:2]:
-        raise ShapeError(f"history_vector needs [B, L, D] hidden and [B, L] mask, "
-                         f"got {hidden.shape} and {mask.shape}")
+    d_product by W_out: ``hidden`` is [B, W, D] as ``encode`` returns it,
+    ``mask`` the [B, L >= W] mask encoded. Output is [B, d_product]."""
+    mask = _cut_mask(mask, hidden)
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise ContractError("a session in the batch has no valid items")
-    if np.any(mask[:, 1:] & ~mask[:, :-1]):
-        raise MaskError("validity mask must be contiguous from position 0")
     last = T.gather_rows(hidden, counts - 1)
     return T.matmul(last, params["w_out"])
 

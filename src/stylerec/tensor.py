@@ -298,9 +298,11 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _result(out, "layer_norm", (x, gamma, beta), vjp)
 
 
-def dropout(x, p: float, seed: Optional[int] = None, mode: str = "train") -> Tensor:
+def dropout(x, p: float, seed: Optional[int] = None, mode: str = "train",
+            shape: Optional[tuple] = None) -> Tensor:
     """Inverted dropout: train mode zeroes with prob ``p`` and rescales
-    survivors by 1/(1-p); eval mode is the identity."""
+    survivors by 1/(1-p); eval mode is the identity. The keep mask is drawn
+    at ``shape`` (default x's) and cut to x's leading extent on each axis."""
     x = _as_tensor(x)
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout p must be in [0, 1), got {p}")
@@ -310,8 +312,8 @@ def dropout(x, p: float, seed: Optional[int] = None, mode: str = "train") -> Ten
         return x
     if seed is None:
         raise ContractError("train-mode dropout needs an explicit seed")
-    rng = np.random.default_rng(seed)
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) * (1.0 / (1.0 - p))
+    draw = np.random.default_rng(seed).random(x.shape if shape is None else shape)
+    keep = (draw[tuple(map(slice, x.shape))] >= p).astype(x.dtype) * (1.0 / (1.0 - p))
     out = x.data * keep
 
     def vjp(g):

@@ -499,12 +499,15 @@ class TestPreparedDatasetInput:
         # well-typed, but no dataset preprocess writes
         json.dumps({**GOOD, "test": [{**GOOD["test"][0], "items": [1, 9]}]}).encode(),
         json.dumps({**GOOD, "test": [{**GOOD["test"][0], "items": [3]}]}).encode(),
+        # eval would cut its input to the last max_len ids without a word
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "items": [1, 2, 3, 4, 5, 6, 7, 8, 1]}]}
+                   ).encode(),
         json.dumps({**GOOD, "max_len": 1}).encode(),
         json.dumps({**GOOD, "catalog_size": 0}).encode(),
     ], ids=["json", "missing-split", "list", "bad-t", "not-utf8", "padding-id", "float-t",
             "bool-item", "float-max-len", "string-max-len", "string-catalog-size",
             "float-catalog-size", "bool-catalog-size", "bool-padding-id", "id-above-catalog",
-            "one-item-session", "max-len-1", "catalog-size-0"])
+            "one-item-session", "session-over-max-len", "max-len-1", "catalog-size-0"])
     def test_malformed_dataset_is_input_error(self, tmp_path, capsys, blob):
         data = tmp_path / "prep.json"
         data.write_bytes(blob)
@@ -569,10 +572,10 @@ class TestConfigPath:
         assert not (tmp_path / "x.s4ck").exists() and not (tmp_path / "rep").exists()
 
     def test_eval_mode_from_config_file(self, tmp_path, tiny_config):
-        # the long val session leaves 2 ids for 5 negatives, so auto picks
+        # the long val session leaves 4 ids for 5 negatives, so auto picks
         # full-catalog; every test session leaves 9, so negsample can run
         short = [Session(f"s{i}", PURCHASE, i, (1 + i, 2 + i, 3 + i)) for i in range(6)]
-        long = Session("long", PURCHASE, 9, tuple(range(1, 11)))
+        long = Session("long", PURCHASE, 9, tuple(range(1, 9)))
         ds = PreparedDataset(train=short[:2], val=[long], test=short[2:],
                              catalog_size=12, max_len=8)
         prep = tmp_path / "prep.json"

@@ -139,7 +139,7 @@ class TestBuildInput:
         params = init_params(ModelConfig(dropout=0.0), catalog_size=10, seed=0)
         pe = positional_encoding(20, 128)
         ids, mask = batch_for([[1, 2, 3]], 20)
-        h = build_input(ids, mask, params, pe)
+        h = build_input(ids, params, pe)
         assert h.shape == (1, 20, 256)
 
     def test_style_width_768(self):
@@ -147,7 +147,7 @@ class TestBuildInput:
         pe = positional_encoding(20, 128)
         table = np.zeros((11, STYLE_DIM), dtype=np.float32)
         ids, mask = batch_for([[1, 2, 3]], 20)
-        h = build_input(ids, mask, params, pe, style_table=table)
+        h = build_input(ids, params, pe, style_table=table)
         assert h.shape == (1, 20, 768)
 
     def test_padding_rows_zero_product_real_position(self):
@@ -155,7 +155,7 @@ class TestBuildInput:
         params = init_params(cfg, catalog_size=5, seed=1)
         pe = positional_encoding(cfg.max_len, cfg.d_model)
         ids, mask = batch_for([[4, 2]], cfg.max_len)
-        h = build_input(ids, mask, params, pe).data
+        h = build_input(ids, params, pe).data
         assert np.all(h[0, 3, :cfg.d_product] == 0.0)
         np.testing.assert_allclose(h[0, 3, cfg.d_product:], pe[3].astype(np.float32))
 
@@ -165,7 +165,7 @@ class TestBuildInput:
         pe = positional_encoding(cfg.max_len, cfg.d_model)
         ids, mask = batch_for([[9, 2]], cfg.max_len)
         with pytest.raises(InputError, match="unknown product"):
-            build_input(ids, mask, params, pe)
+            encode(ids, mask, params, pe)
 
     def test_style_table_gating(self):
         cfg = tiny_config()
@@ -173,7 +173,7 @@ class TestBuildInput:
         pe = positional_encoding(cfg.max_len, cfg.d_model)
         ids, mask = batch_for([[1, 2]], cfg.max_len)
         with pytest.raises(ContractError):
-            build_input(ids, mask, params, pe, style_table=np.zeros((6, STYLE_DIM)))
+            build_input(ids, params, pe, style_table=np.zeros((6, STYLE_DIM)))
 
     def test_non_contiguous_mask_rejected(self):
         cfg = tiny_config()
@@ -182,7 +182,7 @@ class TestBuildInput:
         ids = np.array([[1, 0, 2, 0, 0, 0]])
         mask = np.array([[True, False, True, False, False, False]])
         with pytest.raises(MaskError):
-            build_input(ids, mask, params, pe)
+            encode(ids, mask, params, pe)
 
 
 def brute_force_attention(h, params, block, mask, cfg):
@@ -328,7 +328,7 @@ class TestTransformerBlock:
         pe = positional_encoding(cfg.max_len, cfg.d_model)
         ids, mask = batch_for([[1, 2, 3]], cfg.max_len)
         out = encode(ids, mask, params, pe)
-        assert out.shape == (1, cfg.max_len, cfg.input_dim)
+        assert out.shape == (1, 3, cfg.input_dim)  # the batch's longest session
 
     def test_dropout_needs_seed_stream(self):
         # a seed stream turns dropout on, one seed per sublayer; without one
@@ -353,6 +353,44 @@ class TestTransformerBlock:
         seeded = transformer_block(h, params, 0, mask, seeds=SeedStream(1, "drop"))
         np.testing.assert_array_equal(seeded.data, expected.data)
         assert not np.array_equal(seeded.data, transformer_block(h, params, 0, mask).data)
+
+    def test_cut_columns_keep_the_padded_dropout_masks(self):
+        # encode runs two of six columns; each keep mask is drawn at the
+        # padded [B, 6, D] and cut to two columns, as at full width
+        cfg = tiny_config(dropout=0.5)
+        params = init_params(cfg, catalog_size=5, seed=5, dtype=np.float64)
+        pe = positional_encoding(cfg.max_len, cfg.d_model)
+        ids, mask = batch_for([[1, 2], [3]], cfg.max_len)
+        h = build_input(ids[:, :2], params, pe)
+
+        def drop(x, seed):
+            draw = np.random.default_rng(seed).random((2, cfg.max_len, cfg.input_dim))
+            return T.Tensor(x.data * ((draw[:, :2] >= 0.5) * 2.0))
+
+        stream = SeedStream(1, "drop")
+        s1, s2 = stream.next_seed(), stream.next_seed()
+        ln1 = (params["block0.ln1.gamma"], params["block0.ln1.beta"])
+        ln2 = (params["block0.ln2.gamma"], params["block0.ln2.beta"])
+        h1 = T.layer_norm(T.add(h, drop(multi_head_attention(h, params, 0, mask[:, :2]), s1)),
+                          *ln1)
+        inner = T.relu(T.add(T.matmul(h1, params["block0.ffn.w1"]), params["block0.ffn.b1"]))
+        ffn = T.add(T.matmul(inner, params["block0.ffn.w2"]), params["block0.ffn.b2"])
+        expected = T.layer_norm(T.add(h1, drop(ffn, s2)), *ln2).data[mask[:, :2]]
+        block = transformer_block(h, params, 0, mask, seeds=SeedStream(1, "drop"))
+        encoded = encode(ids, mask, params, pe, seeds=SeedStream(1, "drop"))
+        assert block.shape == encoded.shape == (2, 2, cfg.input_dim)
+        np.testing.assert_array_equal(block.data[mask[:, :2]], expected)
+        np.testing.assert_array_equal(encoded.data[mask[:, :2]], expected)
+
+    def test_mask_valid_past_the_hidden_width_rejected(self):
+        cfg = tiny_config()
+        params = init_params(cfg, catalog_size=5, seed=5, dtype=np.float64)
+        _, mask = batch_for([[1, 2, 3]], cfg.max_len)
+        h = T.Tensor(np.ones((1, 2, cfg.input_dim)))
+        with pytest.raises(MaskError):
+            transformer_block(h, params, 0, mask)
+        with pytest.raises(MaskError):
+            history_vector(h, mask, params)
 
 
 class TestHistoryAndScore:
@@ -379,7 +417,7 @@ class TestHistoryAndScore:
                                  short_mask, params)
         v_long = history_vector(encode(long_ids, long_mask, params, pe),
                                 long_mask, params)
-        np.testing.assert_allclose(v_short.data, v_long.data, atol=1e-6)
+        np.testing.assert_array_equal(v_short.data, v_long.data)
 
     def test_empty_session_rejected(self):
         cfg, params, pe = self.make()
@@ -507,15 +545,25 @@ class TestPairwiseLoss:
 
 class TestEndToEndGradients:
     def test_loss_gradient_every_parameter_group(self):
+        self.check_every_parameter_group([[3, 1, 5]], 4, 0.0, None)  # 3-item toy session
+
+    def test_loss_gradient_with_cut_columns_and_dropout(self):
+        # the batch runs 3 of 6 columns, the second session is still padded
+        # within them, and each dropout mask is cut from the padded draw
+        self.check_every_parameter_group([[3, 1, 5], [2]], 6, 0.5, 17)
+
+    @staticmethod
+    def check_every_parameter_group(sessions, max_len, dropout, seed):
         cfg = ModelConfig(d_product=6, d_model=4, n_blocks=2, n_heads=2, d_ffn=5,
-                          dropout=0.0, max_len=4)
+                          dropout=dropout, max_len=max_len)
         params = init_params(cfg, catalog_size=7, seed=21, dtype=np.float64)
-        ids, mask = batch_for([[3, 1, 5]], cfg.max_len)  # 3-item toy session
+        ids, mask = batch_for(sessions, cfg.max_len)
         pe = positional_encoding(cfg.max_len, cfg.d_model)
-        pos_id, neg_id = np.array([4]), np.array([2])
+        pos_id, neg_id = np.array([4, 6])[:len(sessions)], np.array([2, 7])[:len(sessions)]
 
         def forward_loss():
-            hidden = encode(ids, mask, params, pe)
+            seeds = None if seed is None else SeedStream(seed, "drop")
+            hidden = encode(ids, mask, params, pe, seeds=seeds)
             hist = history_vector(hidden, mask, params)
             pos_emb = T.embedding_lookup(params.product_emb, pos_id)
             neg_emb = T.embedding_lookup(params.product_emb, neg_id)

@@ -199,6 +199,12 @@ class TestDropout:
         b = T.dropout(x, 0.3, seed=99, mode="train").data
         np.testing.assert_array_equal(a, b)
 
+    def test_mask_drawn_at_a_wider_shape_is_cut(self):
+        x = np.linspace(-1, 1, 60).reshape(2, 5, 6)
+        full = T.dropout(x, 0.3, seed=99, mode="train").data
+        cut = T.dropout(x[:, :2], 0.3, seed=99, mode="train", shape=x.shape).data
+        np.testing.assert_array_equal(cut, full[:, :2])
+
     @pytest.mark.parametrize("p", [0.1, 0.5])
     def test_train_mode_expectation(self, p):
         """Mean of dropout(1.0, p) over 1e5 seeded draws stays within 1% of 1."""

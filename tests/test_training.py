@@ -271,8 +271,8 @@ class TestSeededTraining:
     RECORDED = {
         "P": ["5ff6c4c791b7ee3a22a8434ac6d6ca8a8c0493b9e73bb662e58d3557a0a19d97",
               "4977e5665efbe0360cdf389adc1446aa926dd791e3bf5779dd1cfabecd3cf2fb"],
-        "P+Cart": ["b5618014ddf5d80a29fd2af8c17c9c64026a75cc1b040a303395f6a76cda6de9",
-                   "56ef9fefb79f20f272849ed2c660e3affe0b452005bc4d312b77f67f56ee8854"],
+        "P+Cart": ["21cacacdbb5259624777c1278f7c129ecee12a1780885d036a656abba70ca171",
+                   "29c153a596b2f90a241e70dc0be61c7493dcaaa50b8416b578e75469644a0bca"],
         "P+Style": ["e2d30065f95cb08bf17074cb4214b989b79d264d886516c8d61f127d10019428",
                     "a8fd467768cacf81318acca01d954fa9dd39705fa2ec4d7a12b2d7638d6553c5"],
     }
