@@ -40,12 +40,13 @@ from .data import (
     read_text,
     write_sessions,
 )
-from .errors import ConfigError, InputError, ShapeError, StyleRecError
+from .errors import ConfigError, FormatError, InputError, StyleRecError
 from .metrics import FULL_CATALOG, NEGSAMPLE, format_report_table
 from .kv import parse_field
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .seeding import derive_seed
 from .style import (
+    STYLE_DIM,
     extract_style_embedding,
     load_feature_maps,
     pseudo_feature_provider,
@@ -211,30 +212,32 @@ def cmd_preprocess(rc: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_image(path: Path) -> np.ndarray:
+    try:
+        image = np.load(path)
+    except (OSError, EOFError, ValueError) as e:  # bad bytes or pickled data
+        raise InputError(f"not a readable .npy image ({e})") from None
+    if not isinstance(image, np.ndarray) or image.dtype.kind not in "biuf":
+        raise InputError("not an array of real numbers")
+    return image
+
+
 def _stylegen_vector(args: argparse.Namespace, pid: int, seed: int):
-    """Raw style vector of one product, or None when it has no image. A file that
-    does not load, or makes the vector non-finite, is an InputError naming it."""
+    """Raw style vector of one product, or None when it has no file. Every fault of
+    the file names it: a FormatError keeps its kind, any other is an InputError."""
     folder, suffix = (args.features, "s4rf") if args.features else (args.images, "npy")
     path = Path(folder) / f"{pid}.{suffix}"
     if not path.is_file():
         return None
-    with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports these
-        if args.features:
-            layers = load_feature_maps(path)
-        else:
-            try:
-                image = np.load(path)
-            except (OSError, EOFError, ValueError) as e:  # bad bytes or pickled data
-                raise InputError(f"{path}: not a readable .npy image ({e})") from None
-            if not isinstance(image, np.ndarray) or image.dtype.kind not in "biuf":
-                raise InputError(f"{path}: not an array of real numbers")
-            try:
-                layers = pseudo_feature_provider(image, seed)
-            except ShapeError as e:
-                raise InputError(f"{path}: {e}") from None
-        vec = extract_style_embedding(layers)
-    if not np.isfinite(vec).all():
-        raise InputError(f"{path}: non-finite values give a non-finite style vector")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports these
+            layers = (load_feature_maps(path) if args.features
+                      else pseudo_feature_provider(_read_image(path), seed))
+            vec = extract_style_embedding(layers)
+        if not np.isfinite(vec).all():
+            raise InputError("non-finite values give a non-finite style vector")
+    except StyleRecError as e:
+        raise (FormatError if isinstance(e, FormatError) else InputError)(f"{path}: {e}") from None
     return vec
 
 
@@ -247,16 +250,12 @@ def cmd_stylegen(rc: RunConfig, args: argparse.Namespace) -> int:
     if not source.is_dir():
         raise InputError(f"source directory not found: {source}")
     provider_seed = derive_seed(rc.seed, "style-provider")
-    raw: Dict[int, np.ndarray] = {}
-    image_ids = set()
-    for pid in range(1, args.products + 1):
-        vec = _stylegen_vector(args, pid, provider_seed)
-        raw[pid] = np.zeros(512, dtype=np.float32) if vec is None else vec
-        if vec is not None:
-            image_ids.add(pid)
-    vectors = standardize_embeddings(raw, image_ids)
+    raw = {pid: vec for pid in range(1, args.products + 1)
+           if (vec := _stylegen_vector(args, pid, provider_seed)) is not None}
+    vectors = dict.fromkeys(range(1, args.products + 1), np.zeros(STYLE_DIM, dtype=np.float32))
+    vectors.update(standardize_embeddings(raw))
     save_style_cache(vectors, Path(args.out))
-    missing = args.products - len(image_ids)
+    missing = args.products - len(raw)
     if missing:
         print(f"warning: {missing} of {args.products} products have no image; "
               f"their style vectors are zero")
@@ -312,13 +311,9 @@ def cmd_eval(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     ds, _ = _inputs(rc, use_style=False)
-    if ds.catalog_size != params.catalog_size:
-        raise ConfigError(f"checkpoint expects a catalog of {params.catalog_size}, "
-                          f"dataset has {ds.catalog_size}")
-    if ds.max_len != params.config.max_len:
-        raise ConfigError(f"checkpoint was trained with max_len {params.config.max_len}, "
-                          f"dataset has {ds.max_len}")
-    table = _load_style_table(rc, ds.catalog_size) if params.config.use_style else None
+    # wide enough for either catalog, so a mismatch reaches evaluate_test_split's check
+    size = max(params.catalog_size, ds.catalog_size)
+    table = _load_style_table(rc, size) if params.config.use_style else None
     report = evaluate_test_split(params, ds, cfg, table)
     shown = format_report_table({args.label: report})
     _report(rc, f"eval-{args.label}", [
@@ -481,6 +476,10 @@ def main(argv=None) -> int:
     except StyleRecError as e:
         print(f"error {e.kind}: {e}", file=sys.stderr)
         return e.exit_code
+    except OSError as e:  # a path the user named cannot be read or written
+        detail = f"{e.filename}: {e.strerror}" if e.filename else str(e)
+        print(f"error {InputError.kind}: {detail}", file=sys.stderr)
+        return InputError.exit_code
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ pairwise feature-map dot products is normalized by map count and size,
 max-pooled 4x4 down to 16x16, and flattened; the two layers concatenate to
 512 values. Catalog-level standardization brings each dimension to zero
 mean and unit variance so the style block does not dwarf the product
-embedding under concatenation. Products without images carry zero vectors.
+embedding under concatenation; the stylegen command gives image-less products zeros.
 
 The built-in pseudo provider stands in for a pretrained network: two
 seeded, frozen 3x3 conv layers (64 filters, stride 1, same padding, ReLU).
@@ -16,7 +16,7 @@ Externally computed activations can be supplied via S4RF files instead.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -99,32 +99,20 @@ def extract_style_embedding(layers: Sequence) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def standardize_embeddings(raw: Dict[int, np.ndarray],
-                           image_ids: Optional[Set[int]] = None) -> Dict[int, np.ndarray]:
-    """Standardize each of the 512 dims to zero mean / unit variance.
+def standardize_embeddings(raw: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
+    """Standardize each of the 512 dims to zero mean / unit variance over ``raw``.
 
-    Statistics come only from products that have images; the rest keep zero
-    vectors. Dimensions constant across the catalog are zeroed rather than
-    divided by a vanishing deviation.
+    Pass only the products that have images. Dimensions constant across
+    them are zeroed rather than divided by a vanishing deviation.
     """
-    if image_ids is None:
-        image_ids = set(raw)
-    image_ids = set(image_ids) & set(raw)
-    if not image_ids:
+    if not raw:
         raise ConfigError("no products with images to standardize over")
-    stack = np.stack([np.asarray(raw[i], dtype=np.float64) for i in sorted(image_ids)])
-    mean = stack.mean(axis=0)
+    ids = sorted(raw)
+    stack = np.stack([np.asarray(raw[i], dtype=np.float64) for i in ids])
     std = stack.std(axis=0)
-    safe = np.where(std < 1e-12, 1.0, std)
-    out = {}
-    for pid in raw:
-        if pid in image_ids:
-            v = (np.asarray(raw[pid], dtype=np.float64) - mean) / safe
-            v[std < 1e-12] = 0.0
-        else:
-            v = np.zeros(STYLE_DIM)
-        out[pid] = v.astype(np.float32)
-    return out
+    out = (stack - stack.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+    out[:, std < 1e-12] = 0.0
+    return dict(zip(ids, out.astype(np.float32)))
 
 
 def style_table(catalog_size: int, vectors: Dict[int, np.ndarray]) -> np.ndarray:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,10 +74,14 @@ class TrainConfig:
     l2_grid: Tuple[float, ...] = L2_GRID
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("learning_rate, batch_size, and epochs must be positive")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 penalty must be >= 0, got {self.l2}")
+        # the chained comparisons are false for nan, so nan fails each of them
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ConfigError("batch_size and epochs must be positive")
+        for lam in (self.l2, *self.l2_grid):
+            if not 0 <= lam < math.inf:
+                raise ConfigError(f"l2 penalty must be finite and >= 0, got {lam}")
         if self.configuration not in CONFIGURATIONS:
             raise ConfigError(f"configuration must be one of {CONFIGURATIONS}, "
                               f"got {self.configuration!r}")
@@ -86,6 +91,8 @@ class TrainConfig:
             raise ConfigError(f"unknown eval_mode {self.eval_mode!r}")
         if not self.hidden_dim_grid or not self.l2_grid:
             raise ConfigError("sweep grids must be nonempty")
+        if min(self.hidden_dim_grid) < 1:
+            raise ConfigError(f"hidden dims must be >= 1, got {min(self.hidden_dim_grid)}")
 
     @property
     def use_cart(self) -> bool:
@@ -296,6 +303,19 @@ def _fingerprint(model_cfg: ModelConfig, cfg: TrainConfig, catalog_size: int) ->
             f"style={model_cfg.use_style} maxlen={model_cfg.max_len} P={catalog_size}")
 
 
+def _check_fit(config: ModelConfig, catalog_size: int, dataset: PreparedDataset,
+               style_table: Optional[np.ndarray]) -> None:
+    """A ConfigError unless the model has the dataset's catalog and max_len, and
+    gets a style table exactly when it uses style."""
+    for what, model, data in (("catalog", catalog_size, dataset.catalog_size),
+                              ("max_len", config.max_len, dataset.max_len)):
+        if model != data:
+            raise ConfigError(f"model {what} {model} differs from the dataset's {data}")
+    if config.use_style != (style_table is not None):
+        raise ConfigError("a style model needs a style table" if config.use_style
+                          else "a model without style takes no style table")
+
+
 def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
           style_table: Optional[np.ndarray] = None,
           log: Optional[Callable[[str], None]] = None) -> TrainResult:
@@ -308,11 +328,7 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
     if model_cfg.use_style != cfg.use_style:
         raise ConfigError(f"model use_style={model_cfg.use_style} conflicts with "
                           f"configuration {cfg.configuration!r}")
-    if cfg.use_style and style_table is None:
-        raise ConfigError(f"configuration {cfg.configuration!r} needs a style table")
-    if model_cfg.max_len != dataset.max_len:
-        raise ConfigError(f"model max_len {model_cfg.max_len} differs from the dataset's "
-                          f"{dataset.max_len}")
+    _check_fit(model_cfg, dataset.catalog_size, dataset, style_table)
 
     def keep(s: Session) -> bool:
         return s.kind == PURCHASE or cfg.use_cart
@@ -419,7 +435,9 @@ def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NE
 def evaluate_test_split(params: ModelParams, dataset: PreparedDataset, cfg: TrainConfig,
                         style_table: Optional[np.ndarray] = None) -> MetricsReport:
     """The protocol of every reported test number: rank ``dataset.test`` in the mode
-    ``pick_eval_mode`` picks, with ``cfg.eval_negatives`` negatives and seed ``cfg.seed``."""
+    ``pick_eval_mode`` picks, with ``cfg.eval_negatives`` negatives and seed ``cfg.seed``,
+    once ``_check_fit`` passes the model on the dataset."""
+    _check_fit(params.config, params.catalog_size, dataset, style_table)
     return evaluate(params, dataset.test, mode=pick_eval_mode(cfg, dataset),
                     n_negatives=cfg.eval_negatives, seed=cfg.seed, style_table=style_table)
 

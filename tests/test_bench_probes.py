@@ -1,0 +1,37 @@
+"""The benchmark's probes as tests: each gated workload's small pinned run,
+compared with ``perfbench/references.json`` by the benchmark's own
+``compare_probe``, so the tolerances are the gate's. A change that moves a
+probe output fails here before the benchmark reports it.
+
+``train-long`` is left out: its recorded loss is stale (ROADMAP).
+"""
+
+import json
+import sys
+from pathlib import Path
+
+from test_training import one_blas_thread_json
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PROBED = ("train-a07", "eval-20k", "ingest")
+
+
+def probe_checks() -> dict:
+    """Run every probe of ``PROBED`` in the working directory; the checks made
+    and the notes of those that failed."""
+    sys.path.insert(0, str(PERFBENCH))
+    import run
+    import workloads
+
+    references = json.loads((PERFBENCH / "references.json").read_text(encoding="utf-8"))
+    checks = workloads.Checks()
+    for name in PROBED:
+        probe = workloads.make(name, run.REF_SEED, Path.cwd() / name, probe=True).probe()
+        run.compare_probe(name, probe, references, checks)
+    return {"attempted": checks.attempted, "failures": checks.notes}
+
+
+def test_probes_match_references(tmp_path):
+    got = one_blas_thread_json("test_bench_probes.probe_checks", tmp_path)
+    assert got["failures"] == []
+    assert got["attempted"] >= len(PROBED)

@@ -172,7 +172,9 @@ class TestStylegen:
         code = run("stylegen", "--features", feat, "--products", 1,
                    "--out", tmp_path / "c.s4se")
         assert code == 1
-        assert capsys.readouterr().err.startswith("error format-error:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error format-error: {feat / '1.s4rf'}: ")
+        assert err.count("\n") == 1
 
     def run_pseudo(self, tmp_path, bad_image) -> int:
         """stylegen over a good image 1 and an image 2 that ``bad_image(path)`` writes."""
@@ -229,6 +231,18 @@ class TestStylegen:
         assert run("stylegen", "--features", feat, "--products", 1,
                    "--out", tmp_path / "c.s4se") == 1
         self.assert_input_error_naming(capsys, tmp_path, "1.s4rf")
+
+    @pytest.mark.parametrize("shapes", [[(64, 6, 6)] * 3, [(32, 6, 6), (64, 6, 6)]],
+                             ids=["three-layers", "32-maps"])
+    def test_bad_layout_features_are_input_error(self, tmp_path, capsys, shapes):
+        feat = tmp_path / "feat"
+        feat.mkdir()
+        self.write_features(feat, 1, 1)
+        write_feature_maps([np.ones(shape, dtype=np.float32) for shape in shapes],
+                           feat / "2.s4rf")
+        assert run("stylegen", "--features", feat, "--products", 2,
+                   "--out", tmp_path / "c.s4se") == 1
+        self.assert_input_error_naming(capsys, tmp_path, "2.s4rf")
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert run("stylegen", "--products", 2, "--out", tmp_path / "c") == 2
@@ -315,6 +329,61 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error config-error:") and "max_len" in err, err
         assert err.count("\n") == 1 and not (tmp_path / "rep-short").exists()
+
+    @pytest.mark.parametrize("model_products, data_products", [(10, 20), (20, 10)])
+    def test_style_catalog_mismatch_is_config_error(self, tmp_path, tiny_config, capsys,
+                                                    model_products, data_products):
+        """With the model's style cache or the dataset's, eval reaches the catalog check."""
+        paths = {}
+        for products in {model_products, data_products}:
+            raw = tmp_path / f"s{products}.jsonl"
+            assert run("synth", "--products", products, "--sessions", 80, "--seed", 4,
+                       "--out", raw, "--style-correlated", "--clusters", 2,
+                       "--length-min", 3, "--length-max", 6) == 0
+            prep = tmp_path / f"p{products}.json"
+            assert run("preprocess", "--sessions", raw, "--out", prep, "--max-len", 8) == 0
+            paths[products] = prep, Path(f"{raw}.style.s4se")
+        ckpt = tmp_path / "m.s4ck"
+        prep, cache = paths[model_products]
+        assert run("train", "--config", tiny_config, "--data", prep, "--style-cache", cache,
+                   "--configuration", "P+Style", "--out", ckpt,
+                   "--report-dir", tmp_path / "rep") == 0
+        for products in (model_products, data_products):
+            capsys.readouterr()
+            assert run("eval", "--config", tiny_config, "--checkpoint", ckpt,
+                       "--data", paths[data_products][0], "--style-cache", paths[products][1],
+                       "--report-dir", tmp_path / "rep-eval") == 2
+            assert capsys.readouterr().err == (f"error config-error: model catalog "
+                                               f"{model_products} differs from the dataset's "
+                                               f"{data_products}\n")
+        assert not (tmp_path / "rep-eval").exists()
+
+
+class TestPathErrors:
+    """An OS error on a path the user named is one input-error line naming it."""
+
+    @pytest.mark.parametrize("command", ["preprocess", "synth", "eval", "train"])
+    def test_os_error_is_one_input_error_line(self, tmp_path, tiny_config, capsys, command):
+        prep = make_prepared(tmp_path)
+        ckpt = tmp_path / "m.s4ck"
+        tiny_checkpoint(ckpt, 8)
+        taken_dir = tmp_path / "taken"
+        taken_dir.mkdir()
+        taken_file = tmp_path / "taken.txt"
+        taken_file.write_text("not a directory\n", encoding="utf-8")
+        argv, path, reason = {
+            "preprocess": (("preprocess", "--sessions", tmp_path / "sessions.jsonl",
+                            "--out", taken_dir), taken_dir, "Is a directory"),
+            "synth": (("synth", "--products", 4, "--sessions", 5, "--out", taken_dir),
+                      taken_dir, "Is a directory"),
+            "eval": (("eval", "--config", tiny_config, "--checkpoint", ckpt, "--data", prep,
+                      "--report-dir", taken_file), taken_file, "File exists"),
+            "train": (("train", "--config", tiny_config, "--data", prep,
+                       "--checkpoint-dir", taken_file), taken_file, "File exists"),
+        }[command]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == f"error input-error: {path}: {reason}\n"
 
 
 class TestSuiteDynamicSweep:
@@ -552,14 +621,17 @@ class TestConfigPath:
         ("", ("frobnicate",)),
         ("model.use_style=true\n", ("train",)),
         ("model.max_len=5\n", ("train",)),  # the prepared dataset owns max_len
+        ("train.learning_rate=inf\n", ("train",)),
     ])
     def test_bad_setting_is_one_config_error_line(self, tmp_path, tiny_config, capsys,
                                                   cfg_line, argv):
         prep = make_prepared(tmp_path)
         ckpt = tmp_path / "m.s4ck"
         tiny_checkpoint(ckpt, 8)
-        with open(tiny_config, "a", encoding="utf-8") as fh:
-            fh.write(cfg_line)
+        key = cfg_line.partition("=")[0]  # the line replaces tiny_config's own, if any
+        kept = [line for line in tiny_config.read_text(encoding="utf-8").splitlines(True)
+                if not (key and line.startswith(f"{key}="))]
+        tiny_config.write_text("".join(kept) + cfg_line, encoding="utf-8")
         per_command = {"train": ("--out", tmp_path / "x.s4ck"), "eval": ("--checkpoint", ckpt)}
         rest = ()
         if argv[0] in per_command:

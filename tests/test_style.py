@@ -219,11 +219,12 @@ class TestStyleEmbedding:
         np.testing.assert_allclose(stack.std(axis=0), 1.0, atol=1e-5)
 
     def test_standardize_skips_imageless_products(self):
+        # the caller passes only the products with images; the rest get no vector here
         rng = np.random.default_rng(45)
         raw = {1: rng.standard_normal(STYLE_DIM), 2: rng.standard_normal(STYLE_DIM),
-               3: rng.standard_normal(STYLE_DIM), 4: np.zeros(STYLE_DIM)}
-        out = standardize_embeddings(raw, image_ids={1, 2, 3})
-        assert np.all(out[4] == 0.0)
+               3: rng.standard_normal(STYLE_DIM)}
+        out = standardize_embeddings(raw)
+        assert sorted(out) == [1, 2, 3]
         stats = np.stack([out[i] for i in (1, 2, 3)]).astype(np.float64)
         np.testing.assert_allclose(stats.mean(axis=0), 0.0, atol=1e-5)
 
@@ -234,7 +235,7 @@ class TestStyleEmbedding:
 
     def test_standardize_needs_some_images(self):
         with pytest.raises(ConfigError):
-            standardize_embeddings({1: np.zeros(STYLE_DIM)}, image_ids=set())
+            standardize_embeddings({})
 
     def test_style_table_layout(self):
         rng = np.random.default_rng(46)

@@ -481,6 +481,24 @@ class TestEvaluate:
         assert full.mode == FULL_CATALOG
         assert full.ranks == evaluate(params, ds.test, mode=FULL_CATALOG).ranks
 
+    @pytest.mark.parametrize("model_p, data_p, model_len, use_style, table", [
+        (300, 150, 6, False, False),
+        (150, 300, 6, False, False),
+        (150, 150, 3, False, False),
+        (150, 150, 6, False, True),
+        (150, 150, 6, True, False),
+    ], ids=["model-catalog-larger", "model-catalog-smaller", "model-max-len-shorter",
+            "table-without-style", "style-without-table"])
+    def test_test_split_rejects_a_model_that_does_not_fit(self, model_p, data_p, model_len,
+                                                           use_style, table):
+        sessions, _ = generate_synthetic(150, 400, length_range=(3, 8), seed=9)
+        ds = prepare_dataset(sessions, max_len=6, catalog_size=data_p)
+        m = ModelConfig(**{**TINY_MODEL, "max_len": model_len, "use_style": use_style})
+        params = init_params(m, catalog_size=model_p, seed=9)
+        style = np.zeros((model_p + 1, 512), dtype=np.float32) if table else None
+        with pytest.raises(ConfigError):
+            evaluate_test_split(params, ds, TrainConfig(seed=6), style)
+
     def test_empty_sessions_rejected(self):
         _, params, _ = self.make_eval_setup(n=60)
         with pytest.raises(ContractError):
@@ -637,6 +655,13 @@ class TestTrainConfigValidation:
             TrainConfig(hidden_dim_grid=())
         with pytest.raises(ConfigError):
             TrainConfig(eval_mode="sometimes")
+        # numbers no run can train with, rejected before any training
+        for bad in (dict(learning_rate=np.inf), dict(learning_rate=np.nan),
+                    dict(learning_rate=0.0), dict(l2=np.inf), dict(l2=np.nan),
+                    dict(l2_grid=(0.0, -1.0)), dict(l2_grid=(np.inf,)),
+                    dict(hidden_dim_grid=(0,)), dict(hidden_dim_grid=(8, -2))):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad)
 
     def test_configuration_flags(self):
         assert not TrainConfig(configuration="P").use_cart
