@@ -59,11 +59,13 @@ from .training import (
     CONFIGURATIONS,
     TrainConfig,
     curve_lines,
-    dynamic_experiment,
+    dynamic_runs,
     evaluate_test_split,
-    run_configuration_suite,
+    run_experiment,
     run_model_config,
-    sweep,
+    suite_runs,
+    sweep_order_key,
+    sweep_runs,
     train,
 )
 
@@ -171,12 +173,20 @@ def _report(rc: RunConfig, name: str, lines: list, shown: str = "") -> None:
     _write(Path(rc.report_dir) / f"{name}.txt", "\n".join(lines) + "\n")
 
 
-def _save(params, rc: RunConfig, name: str, out: Optional[str] = None) -> Path:
-    path = Path(out) if out else Path(rc.checkpoint_dir) / f"model-{name}.s4ck"
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _make_dirs(*dirs) -> None:
+    """Create a run's output directories before its first epoch, so that a path
+    which cannot take its files fails the run at once, not after the training."""
+    for d in dirs:
+        Path(d).mkdir(parents=True, exist_ok=True)
+
+
+def _checkpoint(rc: RunConfig, name: str, out: Optional[str] = None) -> Path:
+    return Path(out) if out else Path(rc.checkpoint_dir) / f"model-{name}.s4ck"
+
+
+def _save(params, path: Path) -> None:
     save_checkpoint(params, path)
     print(f"wrote {path}")
-    return path
 
 
 def _inputs(rc: RunConfig, use_style: bool) -> Tuple[PreparedDataset, Optional[np.ndarray]]:
@@ -292,9 +302,11 @@ def cmd_synth(rc: RunConfig, args: argparse.Namespace) -> int:
 def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     ds, table = _inputs(rc, cfg.use_style)
-    result = train(ds, run_model_config(rc.model, cfg, ds.max_len), cfg, style_table=table,
-                   log=print)
-    ckpt = _save(result.params, rc, cfg.configuration, args.out)
+    model_cfg = run_model_config(rc.model, cfg, ds.max_len)
+    ckpt = _checkpoint(rc, cfg.configuration, args.out)
+    _make_dirs(ckpt.parent, rc.report_dir)
+    result = train(ds, model_cfg, cfg, style_table=table, log=print)
+    _save(result.params, ckpt)
     lines = [f"checkpoint: {ckpt.name}",
              f"fingerprint: {result.fingerprint}",
              f"val_mode: {result.val_mode}",
@@ -332,12 +344,14 @@ def cmd_eval(rc: RunConfig, args: argparse.Namespace) -> int:
 def cmd_suite(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     ds, table = _inputs(rc, use_style=True)
-    results = run_configuration_suite(ds, rc.model, cfg, style_table=table, log=print)
+    rows = run_experiment(suite_runs(ds, rc.model, cfg, table), log=print)
+    _make_dirs(rc.checkpoint_dir, rc.report_dir)
+    reports = {run.train_cfg.configuration: (result, report) for run, result, report in rows}
     lines = [f"seed: {cfg.seed}", f"test_sessions: {len(ds.test)}", ""]
-    for name, bundle in results.items():
-        _save(bundle["result"].params, rc, name)
-        lines.extend(bundle["report"].machine_lines(name))
-    shown = format_report_table({name: bundle["report"] for name, bundle in results.items()})
+    for name, (result, report) in reports.items():
+        _save(result.params, _checkpoint(rc, name))
+        lines.extend(report.machine_lines(name))
+    shown = format_report_table({name: report for name, (_, report) in reports.items()})
     _report(rc, "suite", lines + ["", shown], shown)
     return 0
 
@@ -346,8 +360,9 @@ def cmd_dynamic(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     sessions = parse_sessions(_require_file(rc.sessions, "sessions file"))
     table = _load_style_table(rc, max_product_id(sessions)) if cfg.use_style else None
-    curve = dynamic_experiment(sessions, rc.max_lens, rc.model, cfg, style_table=table,
-                               log=print)
+    rows = run_experiment(dynamic_runs(sessions, rc.max_lens, rc.model, cfg, table), log=print)
+    _make_dirs(rc.report_dir)
+    curve = [(run.dataset.max_len, report) for run, _, report in rows]
     lines = [f"seed: {cfg.seed}", *curve_lines(curve)]
     _report(rc, "dynamic", lines, "\n".join(lines))
     return 0
@@ -358,14 +373,21 @@ def cmd_sweep(rc: RunConfig, args: argparse.Namespace) -> int:
     ds, table = _inputs(rc, cfg.use_style)
     # one config file serves train and sweep, and the sweep's grid sets d_ffn
     kwargs = {k: v for k, v in rc.model.items() if k != "d_ffn"}
-    result = sweep(ds, kwargs, cfg, style_table=table, budget=args.budget, log=print)
+    rows = run_experiment(sweep_runs(ds, kwargs, cfg, table, budget=args.budget), test=False,
+                          log=print)
+    _make_dirs(rc.checkpoint_dir, rc.report_dir)
     lines = [f"seed: {cfg.seed}", "hidden l2 val_ndcg5 best_epoch"]
-    for run in result.runs:
-        lines.append(f"{run.hidden_dim} {run.l2} {run.val_ndcg5:.6f} {run.best_epoch}")
-    lines.append(f"best: hidden {result.best.hidden_dim} l2 {result.best.l2} "
-                 f"val_ndcg5 {result.best.val_ndcg5:.6f}")
+    best = None
+    for row in rows:  # one row at a time, so only the best point's model stays in memory
+        run, result, _ = row
+        lines.append(f"{run.model_cfg.d_ffn} {run.train_cfg.l2} {result.best_val_ndcg5:.6f} "
+                     f"{result.best_epoch}")
+        best = min(best or row, row, key=sweep_order_key)
+    run, result, _ = best
+    lines.append(f"best: hidden {run.model_cfg.d_ffn} l2 {run.train_cfg.l2} "
+                 f"val_ndcg5 {result.best_val_ndcg5:.6f}")
     print("\n".join(lines))
-    _save(result.best_result.params, rc, "sweep-best")
+    _save(result.params, _checkpoint(rc, "sweep-best"))
     _report(rc, "sweep", lines)
     return 0
 

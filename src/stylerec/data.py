@@ -118,6 +118,8 @@ class PreparedDataset:
             if catalog_size < 1 or max_len < 2:
                 raise InputError(f"prepared dataset needs catalog_size >= 1 and max_len >= 2, "
                                  f"got {catalog_size} and {max_len}")
+            if not splits["test"]:
+                raise InputError("prepared dataset has an empty test split")
             for s in splits["train"] + splits["val"] + splits["test"]:
                 if not 2 <= len(s.items) <= max_len or max(s.items) > catalog_size:
                     raise InputError(f"session {s.session_id!r}: a prepared session needs 2 to "

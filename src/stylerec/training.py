@@ -20,7 +20,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -506,50 +506,69 @@ def run_model_config(model_kwargs: dict, cfg: TrainConfig, max_len: int, **owned
     return ModelConfig(**owned, **model_kwargs)
 
 
-def run_configuration_suite(dataset: PreparedDataset, model_kwargs: dict,
-                            base_cfg: TrainConfig,
-                            style_table: Optional[np.ndarray] = None, *,
-                            log: Optional[Callable[[str], None]] = None) -> Dict[str, dict]:
-    """Train and test all four data configurations with shared seeds.
+@dataclass(frozen=True)
+class Run:
+    """One train-and-test run of an experiment; ``label`` is logged before it trains."""
+    label: str
+    dataset: PreparedDataset
+    model_cfg: ModelConfig
+    train_cfg: TrainConfig
+    style_table: Optional[np.ndarray] = None
 
-    ``model_kwargs`` go through ``run_model_config``. The test split is
-    identical across configurations by construction.
+
+Row = Tuple[Run, TrainResult, Optional[MetricsReport]]
+
+
+def run_experiment(runs: Sequence[Run], *, test: bool = True,
+                   log: Optional[Callable[[str], None]] = None) -> Iterator[Row]:
+    """Train each run in order and, when ``test`` is set, test it on its dataset's
+    test split; yields one row per run: (run, TrainResult, report or None).
+
+    ``_check_fit`` passes every run before the first epoch of any. Without
+    ``test`` the runs only select: each logs its label but not its epochs.
     """
-    if style_table is None:
-        raise ConfigError("the P+Style and P+Cart+Style configurations need a style table")
-    results: Dict[str, dict] = {}
-    for name in CONFIGURATIONS:
-        cfg = replace(base_cfg, configuration=name)
-        model_cfg = run_model_config(model_kwargs, cfg, dataset.max_len)
-        table = style_table if cfg.use_style else None
+    for run in runs:
+        _check_fit(run.model_cfg, run.dataset.catalog_size, run.dataset, run.style_table)
+    for run in runs:
         if log:
-            log(f"training configuration {name}")
-        result = train(dataset, model_cfg, cfg, style_table=table, log=log)
-        results[name] = {"result": result,
-                         "report": evaluate_test_split(result.params, dataset, cfg, table)}
-    return results
+            log(run.label)
+        result = train(run.dataset, run.model_cfg, run.train_cfg, run.style_table,
+                       log=log if test else None)
+        yield run, result, (evaluate_test_split(result.params, run.dataset, run.train_cfg,
+                                                run.style_table) if test else None)
+
+
+def suite_runs(dataset: PreparedDataset, model_kwargs: dict, base_cfg: TrainConfig,
+               style_table: Optional[np.ndarray] = None) -> List[Run]:
+    """All four data configurations with shared seeds and one test split; the style
+    ones take ``style_table``. ``model_kwargs`` go through ``run_model_config``."""
+    cfgs = [replace(base_cfg, configuration=name) for name in CONFIGURATIONS]
+    return [Run(f"training configuration {cfg.configuration}", dataset,
+                run_model_config(model_kwargs, cfg, dataset.max_len), cfg,
+                style_table if cfg.use_style else None) for cfg in cfgs]
+
+
+def dynamic_runs(raw_sessions: Sequence[Session], max_lens: Sequence[int], model_kwargs: dict,
+                 cfg: TrainConfig, style_table: Optional[np.ndarray] = None) -> List[Run]:
+    """One run per maximum session length, each on its own prepared dataset. Every
+    cap keeps the raw sessions' catalog, so one style table fits all."""
+    if not max_lens:
+        raise ConfigError("dynamic experiment needs at least one max_len")
+    catalog_size = max_product_id(raw_sessions)
+    return [Run(f"dynamic: max_len {max_len}",
+                prepare_dataset(raw_sessions, max_len=max_len, catalog_size=catalog_size),
+                run_model_config(model_kwargs, cfg, max_len), cfg, style_table)
+            for max_len in max_lens]
 
 
 def dynamic_experiment(raw_sessions: Sequence[Session], max_lens: Sequence[int],
                        model_kwargs: dict, cfg: TrainConfig,
                        style_table: Optional[np.ndarray] = None, *,
                        log: Optional[Callable[[str], None]] = None) -> List[Tuple[int, MetricsReport]]:
-    """Retrain and test at each maximum session length; returns the curve.
-    Every cap keeps the raw sessions' catalog, so one style table fits all."""
-    if not max_lens:
-        raise ConfigError("dynamic experiment needs at least one max_len")
-    if any(m < 2 for m in max_lens):
-        raise ConfigError("max_len values must be >= 2")
-    catalog_size = max_product_id(raw_sessions)
-    curve = []
-    for max_len in max_lens:
-        ds = prepare_dataset(raw_sessions, max_len=max_len, catalog_size=catalog_size)
-        model_cfg = run_model_config(model_kwargs, cfg, max_len)
-        if log:
-            log(f"dynamic: max_len {max_len}")
-        result = train(ds, model_cfg, cfg, style_table=style_table, log=log)
-        curve.append((max_len, evaluate_test_split(result.params, ds, cfg, style_table)))
-    return curve
+    """Retrain and test at each maximum session length; returns the curve."""
+    rows = run_experiment(dynamic_runs(raw_sessions, max_lens, model_kwargs, cfg, style_table),
+                          log=log)
+    return [(run.dataset.max_len, report) for run, _, report in rows]
 
 
 def curve_lines(curve: List[Tuple[int, MetricsReport]]) -> List[str]:
@@ -558,50 +577,23 @@ def curve_lines(curve: List[Tuple[int, MetricsReport]]) -> List[str]:
         f"{max_len} " + " ".join(f"{v:.6f}" for v in report.row()) for max_len, report in curve]
 
 
-@dataclass
-class SweepRun:
-    hidden_dim: int
-    l2: float
-    val_ndcg5: float
-    best_epoch: int
-
-
-@dataclass
-class SweepResult:
-    best: SweepRun
-    best_result: TrainResult
-    runs: List[SweepRun]
-
-
-def sweep_order_key(run: SweepRun):
-    """Best val NDCG@5 first; ties prefer smaller hidden dim, then smaller L2."""
-    return (-run.val_ndcg5, run.hidden_dim, run.l2)
-
-
-def sweep(dataset: PreparedDataset, model_kwargs: dict, cfg: TrainConfig,
-          style_table: Optional[np.ndarray] = None, *, budget: Optional[int] = None,
-          log: Optional[Callable[[str], None]] = None) -> SweepResult:
-    """Grid search over hidden (feed-forward) dims and L2 penalties.
-
-    Deterministic order; selection by val NDCG@5, ties broken by smaller
-    hidden dim, then smaller L2.
-    """
+def sweep_runs(dataset: PreparedDataset, model_kwargs: dict, cfg: TrainConfig,
+               style_table: Optional[np.ndarray] = None, *,
+               budget: Optional[int] = None) -> List[Run]:
+    """The grid of hidden (feed-forward) dims and L2 penalties in order, cut to its first
+    ``budget`` points: selection runs for ``run_experiment(..., test=False)``."""
     combos = [(h, lam) for h in cfg.hidden_dim_grid for lam in cfg.l2_grid]
     if budget is not None:
         if budget < 1:
             raise ConfigError("sweep budget must be >= 1")
         combos = combos[:budget]
-    runs: List[SweepRun] = []
-    best: Optional[SweepRun] = None
-    best_result: Optional[TrainResult] = None
-    for hidden, lam in combos:
-        if log:
-            log(f"sweep: hidden {hidden}, l2 {lam}")
-        model_cfg = run_model_config(model_kwargs, cfg, dataset.max_len, d_ffn=hidden)
-        result = train(dataset, model_cfg, replace(cfg, l2=lam), style_table=style_table)
-        run = SweepRun(hidden_dim=hidden, l2=lam, val_ndcg5=result.best_val_ndcg5,
-                       best_epoch=result.best_epoch)
-        runs.append(run)
-        if best is None or sweep_order_key(run) < sweep_order_key(best):
-            best, best_result = run, result
-    return SweepResult(best=best, best_result=best_result, runs=runs)
+    return [Run(f"sweep: hidden {hidden}, l2 {lam}", dataset,
+                run_model_config(model_kwargs, cfg, dataset.max_len, d_ffn=hidden),
+                replace(cfg, l2=lam), style_table)
+            for hidden, lam in combos]
+
+
+def sweep_order_key(row: Row):
+    """Best val NDCG@5 first; ties prefer smaller hidden dim, then smaller L2."""
+    run, result, _ = row
+    return (-result.best_val_ndcg5, run.model_cfg.d_ffn, run.train_cfg.l2)

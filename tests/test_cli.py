@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stylerec import cli, errors
+from stylerec import cli, errors, training
 from stylerec.data import PURCHASE, PreparedDataset, Session, generate_synthetic, write_sessions
 from stylerec.errors import FormatError, InputError
 from stylerec.style import load_style_cache, save_style_cache, write_feature_maps
@@ -360,17 +360,31 @@ class TestTrainEval:
 
 
 class TestPathErrors:
-    """An OS error on a path the user named is one input-error line naming it."""
+    """An OS error on a path the user named is one input-error line naming it; a
+    command that trains meets it before the first epoch."""
 
-    @pytest.mark.parametrize("command", ["preprocess", "synth", "eval", "train"])
-    def test_os_error_is_one_input_error_line(self, tmp_path, tiny_config, capsys, command):
+    @pytest.mark.parametrize("command", ["preprocess", "synth", "eval", "train", "suite",
+                                         "sweep", "dynamic"])
+    def test_os_error_is_one_input_error_line(self, tmp_path, tiny_config, capsys, monkeypatch,
+                                              command):
         prep = make_prepared(tmp_path)
         ckpt = tmp_path / "m.s4ck"
         tiny_checkpoint(ckpt, 8)
+        cache = tmp_path / "style.s4se"
+        save_style_cache({pid: np.ones(512, dtype=np.float32) for pid in range(1, 9)}, cache)
         taken_dir = tmp_path / "taken"
         taken_dir.mkdir()
         taken_file = tmp_path / "taken.txt"
         taken_file.write_text("not a directory\n", encoding="utf-8")
+        calls = []
+        real_train = training.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train", counting_train)
+        monkeypatch.setattr(cli, "train", counting_train)
         argv, path, reason = {
             "preprocess": (("preprocess", "--sessions", tmp_path / "sessions.jsonl",
                             "--out", taken_dir), taken_dir, "Is a directory"),
@@ -380,10 +394,18 @@ class TestPathErrors:
                       "--report-dir", taken_file), taken_file, "File exists"),
             "train": (("train", "--config", tiny_config, "--data", prep,
                        "--checkpoint-dir", taken_file), taken_file, "File exists"),
+            "suite": (("suite", "--config", tiny_config, "--data", prep, "--style-cache", cache,
+                       "--checkpoint-dir", taken_file), taken_file, "File exists"),
+            "sweep": (("sweep", "--config", tiny_config, "--data", prep,
+                       "--report-dir", taken_file), taken_file, "File exists"),
+            "dynamic": (("dynamic", "--config", tiny_config, "--sessions",
+                         tmp_path / "sessions.jsonl", "--report-dir", taken_file),
+                        taken_file, "File exists"),
         }[command]
         capsys.readouterr()
         assert run(*argv) == 1
         assert capsys.readouterr().err == f"error input-error: {path}: {reason}\n"
+        assert calls == []  # no run trained
 
 
 class TestSuiteDynamicSweep:
@@ -573,10 +595,12 @@ class TestPreparedDatasetInput:
                    ).encode(),
         json.dumps({**GOOD, "max_len": 1}).encode(),
         json.dumps({**GOOD, "catalog_size": 0}).encode(),
+        json.dumps({**GOOD, "test": []}).encode(),  # eval would have nothing to rank
     ], ids=["json", "missing-split", "list", "bad-t", "not-utf8", "padding-id", "float-t",
             "bool-item", "float-max-len", "string-max-len", "string-catalog-size",
             "float-catalog-size", "bool-catalog-size", "bool-padding-id", "id-above-catalog",
-            "one-item-session", "session-over-max-len", "max-len-1", "catalog-size-0"])
+            "one-item-session", "session-over-max-len", "max-len-1", "catalog-size-0",
+            "empty-test"])
     def test_malformed_dataset_is_input_error(self, tmp_path, capsys, blob):
         data = tmp_path / "prep.json"
         data.write_bytes(blob)

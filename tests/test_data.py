@@ -289,8 +289,10 @@ class TestToJson:
     """``to_json`` writes its text directly; ``json.dumps(doc, indent=1)`` is the oracle."""
 
     @pytest.mark.parametrize("splits", [
-        {"train": [Session("séance-ü", PURCHASE, 1, (3, 4)), Session("日本\u2028", CART, 2, (5, 6))]},
-        {"train": [Session('q"uote\\back\nline\t', PURCHASE, 0, (1, 2))]},
+        {"train": [Session("séance-ü", PURCHASE, 1, (3, 4)), Session("日本\u2028", CART, 2, (5, 6))],
+         "test": [Session("t", PURCHASE, 9, (1, 2))]},
+        {"train": [Session('q"uote\\back\nline\t', PURCHASE, 0, (1, 2))],
+         "test": [Session("t", PURCHASE, 9, (1, 2))]},
         {"train": [Session("one", PURCHASE, 7, (9,))], "test": [Session("two", PURCHASE, 8, (1,))]},
         {"val": [Session("v", CART, 3, (2, 1, 2))]},
         {},
@@ -303,6 +305,10 @@ class TestToJson:
         if any(len(s.items) < 2 for s in ds.all_sessions()):
             # a one-item session holds no input/target pair: the reader rejects it
             with pytest.raises(InputError, match="session 'one'"):
+                PreparedDataset.from_json(text)
+            return
+        if not ds.test:  # eval needs a test split, so the reader rejects a dataset without one
+            with pytest.raises(InputError, match="empty test split"):
                 PreparedDataset.from_json(text)
             return
         back = PreparedDataset.from_json(text)

@@ -31,8 +31,9 @@ from stylerec.training import (
     ADAM_WORKERS,
     CONFIGURATIONS,
     Adam,
-    SweepRun,
+    Run,
     TrainConfig,
+    TrainResult,
     _catalog_pool,
     curve_lines,
     dynamic_experiment,
@@ -43,10 +44,11 @@ from stylerec.training import (
     oracle_scorer,
     popularity_scorer,
     random_scorer,
-    run_configuration_suite,
+    run_experiment,
     sample_negatives,
-    sweep,
+    suite_runs,
     sweep_order_key,
+    sweep_runs,
     train,
     training_loss,
 )
@@ -551,15 +553,16 @@ class TestSuiteAndExperiments:
         ds = prepare_dataset(sessions, max_len=8)
         rng = np.random.default_rng(12)
         style = rng.standard_normal((9, 512)).astype(np.float32)
-        out = run_configuration_suite(ds, dict(TINY_KWARGS),
-                                      TrainConfig(epochs=1, seed=12),
-                                      style_table=style)
-        assert tuple(out) == CONFIGURATIONS
+        rows = list(run_experiment(suite_runs(ds, dict(TINY_KWARGS),
+                                              TrainConfig(epochs=1, seed=12),
+                                              style_table=style)))
+        assert tuple(run.train_cfg.configuration for run, _, _ in rows) == CONFIGURATIONS
         n_test = len(ds.test)
-        for name, stuff in out.items():
-            assert len(stuff["report"].ranks) == n_test
-            uses_cart = "Cart" in name
-            assert (stuff["result"].cart_sessions_used > 0) == uses_cart
+        for run, result, report in rows:
+            assert len(report.ranks) == n_test
+            assert (run.style_table is not None) == run.train_cfg.use_style
+            uses_cart = "Cart" in run.train_cfg.configuration
+            assert (result.cart_sessions_used > 0) == uses_cart
 
     def test_suite_requires_style_table(self, monkeypatch):
         ds, _ = tiny_dataset()
@@ -571,17 +574,28 @@ class TestSuiteAndExperiments:
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(training, "train", counting_train)
-        with pytest.raises(ConfigError, match="need a style table"):
-            run_configuration_suite(ds, dict(TINY_KWARGS), TrainConfig(epochs=1))
+        with pytest.raises(ConfigError, match="a style model needs a style table"):
+            list(run_experiment(suite_runs(ds, dict(TINY_KWARGS), TrainConfig(epochs=1))))
         assert calls == []  # fails before any configuration trains
+
+    def test_run_experiment_checks_every_run_before_training(self, monkeypatch):
+        ds, _ = tiny_dataset()
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
+        cfg = TrainConfig(epochs=1)
+        runs = [Run("fits", ds, ModelConfig(**TINY_MODEL), cfg),
+                Run("short", ds, ModelConfig(**{**TINY_MODEL, "max_len": 6}), cfg)]
+        with pytest.raises(ConfigError, match="model max_len 6 differs from the dataset's 8"):
+            list(run_experiment(runs))
+        assert calls == []
 
     def test_suite_rejects_use_style_kwarg(self):
         ds, _ = tiny_dataset()
         style = np.zeros((ds.catalog_size + 1, 512), dtype=np.float32)
         for owned, value in (("use_style", True), ("max_len", 8)):
             with pytest.raises(ConfigError, match=f"the run sets {owned};"):
-                run_configuration_suite(ds, {**TINY_KWARGS, owned: value},
-                                        TrainConfig(epochs=1), style_table=style)
+                suite_runs(ds, {**TINY_KWARGS, owned: value}, TrainConfig(epochs=1),
+                           style_table=style)
 
     def test_dynamic_curve_length_and_series(self):
         sessions, _ = generate_synthetic(8, 150, length_range=(4, 7), seed=13)
@@ -611,36 +625,39 @@ class TestSuiteAndExperiments:
         ds, _ = tiny_dataset(P=8, n=100, seed=15)
         kwargs = {k: v for k, v in TINY_KWARGS.items() if k != "d_ffn"}
         cfg = TrainConfig(epochs=1, seed=15, hidden_dim_grid=(16,), l2_grid=(0.001,))
-        result = sweep(ds, kwargs, cfg)
-        assert len(result.runs) == 1
-        assert result.best.hidden_dim == 16 and result.best.l2 == 0.001
-        assert result.best_result.params.config.d_ffn == 16
+        logged = []
+        rows = list(run_experiment(sweep_runs(ds, kwargs, cfg), test=False, log=logged.append))
+        assert len(rows) == 1
+        run, result, report = rows[0]
+        assert run.model_cfg.d_ffn == 16 and run.train_cfg.l2 == 0.001
+        assert result.params.config.d_ffn == 16
+        # a selection run logs its label only, and never ranks the test split
+        assert logged == ["sweep: hidden 16, l2 0.001"] and report is None
 
     def test_sweep_budget_and_order(self):
         ds, _ = tiny_dataset(P=8, n=100, seed=16)
         kwargs = {k: v for k, v in TINY_KWARGS.items() if k != "d_ffn"}
         cfg = TrainConfig(epochs=1, seed=16, hidden_dim_grid=(8, 16),
                           l2_grid=(0.1, 0.001))
-        result = sweep(ds, kwargs, cfg, budget=3)
-        assert [(r.hidden_dim, r.l2) for r in result.runs] == [
+        rows = run_experiment(sweep_runs(ds, kwargs, cfg, budget=3), test=False)
+        assert [(run.model_cfg.d_ffn, run.train_cfg.l2) for run, _, _ in rows] == [
             (8, 0.1), (8, 0.001), (16, 0.1)]
 
     def test_sweep_tie_break_order(self):
-        runs = [
-            SweepRun(hidden_dim=64, l2=0.001, val_ndcg5=0.5, best_epoch=0),
-            SweepRun(hidden_dim=16, l2=0.1, val_ndcg5=0.5, best_epoch=0),
-            SweepRun(hidden_dim=16, l2=0.001, val_ndcg5=0.5, best_epoch=0),
-            SweepRun(hidden_dim=8, l2=0.1, val_ndcg5=0.4, best_epoch=0),
-        ]
-        best = min(runs, key=sweep_order_key)
-        assert (best.hidden_dim, best.l2) == (16, 0.001)
+        def row(hidden_dim, l2, val_ndcg5):
+            run = Run("", None, ModelConfig(d_ffn=hidden_dim), TrainConfig(l2=l2))
+            return run, TrainResult(None, [], 0, val_ndcg5, NEGSAMPLE, 0, ""), None
+
+        rows = [row(64, 0.001, 0.5), row(16, 0.1, 0.5), row(16, 0.001, 0.5), row(8, 0.1, 0.4)]
+        best, _, _ = min(rows, key=sweep_order_key)
+        assert (best.model_cfg.d_ffn, best.train_cfg.l2) == (16, 0.001)
 
     def test_sweep_rejects_owned_kwargs(self):
         ds, _ = tiny_dataset()
         kwargs = {k: v for k, v in TINY_KWARGS.items() if k != "d_ffn"}
         for owned, value in (("d_ffn", 8), ("use_style", False), ("max_len", 8)):
             with pytest.raises(ConfigError, match=f"the run sets {owned};"):
-                sweep(ds, {**kwargs, owned: value}, TrainConfig(epochs=1))
+                sweep_runs(ds, {**kwargs, owned: value}, TrainConfig(epochs=1))
 
 
 class TestTrainConfigValidation:
