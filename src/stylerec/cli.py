@@ -160,9 +160,18 @@ def _require_file(path: Optional[str], what: str) -> Path:
     return p
 
 
-def _write(path: Path, text: str) -> None:
+def _out_file(path) -> Path:
+    """An output file's path, its parent directory made; a directory there is refused
+    at once, before the work whose result the file would hold."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    if path.is_dir():
+        raise InputError(f"{path}: Is a directory")
+    return path
+
+
+def _write(path: Path, text: str) -> None:
+    _out_file(path).write_text(text, encoding="utf-8", newline="\n")
     print(f"wrote {path}")
 
 
@@ -252,6 +261,8 @@ def _stylegen_vector(args: argparse.Namespace, pid: int, seed: int):
 
 
 def cmd_stylegen(rc: RunConfig, args: argparse.Namespace) -> int:
+    if args.products < 1:
+        raise ConfigError("--products must be >= 1")
     if bool(args.features) == bool(args.pseudo):
         raise ConfigError("pick exactly one source: --features DIR or --pseudo --images DIR")
     if args.pseudo and not args.images:
@@ -259,12 +270,13 @@ def cmd_stylegen(rc: RunConfig, args: argparse.Namespace) -> int:
     source = Path(args.features or args.images)
     if not source.is_dir():
         raise InputError(f"source directory not found: {source}")
+    out = _out_file(args.out)
     provider_seed = derive_seed(rc.seed, "style-provider")
     raw = {pid: vec for pid in range(1, args.products + 1)
            if (vec := _stylegen_vector(args, pid, provider_seed)) is not None}
     vectors = dict.fromkeys(range(1, args.products + 1), np.zeros(STYLE_DIM, dtype=np.float32))
     vectors.update(standardize_embeddings(raw))
-    save_style_cache(vectors, Path(args.out))
+    save_style_cache(vectors, out)
     missing = args.products - len(raw)
     if missing:
         print(f"warning: {missing} of {args.products} products have no image; "
@@ -275,14 +287,14 @@ def cmd_stylegen(rc: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_synth(rc: RunConfig, args: argparse.Namespace) -> int:
     length_range = (args.length_min, args.length_max)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_file(args.out)
+    oracle_path = _out_file(str(out) + ".oracle.npz")
     if args.style_correlated:
+        cache = _out_file(str(out) + ".style.s4se")
         sessions, oracle, vectors = generate_style_correlated(
             args.products, args.n_sessions, n_clusters=args.clusters,
             length_range=length_range, seed=rc.seed,
             dominant_mass=args.dominant_mass, cart_ratio=args.cart_ratio)
-        cache = Path(str(out) + ".style.s4se")
         save_style_cache(standardize_embeddings(vectors), cache)
         print(f"wrote {cache}")
     else:
@@ -291,7 +303,6 @@ def cmd_synth(rc: RunConfig, args: argparse.Namespace) -> int:
             dominant_mass=args.dominant_mass, cart_ratio=args.cart_ratio,
             order=args.order)
     write_sessions(sessions, out)
-    oracle_path = Path(str(out) + ".oracle.npz")
     oracle.save(oracle_path)
     print(f"wrote {out} ({args.n_sessions} sessions over {args.products} products, "
           f"seed {rc.seed})")

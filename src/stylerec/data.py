@@ -43,6 +43,7 @@ class Session:
     items: tuple
 
     def __post_init__(self):
+        json_value(self.t, int, "session t")  # so the writers' templates match json.dumps
         if self.kind not in (PURCHASE, CART):
             raise InputError(f"session {self.session_id!r}: unknown kind {self.kind!r}")
         items = tuple(self.items)
@@ -66,7 +67,7 @@ class Session:
         """Inverse of ``to_row``; a missing or mistyped field raises InputError."""
         if not isinstance(row, dict) or not {"session_id", "kind", "t", "items"} <= row.keys():
             raise InputError("a session must be a JSON object with session_id, kind, t and items")
-        return cls(str(row["session_id"]), row["kind"], json_value(row["t"], int, "session t"),
+        return cls(str(row["session_id"]), row["kind"], row["t"],
                    tuple(json_value(row["items"], list, "session items")))
 
 
@@ -167,11 +168,15 @@ def parse_sessions(path) -> list:
     return sessions
 
 
+# one sessions-file line as json.dumps(session.to_row()) writes it
+_LINE = '{{"session_id": {}, "kind": {}, "t": {}, "items": [{}]}}\n'
+
+
 def write_sessions(sessions: Iterable[Session], path) -> None:
-    """Write sessions in the line format parse_sessions reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sessions:
-            fh.write(json.dumps(s.to_row()) + "\n")
+    """Write sessions in the line format parse_sessions reads, one template per line."""
+    with open(path, "w", encoding="utf-8") as fh:  # streamed: no copy of the whole file
+        fh.writelines(_LINE.format(json.dumps(s.session_id), json.dumps(s.kind), s.t,
+                                   ", ".join(map(str, s.items))) for s in sessions)
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +423,18 @@ def generate_synthetic(
                              order=order, cluster_of=cluster_of)
     rng = rng_for(seed, "sessions")
     sessions = []
+    cdfs = {}  # history suffix -> CDF of the next item, built on the state's first visit
     for idx in range(n_sessions):
         length = int(rng.integers(lo, hi + 1))
-        items = [int(rng.choice(P, p=initial)) + 1]
-        while len(items) < length:
-            probs = oracle.next_distribution(items)
-            items.append(int(rng.choice(P, p=probs)) + 1)
-        kind = CART if rng.random() < cart_ratio else PURCHASE
+        draws = rng.random(length + 1)  # one per item, then the cart flag's
+        items = []
+        for u in draws[:length]:
+            state = tuple(items[-order:])
+            if (cdf := cdfs.get(state)) is None:  # Generator.choice's own CDF, built once
+                cdf = cdfs[state] = np.cumsum(oracle.next_distribution(state))
+                cdf /= cdf[-1]
+            items.append(int(cdf.searchsorted(u, side="right")) + 1)
+        kind = CART if draws[length] < cart_ratio else PURCHASE
         sessions.append(Session(f"syn{idx:06d}", kind, idx, tuple(items)))
     return sessions, oracle
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stylerec import cli, errors, training
+from stylerec import cli, data, errors, training
 from stylerec.data import PURCHASE, PreparedDataset, Session, generate_synthetic, write_sessions
 from stylerec.errors import FormatError, InputError
 from stylerec.style import load_style_cache, save_style_cache, write_feature_maps
@@ -251,6 +251,16 @@ class TestStylegen:
         assert run("stylegen", "--features", feat, "--pseudo", "--images", feat,
                    "--products", 2, "--out", tmp_path / "c") == 2
 
+    @pytest.mark.parametrize("products", [0, -3])
+    def test_products_below_one_is_config_error(self, tmp_path, capsys, products):
+        feat = tmp_path / "feat"
+        feat.mkdir()
+        self.write_features(feat, 1, 1)
+        assert run("stylegen", "--features", feat, "--products", products,
+                   "--out", tmp_path / "c.s4se") == 2
+        assert capsys.readouterr().err == "error config-error: --products must be >= 1\n"
+        assert not (tmp_path / "c.s4se").exists()
+
     def test_no_images_at_all_rejected(self, tmp_path):
         feat = tmp_path / "empty"
         feat.mkdir()
@@ -361,10 +371,11 @@ class TestTrainEval:
 
 class TestPathErrors:
     """An OS error on a path the user named is one input-error line naming it; a
-    command that trains meets it before the first epoch."""
+    command that trains meets it before the first epoch, and ``stylegen`` and ``synth``
+    meet it before the first product or session."""
 
-    @pytest.mark.parametrize("command", ["preprocess", "synth", "eval", "train", "suite",
-                                         "sweep", "dynamic"])
+    @pytest.mark.parametrize("command", ["preprocess", "synth", "stylegen", "eval", "train",
+                                         "suite", "sweep", "dynamic"])
     def test_os_error_is_one_input_error_line(self, tmp_path, tiny_config, capsys, monkeypatch,
                                               command):
         prep = make_prepared(tmp_path)
@@ -376,20 +387,29 @@ class TestPathErrors:
         taken_dir.mkdir()
         taken_file = tmp_path / "taken.txt"
         taken_file.write_text("not a directory\n", encoding="utf-8")
+        images = tmp_path / "img"
+        images.mkdir()
+        np.save(images / "1.npy", np.random.default_rng(1).random((8, 8, 3)))
         calls = []
-        real_train = training.train
 
-        def counting_train(*args, **kwargs):
-            calls.append(args)
-            return real_train(*args, **kwargs)
+        def counting(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(training, "train", counting_train)
-        monkeypatch.setattr(cli, "train", counting_train)
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((training, "train"), (cli, "train"), (cli, "generate_synthetic"),
+                             (data, "generate_synthetic"), (cli, "pseudo_feature_provider")):
+            counting(module, name)
         argv, path, reason = {
             "preprocess": (("preprocess", "--sessions", tmp_path / "sessions.jsonl",
                             "--out", taken_dir), taken_dir, "Is a directory"),
             "synth": (("synth", "--products", 4, "--sessions", 5, "--out", taken_dir),
                       taken_dir, "Is a directory"),
+            "stylegen": (("stylegen", "--pseudo", "--images", images, "--products", 2,
+                          "--out", taken_dir), taken_dir, "Is a directory"),
             "eval": (("eval", "--config", tiny_config, "--checkpoint", ckpt, "--data", prep,
                       "--report-dir", taken_file), taken_file, "File exists"),
             "train": (("train", "--config", tiny_config, "--data", prep,
@@ -405,7 +425,19 @@ class TestPathErrors:
         capsys.readouterr()
         assert run(*argv) == 1
         assert capsys.readouterr().err == f"error input-error: {path}: {reason}\n"
-        assert calls == []  # no run trained
+        assert calls == []  # no run trained, no session drawn, no image read
+        assert not list(tmp_path.glob("taken.*.*"))  # nor an oracle or a style cache
+
+    @pytest.mark.parametrize("command", ["stylegen", "synth"])
+    def test_missing_output_parent_is_created(self, tmp_path, command):
+        out = tmp_path / "new" / "deeper" / "out"
+        feat = tmp_path / "feat"
+        feat.mkdir()
+        write_feature_maps([np.ones((64, 6, 6), dtype=np.float32)] * 2, feat / "1.s4rf")
+        assert run(*{"stylegen": ("stylegen", "--features", feat, "--products", 2),
+                     "synth": ("synth", "--products", 4, "--sessions", 5)}[command],
+                   "--out", out) == 0
+        assert out.is_file()
 
 
 class TestSuiteDynamicSweep:

@@ -27,6 +27,7 @@ from stylerec.data import (
     write_sessions,
 )
 from stylerec.errors import ConfigError, InputError
+from stylerec.seeding import rng_for
 
 
 def make_sessions(n, kind=PURCHASE, start_t=0, prefix="s"):
@@ -52,6 +53,13 @@ class TestSessionValidation:
     def test_negative_id_rejected(self):
         with pytest.raises(InputError):
             Session("a", PURCHASE, 0, (1, -3))
+
+    @pytest.mark.parametrize("t", [True, 2.5, "3", None, np.int64(3)],
+                             ids=["bool", "float", "str", "none", "np.int64"])
+    def test_non_int_t_rejected(self, t):
+        # write_sessions and to_json write t with str(); only an int reads back as JSON's
+        with pytest.raises(InputError, match=r"^session t must be a JSON int, not "):
+            Session("a", PURCHASE, t, (1, 2))
 
     def test_items_coerced_to_int_tuple(self):
         s = Session("a", CART, 5, [np.int64(4), 7])
@@ -142,6 +150,27 @@ class TestParsing:
         )
         parsed = parse_sessions(path)
         assert parsed == [Session("a", CART, 3, (9, 9, 4))]
+
+
+class TestWriteSessions:
+    """``write_sessions`` builds its lines from a template; ``json.dumps`` is the oracle."""
+
+    @pytest.mark.parametrize("session_id", ["séance-ü 日本\u2028", 'q"uote', "back\\slash",
+                                            "new\nline", ""],
+                             ids=["non-ascii", "quote", "backslash", "newline", "empty"])
+    def test_bytes_match_json_dumps(self, tmp_path, session_id):
+        sessions = [Session(session_id, CART, 12345678901, (7, 1, 7)),
+                    Session(session_id + "-2", PURCHASE, -3, (2, 30))]
+        path = tmp_path / "sessions.jsonl"
+        write_sessions(sessions, path)
+        assert path.read_bytes() == "".join(
+            json.dumps(s.to_row()) + "\n" for s in sessions).encode("utf-8")
+        assert parse_sessions(path) == sessions
+
+    def test_no_sessions_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "none.jsonl"
+        write_sessions([], path)
+        assert path.read_bytes() == b"" and parse_sessions(path) == []
 
 
 class TestPreprocessing:
@@ -426,6 +455,55 @@ class TestSyntheticOracle:
             generate_synthetic(5, 10, length_range=(1, 4))
         with pytest.raises(ConfigError):
             make_transition(5, seed=0, dominant_mass=1.0)
+
+
+def choice_sampler(oracle, n_sessions, length_range, seed, cart_ratio):
+    """The generator's sessions drawn with numpy's own ``Generator.choice``: per session
+    one length, then one ``choice`` per item, then the cart flag."""
+    rng = rng_for(seed, "sessions")
+    sessions = []
+    for idx in range(n_sessions):
+        length = int(rng.integers(length_range[0], length_range[1] + 1))
+        items = []
+        while len(items) < length:
+            probs = oracle.next_distribution(items)
+            items.append(int(rng.choice(probs.size, p=probs)) + 1)
+        kind = CART if rng.random() < cart_ratio else PURCHASE
+        sessions.append(Session(f"syn{idx:06d}", kind, idx, tuple(items)))
+    return sessions
+
+
+class TestSamplerMatchesChoice:
+    """``generate_synthetic`` draws from CDFs it builds once per state; every session
+    equals the one ``Generator.choice`` draws from the same stream."""
+
+    @pytest.mark.parametrize("cart_ratio", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("length_range", [(2, 2), (3, 20)], ids=["len2", "len3-20"])
+    @pytest.mark.parametrize("P, order, clusters", [
+        (2, 1, None), (300, 1, None), (2, 2, None), (12, 2, None), (300, 1, 5)],
+        ids=["P2-order1", "P300-order1", "P2-order2", "P12-order2", "P300-clusters"])
+    def test_sessions_and_oracle_are_identical(self, P, order, clusters, length_range,
+                                               cart_ratio):
+        n, seed = 150, 11
+        if clusters:
+            sessions, oracle, _ = generate_style_correlated(
+                P, n, n_clusters=clusters, length_range=length_range, seed=seed,
+                cart_ratio=cart_ratio)
+            cluster_of = (np.arange(P) * clusters) // P
+        else:
+            sessions, oracle = generate_synthetic(P, n, length_range=length_range, seed=seed,
+                                                  cart_ratio=cart_ratio, order=order)
+            cluster_of = None
+        reference = SyntheticOracle(make_transition(P, seed, order=order, cluster_of=cluster_of),
+                                    np.full(P, 1.0 / P), seed, order, cluster_of)
+        assert sessions == choice_sampler(reference, n, length_range, seed, cart_ratio)
+        np.testing.assert_array_equal(oracle.transition, reference.transition)
+        np.testing.assert_array_equal(oracle.initial, reference.initial)
+        assert oracle.order == order and oracle.seed == seed
+        if clusters:
+            np.testing.assert_array_equal(oracle.cluster_of, cluster_of)
+        else:
+            assert oracle.cluster_of is None
 
 
 class TestSecondOrder:
