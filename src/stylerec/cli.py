@@ -24,12 +24,14 @@ import argparse
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .data import (
     PreparedDataset,
+    check_generator_args,
+    check_max_len,
     dataset_statistics,
     format_statistics_table,
     generate_style_correlated,
@@ -58,6 +60,8 @@ from .style import (
 from .training import (
     CONFIGURATIONS,
     TrainConfig,
+    _check_fit,
+    _check_run,
     curve_lines,
     dynamic_runs,
     evaluate_test_split,
@@ -160,37 +164,29 @@ def _require_file(path: Optional[str], what: str) -> Path:
     return p
 
 
-def _out_file(path) -> Path:
-    """An output file's path, its parent directory made; a directory there is refused
-    at once, before the work whose result the file would hold."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.is_dir():
-        raise InputError(f"{path}: Is a directory")
-    return path
-
-
-def _write(path: Path, text: str) -> None:
-    _out_file(path).write_text(text, encoding="utf-8", newline="\n")
-    print(f"wrote {path}")
-
-
-def _report(rc: RunConfig, name: str, lines: list, shown: str = "") -> None:
-    """Print ``shown``, if any, then write ``lines`` to ``<report_dir>/<name>.txt``."""
-    if shown:
-        print(shown)
-    _write(Path(rc.report_dir) / f"{name}.txt", "\n".join(lines) + "\n")
-
-
-def _make_dirs(*dirs) -> None:
-    """Create a run's output directories before its first epoch, so that a path
-    which cannot take its files fails the run at once, not after the training."""
-    for d in dirs:
-        Path(d).mkdir(parents=True, exist_ok=True)
+def _claim(*paths) -> List[Path]:
+    """Every file a command writes, claimed after its checks and before its first unit of
+    work: a directory at a file's path, or a file where a parent directory must go, is an
+    InputError before any directory is made, so a refused run makes nothing."""
+    paths = [Path(p) for p in paths]
+    for path in paths:
+        if path.is_dir():
+            raise InputError(f"{path}: Is a directory")
+        existing = next(d for d in path.parents if d.exists())  # "." or "/" at the latest
+        if not existing.is_dir():
+            raise InputError(f"{existing}: File exists")
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    return paths
 
 
 def _checkpoint(rc: RunConfig, name: str, out: Optional[str] = None) -> Path:
     return Path(out) if out else Path(rc.checkpoint_dir) / f"model-{name}.s4ck"
+
+
+def _write(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8", newline="\n")
+    print(f"wrote {path}")
 
 
 def _save(params, path: Path) -> None:
@@ -212,7 +208,10 @@ def _load_style_table(rc: RunConfig, catalog_size: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_preprocess(rc: RunConfig, args: argparse.Namespace) -> int:
-    sessions = parse_sessions(_require_file(rc.sessions, "sessions file"))
+    source = _require_file(rc.sessions, "sessions file")
+    check_max_len(args.max_len)
+    out, stats_out = _claim(args.out, f"{Path(args.out)}.stats.txt")
+    sessions = parse_sessions(source)
     ds = prepare_dataset(sessions, max_len=args.max_len)
     stats = format_statistics_table(dataset_statistics(sessions))
     summary = "\n".join([
@@ -225,9 +224,8 @@ def cmd_preprocess(rc: RunConfig, args: argparse.Namespace) -> int:
         "",
     ])
     print(summary, end="")
-    out = Path(args.out)
     _write(out, ds.to_json())
-    _write(Path(str(out) + ".stats.txt"), summary)
+    _write(stats_out, summary)
     return 0
 
 
@@ -270,7 +268,7 @@ def cmd_stylegen(rc: RunConfig, args: argparse.Namespace) -> int:
     source = Path(args.features or args.images)
     if not source.is_dir():
         raise InputError(f"source directory not found: {source}")
-    out = _out_file(args.out)
+    out, = _claim(args.out)
     provider_seed = derive_seed(rc.seed, "style-provider")
     raw = {pid: vec for pid in range(1, args.products + 1)
            if (vec := _stylegen_vector(args, pid, provider_seed)) is not None}
@@ -286,22 +284,21 @@ def cmd_stylegen(rc: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_synth(rc: RunConfig, args: argparse.Namespace) -> int:
-    length_range = (args.length_min, args.length_max)
-    out = _out_file(args.out)
-    oracle_path = _out_file(str(out) + ".oracle.npz")
+    gen = dict(length_range=(args.length_min, args.length_max),
+               dominant_mass=args.dominant_mass, cart_ratio=args.cart_ratio)
+    n_clusters = args.clusters if args.style_correlated else None
+    check_generator_args(args.products, args.n_sessions, order=args.order, n_clusters=n_clusters,
+                         **gen)
+    suffixes = [".oracle.npz"] + [".style.s4se"] * args.style_correlated
+    out, oracle_path, *cache = _claim(args.out, *(f"{Path(args.out)}{x}" for x in suffixes))
     if args.style_correlated:
-        cache = _out_file(str(out) + ".style.s4se")
         sessions, oracle, vectors = generate_style_correlated(
-            args.products, args.n_sessions, n_clusters=args.clusters,
-            length_range=length_range, seed=rc.seed,
-            dominant_mass=args.dominant_mass, cart_ratio=args.cart_ratio)
-        save_style_cache(standardize_embeddings(vectors), cache)
-        print(f"wrote {cache}")
+            args.products, args.n_sessions, n_clusters, seed=rc.seed, **gen)
+        save_style_cache(standardize_embeddings(vectors), cache[0])
+        print(f"wrote {cache[0]}")
     else:
-        sessions, oracle = generate_synthetic(
-            args.products, args.n_sessions, length_range=length_range, seed=rc.seed,
-            dominant_mass=args.dominant_mass, cart_ratio=args.cart_ratio,
-            order=args.order)
+        sessions, oracle = generate_synthetic(args.products, args.n_sessions, seed=rc.seed,
+                                              order=args.order, **gen)
     write_sessions(sessions, out)
     oracle.save(oracle_path)
     print(f"wrote {out} ({args.n_sessions} sessions over {args.products} products, "
@@ -314,8 +311,9 @@ def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     ds, table = _inputs(rc, cfg.use_style)
     model_cfg = run_model_config(rc.model, cfg, ds.max_len)
-    ckpt = _checkpoint(rc, cfg.configuration, args.out)
-    _make_dirs(ckpt.parent, rc.report_dir)
+    _check_run(ds, model_cfg, cfg, table)
+    ckpt, report = _claim(_checkpoint(rc, cfg.configuration, args.out),
+                          Path(rc.report_dir, f"train-{cfg.configuration}.txt"))
     result = train(ds, model_cfg, cfg, style_table=table, log=print)
     _save(result.params, ckpt)
     lines = [f"checkpoint: {ckpt.name}",
@@ -326,7 +324,7 @@ def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
     for entry in result.history:
         lines.append(f"epoch {entry['epoch']} loss {entry['loss']:.6f} "
                      f"val_ndcg5 {entry['val']['NDCG@5']:.6f}")
-    _report(rc, f"train-{cfg.configuration}", lines)
+    _write(report, "\n".join(lines) + "\n")
     return 0
 
 
@@ -334,21 +332,17 @@ def cmd_eval(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     ds, _ = _inputs(rc, use_style=False)
-    # wide enough for either catalog, so a mismatch reaches evaluate_test_split's check
+    # wide enough for either catalog, so a mismatch reaches the fit check
     size = max(params.catalog_size, ds.catalog_size)
     table = _load_style_table(rc, size) if params.config.use_style else None
+    _check_fit(params.config, params.catalog_size, ds, table)
+    out, = _claim(Path(rc.report_dir, f"eval-{args.label}.txt"))
     report = evaluate_test_split(params, ds, cfg, table)
     shown = format_report_table({args.label: report})
-    _report(rc, f"eval-{args.label}", [
-        f"checkpoint: {Path(args.checkpoint).name}",
-        f"mode: {report.mode}",
-        f"seed: {cfg.seed}",
-        f"sessions: {len(ds.test)}",
-        "",
-        *report.machine_lines(args.label),
-        "",
-        shown,
-    ], shown)
+    print(shown)
+    _write(out, "\n".join([f"checkpoint: {Path(args.checkpoint).name}", f"mode: {report.mode}",
+                           f"seed: {cfg.seed}", f"sessions: {len(ds.test)}", "",
+                           *report.machine_lines(args.label), "", shown]) + "\n")
     return 0
 
 
@@ -356,14 +350,16 @@ def cmd_suite(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     ds, table = _inputs(rc, use_style=True)
     rows = run_experiment(suite_runs(ds, rc.model, cfg, table), log=print)
-    _make_dirs(rc.checkpoint_dir, rc.report_dir)
+    *_, out = _claim(*(_checkpoint(rc, name) for name in CONFIGURATIONS),
+                     Path(rc.report_dir, "suite.txt"))
     reports = {run.train_cfg.configuration: (result, report) for run, result, report in rows}
     lines = [f"seed: {cfg.seed}", f"test_sessions: {len(ds.test)}", ""]
     for name, (result, report) in reports.items():
         _save(result.params, _checkpoint(rc, name))
         lines.extend(report.machine_lines(name))
     shown = format_report_table({name: report for name, (_, report) in reports.items()})
-    _report(rc, "suite", lines + ["", shown], shown)
+    print(shown)
+    _write(out, "\n".join(lines + ["", shown]) + "\n")
     return 0
 
 
@@ -372,10 +368,11 @@ def cmd_dynamic(rc: RunConfig, args: argparse.Namespace) -> int:
     sessions = parse_sessions(_require_file(rc.sessions, "sessions file"))
     table = _load_style_table(rc, max_product_id(sessions)) if cfg.use_style else None
     rows = run_experiment(dynamic_runs(sessions, rc.max_lens, rc.model, cfg, table), log=print)
-    _make_dirs(rc.report_dir)
+    out, = _claim(Path(rc.report_dir, "dynamic.txt"))
     curve = [(run.dataset.max_len, report) for run, _, report in rows]
-    lines = [f"seed: {cfg.seed}", *curve_lines(curve)]
-    _report(rc, "dynamic", lines, "\n".join(lines))
+    text = "\n".join([f"seed: {cfg.seed}", *curve_lines(curve)])
+    print(text)
+    _write(out, text + "\n")
     return 0
 
 
@@ -386,7 +383,7 @@ def cmd_sweep(rc: RunConfig, args: argparse.Namespace) -> int:
     kwargs = {k: v for k, v in rc.model.items() if k != "d_ffn"}
     rows = run_experiment(sweep_runs(ds, kwargs, cfg, table, budget=args.budget), test=False,
                           log=print)
-    _make_dirs(rc.checkpoint_dir, rc.report_dir)
+    ckpt, out = _claim(_checkpoint(rc, "sweep-best"), Path(rc.report_dir, "sweep.txt"))
     lines = [f"seed: {cfg.seed}", "hidden l2 val_ndcg5 best_epoch"]
     best = None
     for row in rows:  # one row at a time, so only the best point's model stays in memory
@@ -397,9 +394,10 @@ def cmd_sweep(rc: RunConfig, args: argparse.Namespace) -> int:
     run, result, _ = best
     lines.append(f"best: hidden {run.model_cfg.d_ffn} l2 {run.train_cfg.l2} "
                  f"val_ndcg5 {result.best_val_ndcg5:.6f}")
-    print("\n".join(lines))
-    _save(result.params, _checkpoint(rc, "sweep-best"))
-    _report(rc, "sweep", lines)
+    text = "\n".join(lines)
+    print(text)
+    _save(result.params, ckpt)
+    _write(out, text + "\n")
     return 0
 
 
@@ -509,8 +507,9 @@ def main(argv=None) -> int:
     except StyleRecError as e:
         print(f"error {e.kind}: {e}", file=sys.stderr)
         return e.exit_code
-    except OSError as e:  # a path the user named cannot be read or written
-        detail = f"{e.filename}: {e.strerror}" if e.filename else str(e)
+    except (OSError, MemoryError) as e:  # a user path that fails, or a size too big to hold
+        detail = (f"{e.filename}: {e.strerror}" if getattr(e, "filename", None)
+                  else str(e) or "out of memory")
         print(f"error {InputError.kind}: {detail}", file=sys.stderr)
         return InputError.exit_code
 

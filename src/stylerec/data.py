@@ -193,13 +193,17 @@ def dedupe_trailing(items: Sequence[int]) -> list:
     return out
 
 
+def check_max_len(max_len: int) -> None:
+    if max_len < 2:
+        raise ConfigError(f"max_len must be >= 2, got {max_len}")
+
+
 def truncate_pad(items: Sequence[int], max_len: int = 20):
     """Keep the last ``max_len`` items; pad short lists with 0 as a suffix.
 
     Returns ``(padded_items, validity_mask)``, both of length max_len.
     """
-    if max_len < 2:
-        raise ConfigError(f"max_len must be >= 2, got {max_len}")
+    check_max_len(max_len)
     kept = list(items)[-max_len:]
     pad = max_len - len(kept)
     return kept + [PADDING_ID] * pad, [True] * len(kept) + [False] * pad
@@ -266,8 +270,7 @@ def prepare_dataset(
 ) -> PreparedDataset:
     """Full preprocessing pipeline: overlap removal, per-session cleaning,
     temporal split with purchase-only test."""
-    if max_len < 2:
-        raise ConfigError(f"max_len must be >= 2, got {max_len}")
+    check_max_len(max_len)
     purchases = [s for s in sessions if s.kind == PURCHASE]
     carts = [s for s in sessions if s.kind == CART]
     purchases, carts = remove_overlap(purchases, carts)
@@ -361,6 +364,26 @@ class SyntheticOracle:
         )
 
 
+def check_generator_args(catalog_size: int, n_sessions: int = 1, *, length_range=(3, 12),
+                         dominant_mass: float = 0.8, cart_ratio: float = 0.0, order: int = 1,
+                         n_clusters: Optional[int] = None) -> None:
+    """A ConfigError unless the synthetic generators take these arguments; with
+    ``n_clusters``, as ``generate_style_correlated`` takes them."""
+    if catalog_size < 2 or n_sessions < 1:
+        raise ConfigError("need catalog_size >= 2 and n_sessions >= 1")
+    if order not in (1, 2):
+        raise ConfigError("order must be 1 or 2")
+    lo, hi = length_range
+    if lo < 2 or hi < lo:
+        raise ConfigError(f"bad length_range {length_range}")
+    if not 0.0 < dominant_mass < 1.0:
+        raise ConfigError("dominant_mass must be in (0, 1)")
+    if not 0.0 <= cart_ratio <= 1.0:  # a NaN fails here too
+        raise ConfigError(f"cart_ratio must be in [0, 1], got {cart_ratio}")
+    if n_clusters is not None and (n_clusters < 2 or catalog_size < 2 * n_clusters):
+        raise ConfigError("need >= 2 clusters and >= 2 items per cluster")
+
+
 def make_transition(P: int, seed: int, dominant_mass: float = 0.8, order: int = 1,
                     cluster_of: Optional[np.ndarray] = None) -> np.ndarray:
     """Seeded transition tensor with one dominant successor per state.
@@ -369,10 +392,7 @@ def make_transition(P: int, seed: int, dominant_mass: float = 0.8, order: int = 
     collapsed by trailing-repeat removal); with ``cluster_of`` it is drawn
     from the current item's cluster.
     """
-    if P < 2:
-        raise ConfigError("need a catalog of at least 2 products")
-    if not 0.0 < dominant_mass < 1.0:
-        raise ConfigError("dominant_mass must be in (0, 1)")
+    check_generator_args(P, dominant_mass=dominant_mass, order=order)
     rng = rng_for(seed, "transition", order)
     n_states = P if order == 1 else P * P
     cols = np.empty(n_states, dtype=np.int64)
@@ -409,13 +429,9 @@ def generate_synthetic(
     each session is flagged cart with probability ``cart_ratio``.
     """
     P = catalog_size
-    if P < 2 or n_sessions < 1:
-        raise ConfigError("need catalog_size >= 2 and n_sessions >= 1")
-    if order not in (1, 2):
-        raise ConfigError("order must be 1 or 2")
+    check_generator_args(P, n_sessions, length_range=length_range, dominant_mass=dominant_mass,
+                         cart_ratio=cart_ratio, order=order)
     lo, hi = length_range
-    if lo < 2 or hi < lo:
-        raise ConfigError(f"bad length_range {length_range}")
     transition = make_transition(P, seed, dominant_mass=dominant_mass, order=order,
                                  cluster_of=cluster_of)
     initial = np.full(P, 1.0 / P)
@@ -456,8 +472,8 @@ def generate_style_correlated(
     ``(sessions, oracle, style_vectors)`` with style_vectors keyed by
     product id.
     """
-    if n_clusters < 2 or catalog_size < 2 * n_clusters:
-        raise ConfigError("need >= 2 clusters and >= 2 items per cluster")
+    check_generator_args(catalog_size, n_sessions, length_range=length_range,
+                         dominant_mass=dominant_mass, cart_ratio=cart_ratio, n_clusters=n_clusters)
     cluster_of = (np.arange(catalog_size) * n_clusters) // catalog_size
     sessions, oracle = generate_synthetic(
         catalog_size, n_sessions, length_range=length_range, seed=seed,

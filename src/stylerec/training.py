@@ -316,15 +316,10 @@ def _check_fit(config: ModelConfig, catalog_size: int, dataset: PreparedDataset,
                           else "a model without style takes no style table")
 
 
-def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
-          style_table: Optional[np.ndarray] = None,
-          log: Optional[Callable[[str], None]] = None) -> TrainResult:
-    """Fit a model on the dataset's train split under one configuration.
-
-    Cart sessions join train/val only for cart configurations; the result
-    carries the count actually used so gating is checkable. The returned
-    parameters are the best-val-NDCG@5 snapshot.
-    """
+def _check_run(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
+               style_table: Optional[np.ndarray]) -> Tuple[List[Session], List[Session]]:
+    """Every refusal ``train`` makes before its first epoch; returns the train and val
+    sessions it trains on: cart sessions join them only for cart configurations."""
     if model_cfg.use_style != cfg.use_style:
         raise ConfigError(f"model use_style={model_cfg.use_style} conflicts with "
                           f"configuration {cfg.configuration!r}")
@@ -338,6 +333,19 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
     if not train_sessions or not val_sessions:
         raise ConfigError(f"configuration {cfg.configuration!r} leaves an empty "
                           f"train or val split")
+    return train_sessions, val_sessions
+
+
+def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
+          style_table: Optional[np.ndarray] = None,
+          log: Optional[Callable[[str], None]] = None) -> TrainResult:
+    """Fit a model on the dataset's train split under one configuration.
+
+    Cart sessions join train/val only for cart configurations; the result
+    carries the count actually used so gating is checkable. The returned
+    parameters are the best-val-NDCG@5 snapshot.
+    """
+    train_sessions, val_sessions = _check_run(dataset, model_cfg, cfg, style_table)
     cart_used = sum(s.kind == CART for s in train_sessions + val_sessions)
 
     P = dataset.catalog_size
@@ -522,13 +530,16 @@ Row = Tuple[Run, TrainResult, Optional[MetricsReport]]
 def run_experiment(runs: Sequence[Run], *, test: bool = True,
                    log: Optional[Callable[[str], None]] = None) -> Iterator[Row]:
     """Train each run in order and, when ``test`` is set, test it on its dataset's
-    test split; yields one row per run: (run, TrainResult, report or None).
-
-    ``_check_fit`` passes every run before the first epoch of any. Without
-    ``test`` the runs only select: each logs its label but not its epochs.
-    """
+    test split; the returned iterator yields one row per run: (run, TrainResult, report
+    or None). ``_check_run`` passes every run in this call, before any trains, so a caller
+    can claim its output files in between. Without ``test`` the runs only select: each
+    logs its label but not its epochs."""
     for run in runs:
-        _check_fit(run.model_cfg, run.dataset.catalog_size, run.dataset, run.style_table)
+        _check_run(run.dataset, run.model_cfg, run.train_cfg, run.style_table)
+    return _rows(runs, test, log)
+
+
+def _rows(runs: Sequence[Run], test: bool, log: Optional[Callable[[str], None]]) -> Iterator[Row]:
     for run in runs:
         if log:
             log(run.label)

@@ -370,26 +370,98 @@ class TestTrainEval:
 
 
 class TestPathErrors:
-    """An OS error on a path the user named is one input-error line naming it; a
-    command that trains meets it before the first epoch, and ``stylegen`` and ``synth``
-    meet it before the first product or session."""
+    """An OS error on a path the user named is one input-error line naming it. Every
+    command claims all the files it writes before its first unit of work: a directory
+    at one of them, or a file where a parent directory must go, is refused before
+    anything trains, evaluates, parses a session line, draws a session or reads an
+    image, and before any directory is made. A refused ``synth`` argument leaves
+    nothing either."""
 
-    @pytest.mark.parametrize("command", ["preprocess", "synth", "stylegen", "eval", "train",
-                                         "suite", "sweep", "dynamic"])
+    # command -> (argv, an output file made a directory here or None, the error line
+    # without its "error " prefix otherwise). Paths are relative to the working directory.
+    CASES = {
+        "preprocess": (("preprocess", "--sessions", "sessions.jsonl", "--out", "taken"),
+                       None, "input-error: taken: Is a directory"),
+        "preprocess-stats": (("preprocess", "--sessions", "sessions.jsonl", "--out", "p.json"),
+                             "p.json.stats.txt", None),
+        "synth": (("synth", "--products", 4, "--sessions", 5, "--out", "taken"),
+                  None, "input-error: taken: Is a directory"),
+        "synth-oracle": (("synth", "--products", 4, "--sessions", 5, "--out", "new/s.jsonl"),
+                         "new/s.jsonl.oracle.npz", None),
+        "stylegen": (("stylegen", "--pseudo", "--images", "img", "--products", 2,
+                      "--out", "taken"), None, "input-error: taken: Is a directory"),
+        "eval": (("eval", "--config", "run.cfg", "--checkpoint", "m.s4ck", "--data", "prep.json",
+                  "--report-dir", "taken.txt"), None, "input-error: taken.txt: File exists"),
+        "eval-report": (("eval", "--config", "run.cfg", "--checkpoint", "m.s4ck",
+                         "--data", "prep.json", "--label", "x"), "reports/eval-x.txt", None),
+        "train": (("train", "--config", "run.cfg", "--data", "prep.json",
+                   "--checkpoint-dir", "taken.txt"),
+                  None, "input-error: taken.txt: File exists"),
+        "train-out": (("train", "--config", "run.cfg", "--data", "prep.json", "--out", "m.out"),
+                      "m.out", None),
+        "train-report": (("train", "--config", "run.cfg", "--data", "prep.json",
+                          "--report-dir", "rep"), "rep/train-P.txt", None),
+        "suite": (("suite", "--config", "run.cfg", "--data", "prep.json",
+                   "--style-cache", "style.s4se", "--checkpoint-dir", "taken.txt"),
+                  None, "input-error: taken.txt: File exists"),
+        "suite-report": (("suite", "--config", "run.cfg", "--data", "prep.json",
+                          "--style-cache", "style.s4se", "--report-dir", "rep"),
+                         "rep/suite.txt", None),
+        "suite-checkpoint": (("suite", "--config", "run.cfg", "--data", "prep.json",
+                              "--style-cache", "style.s4se", "--checkpoint-dir", "ck"),
+                             "ck/model-P+Cart+Style.s4ck", None),
+        "sweep": (("sweep", "--config", "run.cfg", "--data", "prep.json",
+                   "--report-dir", "taken.txt"), None, "input-error: taken.txt: File exists"),
+        "sweep-checkpoint": (("sweep", "--config", "run.cfg", "--data", "prep.json",
+                              "--checkpoint-dir", "ck"), "ck/model-sweep-best.s4ck", None),
+        "sweep-report": (("sweep", "--config", "run.cfg", "--data", "prep.json",
+                          "--report-dir", "rep"), "rep/sweep.txt", None),
+        "dynamic": (("dynamic", "--config", "run.cfg", "--sessions", "sessions.jsonl",
+                     "--report-dir", "taken.txt"), None, "input-error: taken.txt: File exists"),
+        "dynamic-report": (("dynamic", "--config", "run.cfg", "--sessions", "sessions.jsonl",
+                            "--report-dir", "rep"), "rep/dynamic.txt", None),
+        # refusals met before the claim: exit 2, and no checkpoints/, reports/ or new/
+        "train-empty-split": (("train", "--config", "run.cfg", "--data", "carts.json"), None,
+                              "config-error: configuration 'P' leaves an empty train or val split"),
+        "sweep-empty-split": (("sweep", "--config", "run.cfg", "--data", "carts.json"), None,
+                              "config-error: configuration 'P' leaves an empty train or val split"),
+        "synth-products": (("synth", "--products", 1, "--sessions", 5, "--out", "new/s.jsonl"),
+                           None, "config-error: need catalog_size >= 2 and n_sessions >= 1"),
+        "synth-length-min": (("synth", "--products", 4, "--sessions", 5, "--length-min", 1,
+                              "--out", "new/s.jsonl"),
+                             None, "config-error: bad length_range (1, 12)"),
+        "synth-dominant-mass": (("synth", "--products", 4, "--sessions", 5, "--dominant-mass", 1,
+                                 "--out", "new/s.jsonl"),
+                                None, "config-error: dominant_mass must be in (0, 1)"),
+        "synth-clusters": (("synth", "--products", 5, "--sessions", 5, "--style-correlated",
+                            "--out", "new/s.jsonl"), None,
+                           "config-error: need >= 2 clusters and >= 2 items per cluster"),
+        "synth-cart-ratio": (("synth", "--products", 4, "--sessions", 5, "--cart-ratio", 2,
+                              "--out", "new/s.jsonl"),
+                             None, "config-error: cart_ratio must be in [0, 1], got 2.0"),
+        "synth-cart-ratio-nan": (("synth", "--products", 4, "--sessions", 5, "--cart-ratio", "nan",
+                                  "--out", "new/s.jsonl"),
+                                 None, "config-error: cart_ratio must be in [0, 1], got nan"),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
     def test_os_error_is_one_input_error_line(self, tmp_path, tiny_config, capsys, monkeypatch,
                                               command):
-        prep = make_prepared(tmp_path)
-        ckpt = tmp_path / "m.s4ck"
-        tiny_checkpoint(ckpt, 8)
-        cache = tmp_path / "style.s4se"
-        save_style_cache({pid: np.ones(512, dtype=np.float32) for pid in range(1, 9)}, cache)
-        taken_dir = tmp_path / "taken"
-        taken_dir.mkdir()
-        taken_file = tmp_path / "taken.txt"
-        taken_file.write_text("not a directory\n", encoding="utf-8")
-        images = tmp_path / "img"
-        images.mkdir()
-        np.save(images / "1.npy", np.random.default_rng(1).random((8, 8, 3)))
+        monkeypatch.chdir(tmp_path)
+        doc = json.loads(make_prepared(tmp_path).read_text())
+        (tmp_path / "carts.json").write_text(json.dumps(
+            {**doc, "train": [{**row, "kind": "cart"} for row in doc["train"]]}))
+        tiny_checkpoint(tmp_path / "m.s4ck", 8)
+        save_style_cache({pid: np.ones(512, dtype=np.float32) for pid in range(1, 9)},
+                         tmp_path / "style.s4se")
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "taken.txt").write_text("not a directory\n", encoding="utf-8")
+        (tmp_path / "img").mkdir()
+        np.save(tmp_path / "img" / "1.npy", np.random.default_rng(1).random((8, 8, 3)))
+        argv, taken, err = self.CASES[command]
+        if taken:
+            (tmp_path / taken).mkdir(parents=True)
+            err = f"input-error: {Path(taken)}: Is a directory"
         calls = []
 
         def counting(module, name):
@@ -400,33 +472,20 @@ class TestPathErrors:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        for module, name in ((training, "train"), (cli, "train"), (cli, "generate_synthetic"),
-                             (data, "generate_synthetic"), (cli, "pseudo_feature_provider")):
+        counted = [(training, "train"), (cli, "train"), (training, "evaluate"),
+                   (cli, "generate_synthetic"), (data, "generate_synthetic"),
+                   (cli, "pseudo_feature_provider")]
+        if command.startswith("preprocess"):  # dynamic parses its sessions as an input
+            counted.append((cli, "parse_sessions"))
+        for module, name in counted:
             counting(module, name)
-        argv, path, reason = {
-            "preprocess": (("preprocess", "--sessions", tmp_path / "sessions.jsonl",
-                            "--out", taken_dir), taken_dir, "Is a directory"),
-            "synth": (("synth", "--products", 4, "--sessions", 5, "--out", taken_dir),
-                      taken_dir, "Is a directory"),
-            "stylegen": (("stylegen", "--pseudo", "--images", images, "--products", 2,
-                          "--out", taken_dir), taken_dir, "Is a directory"),
-            "eval": (("eval", "--config", tiny_config, "--checkpoint", ckpt, "--data", prep,
-                      "--report-dir", taken_file), taken_file, "File exists"),
-            "train": (("train", "--config", tiny_config, "--data", prep,
-                       "--checkpoint-dir", taken_file), taken_file, "File exists"),
-            "suite": (("suite", "--config", tiny_config, "--data", prep, "--style-cache", cache,
-                       "--checkpoint-dir", taken_file), taken_file, "File exists"),
-            "sweep": (("sweep", "--config", tiny_config, "--data", prep,
-                       "--report-dir", taken_file), taken_file, "File exists"),
-            "dynamic": (("dynamic", "--config", tiny_config, "--sessions",
-                         tmp_path / "sessions.jsonl", "--report-dir", taken_file),
-                        taken_file, "File exists"),
-        }[command]
+        before = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
-        assert run(*argv) == 1
-        assert capsys.readouterr().err == f"error input-error: {path}: {reason}\n"
-        assert calls == []  # no run trained, no session drawn, no image read
-        assert not list(tmp_path.glob("taken.*.*"))  # nor an oracle or a style cache
+        assert run(*argv) == (2 if err.startswith("config-error") else 1)
+        assert capsys.readouterr().err == f"error {err}\n"
+        assert calls == []  # nothing trained, evaluated, parsed, drawn or read
+        # no checkpoints/, reports/ or new/ directory, and no file
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["stylegen", "synth"])
     def test_missing_output_parent_is_created(self, tmp_path, command):
@@ -1047,6 +1106,22 @@ class TestErrorSurface:
         assert run("synth", "--products", 4, "--sessions", 5,
                    "--out", tmp_path / "x") == code
         assert capsys.readouterr().err == f"error {kind}: boom\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_memory_error_is_one_input_error_line(self, tmp_path, tiny_config, capsys, command):
+        """A max_len no 64-bit host can allocate, in the prepared dataset (and, for eval,
+        in the checkpoint header too) is one input-error line, not a traceback."""
+        prep = make_prepared(tmp_path)
+        prep.write_text(json.dumps({**json.loads(prep.read_text()), "max_len": 10**15}))
+        ckpt = tmp_path / "m.s4ck"
+        tiny_checkpoint(ckpt, 8)
+        rewrite_header(ckpt, b"max_len=8", b"max_len=%d" % 10**15)
+        argv = {"train": ("train", "--config", tiny_config, "--out", tmp_path / "t.s4ck"),
+                "eval": ("eval", "--checkpoint", ckpt)}[command]
+        capsys.readouterr()
+        assert run(*argv, "--data", prep, "--report-dir", tmp_path / "rep") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error input-error: ") and err.count("\n") == 1, err
 
     def test_every_error_class_is_documented(self):
         documented = {cls for cls, _, _ in ERROR_SURFACE}

@@ -455,6 +455,9 @@ class TestSyntheticOracle:
             generate_synthetic(5, 10, length_range=(1, 4))
         with pytest.raises(ConfigError):
             make_transition(5, seed=0, dominant_mass=1.0)
+        for ratio in (-0.1, 2.0, float("nan")):  # NaN would make every session a purchase
+            with pytest.raises(ConfigError, match="cart_ratio"):
+                generate_synthetic(5, 10, cart_ratio=ratio)
 
 
 def choice_sampler(oracle, n_sessions, length_range, seed, cart_ratio):
