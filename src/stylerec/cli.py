@@ -65,6 +65,7 @@ from .training import (
     curve_lines,
     dynamic_runs,
     evaluate_test_split,
+    pick_eval_mode,
     run_experiment,
     run_model_config,
     suite_runs,
@@ -232,7 +233,7 @@ def cmd_preprocess(rc: RunConfig, args: argparse.Namespace) -> int:
 def _read_image(path: Path) -> np.ndarray:
     try:
         image = np.load(path)
-    except (OSError, EOFError, ValueError) as e:  # bad bytes or pickled data
+    except Exception as e:  # numpy's header parser raises more than OSError and ValueError
         raise InputError(f"not a readable .npy image ({e})") from None
     if not isinstance(image, np.ndarray) or image.dtype.kind not in "biuf":
         raise InputError("not an array of real numbers")
@@ -247,10 +248,9 @@ def _stylegen_vector(args: argparse.Namespace, pid: int, seed: int):
     if not path.is_file():
         return None
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # the finite check below reports these
-            layers = (load_feature_maps(path) if args.features
-                      else pseudo_feature_provider(_read_image(path), seed))
-            vec = extract_style_embedding(layers)
+        layers = (load_feature_maps(path) if args.features
+                  else pseudo_feature_provider(_read_image(path), seed))
+        vec = extract_style_embedding(layers)
         if not np.isfinite(vec).all():
             raise InputError("non-finite values give a non-finite style vector")
     except StyleRecError as e:
@@ -336,6 +336,7 @@ def cmd_eval(rc: RunConfig, args: argparse.Namespace) -> int:
     size = max(params.catalog_size, ds.catalog_size)
     table = _load_style_table(rc, size) if params.config.use_style else None
     _check_fit(params.config, params.catalog_size, ds, table)
+    pick_eval_mode(cfg, ds, ds.test)  # refuses a negsample the test split cannot supply
     out, = _claim(Path(rc.report_dir, f"eval-{args.label}.txt"))
     report = evaluate_test_split(params, ds, cfg, table)
     shown = format_report_table({args.label: report})
@@ -500,6 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# numpy's warnings stay silent: the finite checks report a bad value as one error line
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)

@@ -382,6 +382,8 @@ def check_generator_args(catalog_size: int, n_sessions: int = 1, *, length_range
         raise ConfigError(f"cart_ratio must be in [0, 1], got {cart_ratio}")
     if n_clusters is not None and (n_clusters < 2 or catalog_size < 2 * n_clusters):
         raise ConfigError("need >= 2 clusters and >= 2 items per cluster")
+    if n_clusters is not None and order != 1:
+        raise ConfigError(f"style-correlated sessions are first order, got order {order}")
 
 
 def make_transition(P: int, seed: int, dominant_mass: float = 0.8, order: int = 1,

@@ -217,7 +217,8 @@ def save_style_cache(vectors: Dict[int, np.ndarray], path) -> None:
 
 
 def load_style_cache(path) -> Dict[int, np.ndarray]:
-    """Read an S4SE file; malformed input, a zero or a repeated id names its byte offset."""
+    """Read an S4SE file; malformed input, a zero or a repeated id and a NaN or infinite
+    value name their byte offset."""
     r = records.Reader(path, b"S4SE")
     (count,) = r.unpack("I", "vector count")
     vectors = {}
@@ -226,6 +227,9 @@ def load_style_cache(path) -> Dict[int, np.ndarray]:
         (pid,) = r.unpack("I", f"product id #{k}")
         if pid == 0 or pid in vectors:
             raise FormatError(f"{'repeated' if pid else 'padding'} product id {pid} at byte {at}")
-        vectors[pid] = r.floats((STYLE_DIM,), f"style vector for id {pid}")
+        vectors[pid] = vec = r.floats((STYLE_DIM,), f"style vector for id {pid}")
+        if not np.isfinite(vec).all():
+            bad = at + 4 + 4 * int(np.isfinite(vec).argmin())
+            raise FormatError(f"non-finite value in the style vector for id {pid} at byte {bad}")
     r.finish()
     return vectors

@@ -367,34 +367,23 @@ def embedding_lookup(table, ids) -> Tensor:
 def gather_rows(x, indices) -> Tensor:
     """Pick one row per matrix: ``x[b, indices[b], :]`` (or ``x[i]`` in 2-D)."""
     x = _as_tensor(x)
-    if x.data.ndim == 2:
-        i = int(indices)
-        if not 0 <= i < x.shape[0]:
-            raise ShapeError(f"row index {i} out of range for shape {x.shape}")
-        out = x.data[i]
+    if x.data.ndim not in (2, 3):
+        raise ShapeError("gather_rows expects a 2-D or 3-D tensor")
+    idx = np.asarray(indices)
+    if not np.issubdtype(idx.dtype, np.integer) or idx.shape != x.shape[:-2]:
+        raise ShapeError(f"need one integer row index per matrix of {x.shape}, "
+                         f"got {idx.dtype} of shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[-2]):
+        raise ShapeError(f"row index out of range for shape {x.shape}")
+    at = (np.arange(x.shape[0]),) * (x.data.ndim == 3) + (idx,)
+    out = x.data[at]
 
-        def vjp(g):
-            gx = np.zeros_like(x.data)
-            gx[i] = g
-            return (gx,)
+    def vjp(g):
+        gx = np.zeros_like(x.data)
+        gx[at] = g
+        return (gx,)
 
-        return _result(out, "gather_rows", (x,), vjp)
-    if x.data.ndim == 3:
-        idx = np.asarray(indices)
-        if idx.shape != (x.shape[0],):
-            raise ShapeError(f"need one row index per batch entry, got {idx.shape}")
-        if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
-            raise ShapeError("row index out of range")
-        b = np.arange(x.shape[0])
-        out = x.data[b, idx]
-
-        def vjp(g):
-            gx = np.zeros_like(x.data)
-            gx[b, idx] = g
-            return (gx,)
-
-        return _result(out, "gather_rows", (x,), vjp)
-    raise ShapeError("gather_rows expects a 2-D or 3-D tensor")
+    return _result(out, "gather_rows", (x,), vjp)
 
 
 def cosine_similarity(u, v) -> Tensor:

@@ -58,6 +58,7 @@ ADAM_BLOCK = 1 << 15
 ADAM_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba)
+SHORT_CATALOG = "catalog of {} cannot supply {} negatives for a session with {} distinct items"
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,7 @@ def sample_negatives(session_items: Sequence[int], catalog_size: int, n: int,
     """n distinct uniform ids excluding the truth and every session item."""
     pool = _catalog_pool(catalog_size, session_items)
     if pool.size < n:
-        raise ConfigError(
-            f"catalog of {catalog_size} cannot supply {n} negatives for a session "
-            f"with {len(set(int(i) for i in session_items))} distinct items")
+        raise ConfigError(SHORT_CATALOG.format(catalog_size, n, len(set(map(int, session_items)))))
     rng = np.random.default_rng(seed)
     return rng.choice(pool, size=n, replace=False)
 
@@ -286,13 +285,19 @@ def l2_penalty(data: np.ndarray, lam: float) -> float:
     return lam * float(np.vdot(data, data)) if lam else 0.0
 
 
-def pick_eval_mode(cfg: TrainConfig, dataset: PreparedDataset) -> str:
-    """``cfg.eval_mode``; under "auto", negsample when every val and test session
-    leaves enough ids to draw ``cfg.eval_negatives`` negatives from, else full-catalog."""
-    if cfg.eval_mode != "auto":
-        return cfg.eval_mode
-    worst = max((len(set(s.items)) for s in list(dataset.val) + list(dataset.test)), default=0)
-    return NEGSAMPLE if dataset.catalog_size - worst >= cfg.eval_negatives else FULL_CATALOG
+def pick_eval_mode(cfg: TrainConfig, dataset: PreparedDataset,
+                   ranked: Sequence[Session]) -> str:
+    """The mode ``ranked`` is evaluated in: "auto" is negsample when every val and test
+    session leaves ``cfg.eval_negatives`` ids to draw, else full-catalog; an explicit
+    negsample that a session of ``ranked`` cannot supply is refused as ``sample_negatives``."""
+    if cfg.eval_mode == FULL_CATALOG:
+        return FULL_CATALOG
+    sessions = ranked if cfg.eval_mode == NEGSAMPLE else [*dataset.val, *dataset.test]
+    worst = max((len(set(s.items)) for s in sessions), default=0)
+    enough = dataset.catalog_size - worst >= cfg.eval_negatives
+    if not enough and cfg.eval_mode == NEGSAMPLE:
+        raise ConfigError(SHORT_CATALOG.format(dataset.catalog_size, cfg.eval_negatives, worst))
+    return NEGSAMPLE if enough else FULL_CATALOG
 
 
 def _fingerprint(model_cfg: ModelConfig, cfg: TrainConfig, catalog_size: int) -> str:
@@ -317,9 +322,9 @@ def _check_fit(config: ModelConfig, catalog_size: int, dataset: PreparedDataset,
 
 
 def _check_run(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
-               style_table: Optional[np.ndarray]) -> Tuple[List[Session], List[Session]]:
+               style_table: Optional[np.ndarray]) -> Tuple[List[Session], List[Session], str]:
     """Every refusal ``train`` makes before its first epoch; returns the train and val
-    sessions it trains on: cart sessions join them only for cart configurations."""
+    sessions it trains on (carts only under cart configurations) and the val mode."""
     if model_cfg.use_style != cfg.use_style:
         raise ConfigError(f"model use_style={model_cfg.use_style} conflicts with "
                           f"configuration {cfg.configuration!r}")
@@ -333,7 +338,7 @@ def _check_run(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfi
     if not train_sessions or not val_sessions:
         raise ConfigError(f"configuration {cfg.configuration!r} leaves an empty "
                           f"train or val split")
-    return train_sessions, val_sessions
+    return train_sessions, val_sessions, pick_eval_mode(cfg, dataset, val_sessions)
 
 
 def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
@@ -345,7 +350,7 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
     carries the count actually used so gating is checkable. The returned
     parameters are the best-val-NDCG@5 snapshot.
     """
-    train_sessions, val_sessions = _check_run(dataset, model_cfg, cfg, style_table)
+    train_sessions, val_sessions, val_mode = _check_run(dataset, model_cfg, cfg, style_table)
     cart_used = sum(s.kind == CART for s in train_sessions + val_sessions)
 
     P = dataset.catalog_size
@@ -354,7 +359,6 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
     params = init_params(model_cfg, P, cfg.seed)
     adam = Adam(params, cfg.learning_rate)
     exclusions = _train_exclusions(train_sessions, P)
-    val_mode = pick_eval_mode(cfg, dataset)
     n = len(train_sessions)
 
     history: List[dict] = []
@@ -443,10 +447,10 @@ def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NE
 def evaluate_test_split(params: ModelParams, dataset: PreparedDataset, cfg: TrainConfig,
                         style_table: Optional[np.ndarray] = None) -> MetricsReport:
     """The protocol of every reported test number: rank ``dataset.test`` in the mode
-    ``pick_eval_mode`` picks, with ``cfg.eval_negatives`` negatives and seed ``cfg.seed``,
-    once ``_check_fit`` passes the model on the dataset."""
+    ``pick_eval_mode`` picks for it, with ``cfg.eval_negatives`` negatives and seed
+    ``cfg.seed``, once ``_check_fit`` passes the model on the dataset."""
     _check_fit(params.config, params.catalog_size, dataset, style_table)
-    return evaluate(params, dataset.test, mode=pick_eval_mode(cfg, dataset),
+    return evaluate(params, dataset.test, mode=pick_eval_mode(cfg, dataset, dataset.test),
                     n_negatives=cfg.eval_negatives, seed=cfg.seed, style_table=style_table)
 
 
@@ -516,12 +520,16 @@ def run_model_config(model_kwargs: dict, cfg: TrainConfig, max_len: int, **owned
 
 @dataclass(frozen=True)
 class Run:
-    """One train-and-test run of an experiment; ``label`` is logged before it trains."""
+    """One train-and-test run, checked by ``_check_run`` when built; ``label`` is logged
+    before it trains."""
     label: str
     dataset: PreparedDataset
     model_cfg: ModelConfig
     train_cfg: TrainConfig
     style_table: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        _check_run(self.dataset, self.model_cfg, self.train_cfg, self.style_table)
 
 
 Row = Tuple[Run, TrainResult, Optional[MetricsReport]]
@@ -530,16 +538,8 @@ Row = Tuple[Run, TrainResult, Optional[MetricsReport]]
 def run_experiment(runs: Sequence[Run], *, test: bool = True,
                    log: Optional[Callable[[str], None]] = None) -> Iterator[Row]:
     """Train each run in order and, when ``test`` is set, test it on its dataset's
-    test split; the returned iterator yields one row per run: (run, TrainResult, report
-    or None). ``_check_run`` passes every run in this call, before any trains, so a caller
-    can claim its output files in between. Without ``test`` the runs only select: each
-    logs its label but not its epochs."""
-    for run in runs:
-        _check_run(run.dataset, run.model_cfg, run.train_cfg, run.style_table)
-    return _rows(runs, test, log)
-
-
-def _rows(runs: Sequence[Run], test: bool, log: Optional[Callable[[str], None]]) -> Iterator[Row]:
+    test split; yields one row per run: (run, TrainResult, report or None). Without
+    ``test`` the runs only select: each logs its label but not its epochs."""
     for run in runs:
         if log:
             log(run.label)

@@ -133,6 +133,14 @@ def npz_bytes(**arrays) -> bytes:
     return buf.getvalue()
 
 
+def npy_with_damaged_header(path) -> None:
+    """An 8x8x3 .npy image whose header has a "(" in its space padding."""
+    np.save(path, np.ones((8, 8, 3)))
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(b"\n", 10) - 1] = ord("(")
+    path.write_bytes(bytes(blob))
+
+
 class TestStylegen:
     def write_features(self, directory, pid, seed):
         rng = np.random.default_rng(seed)
@@ -198,7 +206,8 @@ class TestStylegen:
         lambda p: np.save(p, np.full((8, 8, 3), "x")),
         lambda p: np.save(p, np.full((8, 8, 3), 1 + 2j)),
         lambda p: p.write_bytes(npz_bytes(a=np.ones((8, 8, 3)))),
-    ], ids=["garbage", "empty", "pickled", "text", "complex", "npz"])
+        npy_with_damaged_header,
+    ], ids=["garbage", "empty", "pickled", "text", "complex", "npz", "header"])
     def test_unreadable_image_is_input_error(self, tmp_path, capsys, bad_image):
         assert self.run_pseudo(tmp_path, bad_image) == 1
         self.assert_input_error_naming(capsys, tmp_path, "2.npy")
@@ -368,6 +377,29 @@ class TestTrainEval:
                                                f"{data_products}\n")
         assert not (tmp_path / "rep-eval").exists()
 
+    def train_with_style_value(self, tmp_path, tiny_config, value) -> int:
+        """``train --configuration P+Style`` with a style cache holding ``value`` once."""
+        prep = make_prepared(tmp_path)
+        vectors = {pid: np.ones(512, dtype=np.float32) for pid in range(1, 9)}
+        vectors[3][5] = value
+        save_style_cache(vectors, tmp_path / "style.s4se")
+        return run("train", "--config", tiny_config, "--data", prep,
+                   "--style-cache", tmp_path / "style.s4se", "--configuration", "P+Style",
+                   "--checkpoint-dir", tmp_path / "ck", "--report-dir", tmp_path / "rep")
+
+    def test_non_finite_style_value_is_format_error(self, tmp_path, tiny_config, capsys):
+        assert self.train_with_style_value(tmp_path, tiny_config, np.nan) == 1
+        assert capsys.readouterr().err == ("error format-error: non-finite value in the style "
+                                           "vector for id 3 at byte 4140\n")
+        assert not (tmp_path / "ck").exists() and not (tmp_path / "rep").exists()
+
+    def test_overflowing_style_value_is_one_numeric_error_line(self, tmp_path, tiny_config,
+                                                               capsys):
+        # numpy's overflow warnings stay silent; the finite check reports the fault
+        assert self.train_with_style_value(tmp_path, tiny_config, 3e38) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error numeric-error:") and err.count("\n") == 1, err
+
 
 class TestPathErrors:
     """An OS error on a path the user named is one input-error line naming it. Every
@@ -425,6 +457,19 @@ class TestPathErrors:
                               "config-error: configuration 'P' leaves an empty train or val split"),
         "sweep-empty-split": (("sweep", "--config", "run.cfg", "--data", "carts.json"), None,
                               "config-error: configuration 'P' leaves an empty train or val split"),
+        # negsample.cfg asks for 7 negatives in negsample mode from a catalog of 8
+        "suite-negsample": (("suite", "--config", "negsample.cfg", "--data", "prep.json",
+                             "--style-cache", "style.s4se"), None,
+                            "config-error: catalog of 8 cannot supply 7 negatives for a session "
+                            "with 5 distinct items"),
+        "dynamic-negsample": (("dynamic", "--config", "negsample.cfg",
+                               "--sessions", "sessions.jsonl"), None,
+                              "config-error: catalog of 8 cannot supply 7 negatives for a "
+                              "session with 2 distinct items"),  # the max_len 2 run
+        "sweep-negsample": (("sweep", "--config", "negsample.cfg", "--data", "prep.json",
+                             "--budget", 2), None,
+                            "config-error: catalog of 8 cannot supply 7 negatives for a session "
+                            "with 5 distinct items"),
         "synth-products": (("synth", "--products", 1, "--sessions", 5, "--out", "new/s.jsonl"),
                            None, "config-error: need catalog_size >= 2 and n_sessions >= 1"),
         "synth-length-min": (("synth", "--products", 4, "--sessions", 5, "--length-min", 1,
@@ -442,6 +487,10 @@ class TestPathErrors:
         "synth-cart-ratio-nan": (("synth", "--products", 4, "--sessions", 5, "--cart-ratio", "nan",
                                   "--out", "new/s.jsonl"),
                                  None, "config-error: cart_ratio must be in [0, 1], got nan"),
+        "synth-order-style": (("synth", "--products", 10, "--sessions", 5, "--style-correlated",
+                               "--clusters", 2, "--order", 2, "--out", "new/s.jsonl"), None,
+                              "config-error: style-correlated sessions are first order, "
+                              "got order 2"),
     }
 
     @pytest.mark.parametrize("command", list(CASES))
@@ -454,6 +503,8 @@ class TestPathErrors:
         tiny_checkpoint(tmp_path / "m.s4ck", 8)
         save_style_cache({pid: np.ones(512, dtype=np.float32) for pid in range(1, 9)},
                          tmp_path / "style.s4se")
+        (tmp_path / "negsample.cfg").write_text(
+            tiny_config.read_text() + "train.eval_mode=negsample\ntrain.eval_negatives=7\n")
         (tmp_path / "taken").mkdir()
         (tmp_path / "taken.txt").write_text("not a directory\n", encoding="utf-8")
         (tmp_path / "img").mkdir()
@@ -737,6 +788,9 @@ class TestConfigPath:
         ("model.use_style=true\n", ("train",)),
         ("model.max_len=5\n", ("train",)),  # the prepared dataset owns max_len
         ("train.learning_rate=inf\n", ("train",)),
+        # 8 products minus a val or test session's items cannot supply 7 negatives
+        ("train.eval_mode=negsample\ntrain.eval_negatives=7\n", ("train",)),
+        ("train.eval_mode=negsample\n", ("eval", "--negatives", "7")),
     ])
     def test_bad_setting_is_one_config_error_line(self, tmp_path, tiny_config, capsys,
                                                   cfg_line, argv):

@@ -460,6 +460,17 @@ class TestS4SE:
         with pytest.raises(FormatError, match=f"{match} at byte {at}"):
             load_style_cache(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_value_is_format_error(self, tmp_path, value):
+        vecs = {i: np.full(STYLE_DIM, i, dtype=np.float32) for i in (1, 2)}
+        vecs[2][7] = value
+        path = tmp_path / "nf.s4se"
+        save_style_cache(vecs, path)
+        at = 12 + (4 + 4 * STYLE_DIM) + 4 + 4 * 7  # the second vector's eighth float
+        with pytest.raises(FormatError, match=f"non-finite value in the style vector for id 2 "
+                                              f"at byte {at}$"):
+            load_style_cache(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.s4se"
         path.write_bytes(struct.pack("<4sII", b"WHAT", 1, 0))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from stylerec import tensor as T
 from stylerec import training
-from stylerec.data import PURCHASE, Session, generate_synthetic, prepare_dataset
+from stylerec.data import PURCHASE, PreparedDataset, Session, generate_synthetic, prepare_dataset
 from stylerec.errors import ConfigError, ContractError
 from stylerec.metrics import FULL_CATALOG, NEGSAMPLE
 from stylerec.model import (
@@ -42,9 +43,11 @@ from stylerec.training import (
     evaluate_with_scorer,
     l2_penalty,
     oracle_scorer,
+    pick_eval_mode,
     popularity_scorer,
     random_scorer,
     run_experiment,
+    run_model_config,
     sample_negatives,
     suite_runs,
     sweep_order_key,
@@ -416,6 +419,23 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(ds, m, TrainConfig(epochs=1, configuration="P+Style"))
 
+    def test_negsample_the_val_split_cannot_supply_is_refused_before_training(self,
+                                                                              monkeypatch):
+        ds, _ = tiny_dataset()
+        calls = []
+        real_loss = training.training_loss
+
+        def counting_loss(*args, **kwargs):
+            calls.append(1)
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(training, "training_loss", counting_loss)
+        # 8 products minus a val session's items cannot supply 7 negatives
+        cfg = TrainConfig(epochs=1, eval_mode=NEGSAMPLE, eval_negatives=7)
+        with pytest.raises(ConfigError, match="catalog of 8 cannot supply 7 negatives"):
+            train(ds, ModelConfig(**TINY_MODEL), cfg)
+        assert calls == []
+
     def test_dropout_training_runs(self):
         ds, _ = tiny_dataset()
         kwargs = dict(TINY_MODEL)
@@ -482,6 +502,25 @@ class TestEvaluate:
         full = evaluate_test_split(params, ds, TrainConfig(seed=6, eval_negatives=145))
         assert full.mode == FULL_CATALOG
         assert full.ranks == evaluate(params, ds.test, mode=FULL_CATALOG).ranks
+
+    def test_pick_eval_mode(self):
+        # the long val session leaves 4 ids for 5 negatives; every test session leaves 9
+        short = [Session(f"s{i}", PURCHASE, i, (1 + i, 2 + i, 3 + i)) for i in range(6)]
+        long = Session("long", PURCHASE, 9, tuple(range(1, 9)))
+        ds = PreparedDataset(train=short[:2], val=[long], test=short[2:],
+                             catalog_size=12, max_len=8)
+        auto = TrainConfig(eval_negatives=5)
+        # auto reads val and test whatever it ranks; an explicit mode reads what it ranks
+        assert pick_eval_mode(auto, ds, ds.test) == FULL_CATALOG
+        assert pick_eval_mode(replace(auto, eval_negatives=4), ds, ds.val) == NEGSAMPLE
+        assert pick_eval_mode(replace(auto, eval_mode=FULL_CATALOG), ds, ds.test) == FULL_CATALOG
+        negsample = replace(auto, eval_mode=NEGSAMPLE)
+        assert pick_eval_mode(negsample, ds, ds.test) == NEGSAMPLE
+        with pytest.raises(ConfigError) as refused:
+            pick_eval_mode(negsample, ds, ds.val)
+        with pytest.raises(ConfigError) as sampled:
+            sample_negatives(long.items, 12, 5, seed=0)
+        assert str(refused.value) == str(sampled.value)
 
     @pytest.mark.parametrize("model_p, data_p, model_len, use_style, table", [
         (300, 150, 6, False, False),
@@ -583,11 +622,17 @@ class TestSuiteAndExperiments:
         calls = []
         monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
         cfg = TrainConfig(epochs=1)
-        runs = [Run("fits", ds, ModelConfig(**TINY_MODEL), cfg),
-                Run("short", ds, ModelConfig(**{**TINY_MODEL, "max_len": 6}), cfg)]
+        fits = Run("fits", ds, ModelConfig(**TINY_MODEL), cfg)
+        # a run that does not fit its dataset is refused when it is built
         with pytest.raises(ConfigError, match="model max_len 6 differs from the dataset's 8"):
-            list(run_experiment(runs))
-        assert calls == []
+            Run("short", ds, ModelConfig(**{**TINY_MODEL, "max_len": 6}), cfg)
+        with pytest.raises(ConfigError, match="catalog of 8 cannot supply 7 negatives"):
+            Run("negsample", ds, ModelConfig(**TINY_MODEL),
+                TrainConfig(epochs=1, eval_mode=NEGSAMPLE, eval_negatives=7))
+        rows = run_experiment([fits], test=False)
+        assert calls == []  # a plain generator: nothing trains until it is iterated
+        next(rows)
+        assert len(calls) == 1
 
     def test_suite_rejects_use_style_kwarg(self):
         ds, _ = tiny_dataset()
@@ -644,8 +689,12 @@ class TestSuiteAndExperiments:
             (8, 0.1), (8, 0.001), (16, 0.1)]
 
     def test_sweep_tie_break_order(self):
+        ds, _ = tiny_dataset()
+        kwargs = {k: v for k, v in TINY_KWARGS.items() if k != "d_ffn"}
+
         def row(hidden_dim, l2, val_ndcg5):
-            run = Run("", None, ModelConfig(d_ffn=hidden_dim), TrainConfig(l2=l2))
+            cfg = TrainConfig(l2=l2)
+            run = Run("", ds, run_model_config(kwargs, cfg, ds.max_len, d_ffn=hidden_dim), cfg)
             return run, TrainResult(None, [], 0, val_ndcg5, NEGSAMPLE, 0, ""), None
 
         rows = [row(64, 0.001, 0.5), row(16, 0.1, 0.5), row(16, 0.001, 0.5), row(8, 0.1, 0.4)]
