@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .data import (
+    DEFAULT_MAX_LEN,
     PreparedDataset,
     check_generator_args,
     check_max_len,
@@ -59,9 +60,9 @@ from .style import (
 )
 from .training import (
     CONFIGURATIONS,
+    Run,
     TrainConfig,
     _check_fit,
-    _check_run,
     curve_lines,
     dynamic_runs,
     evaluate_test_split,
@@ -201,7 +202,10 @@ def _inputs(rc: RunConfig, use_style: bool) -> Tuple[PreparedDataset, Optional[n
 
 
 def _load_style_table(rc: RunConfig, catalog_size: int) -> np.ndarray:
-    return style_table(catalog_size, load_style_cache(_require_file(rc.style_cache, "style cache")))
+    vectors = load_style_cache(path := _require_file(rc.style_cache, "style cache"))
+    if (top := max(vectors, default=0)) > catalog_size:  # a file the user named, no API misuse
+        raise ConfigError(f"{path}: style vector for id {top} outside catalog 1..{catalog_size}")
+    return style_table(catalog_size, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +314,10 @@ def cmd_synth(rc: RunConfig, args: argparse.Namespace) -> int:
 def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
     ds, table = _inputs(rc, cfg.use_style)
-    model_cfg = run_model_config(rc.model, cfg, ds.max_len)
-    _check_run(ds, model_cfg, cfg, table)
+    run = Run(cfg.configuration, ds, run_model_config(rc.model, cfg, ds.max_len), cfg, table)
     ckpt, report = _claim(_checkpoint(rc, cfg.configuration, args.out),
                           Path(rc.report_dir, f"train-{cfg.configuration}.txt"))
-    result = train(ds, model_cfg, cfg, style_table=table, log=print)
+    result = train(run.dataset, run.model_cfg, run.train_cfg, run.style_table, log=print)
     _save(result.params, ckpt)
     lines = [f"checkpoint: {ckpt.name}",
              f"fingerprint: {result.fingerprint}",
@@ -437,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="clean, split, and package raw sessions")
     p.add_argument("--sessions", dest="sessions", help="raw session JSONL file")
     p.add_argument("--out", required=True, help="prepared dataset output path")
-    p.add_argument("--max-len", dest="max_len", type=int, default=20)
+    p.add_argument("--max-len", dest="max_len", type=int, default=DEFAULT_MAX_LEN)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("stylegen", parents=[common],

@@ -31,6 +31,7 @@ PADDING_ID = 0
 # train/val/test fractions follow a 14/2/2 month ratio
 DEFAULT_TRAIN_FRAC = 14.0 / 18.0
 DEFAULT_VAL_FRAC = 2.0 / 18.0
+DEFAULT_MAX_LEN = 20
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,25 @@ _ROW = '  {{\n   "session_id": {},\n   "kind": {},\n   "t": {},\n   "items": [\n
 
 @dataclass
 class PreparedDataset:
-    """Temporal train/val/test splits after preprocessing."""
+    """Temporal train/val/test splits after preprocessing; the constructor owns their rules."""
 
     train: list
     val: list
     test: list
     catalog_size: int
     max_len: int
+
+    def __post_init__(self):
+        if self.catalog_size < 1 or self.max_len < 2:
+            raise InputError(f"prepared dataset needs catalog_size >= 1 and max_len >= 2, "
+                             f"got {self.catalog_size} and {self.max_len}")
+        if not self.test:
+            raise InputError("prepared dataset has an empty test split")
+        for s in self.all_sessions():
+            if not 2 <= len(s.items) <= self.max_len or max(s.items) > self.catalog_size:
+                raise InputError(f"session {s.session_id!r}: a prepared session needs 2 to "
+                                 f"max_len {self.max_len} ids <= catalog_size "
+                                 f"{self.catalog_size}, got {list(s.items)}")
 
     def all_sessions(self):
         return list(self.train) + list(self.val) + list(self.test)
@@ -114,19 +127,8 @@ class PreparedDataset:
             splits = {k: [Session.from_row(r) for r in doc[k]] for k in ("train", "val", "test")}
             if json_value(doc.get("padding_id", PADDING_ID), int, "padding_id") != PADDING_ID:
                 raise InputError(f"prepared dataset padding_id must be 0, not {doc['padding_id']!r}")
-            catalog_size = json_value(doc["catalog_size"], int, "catalog_size")
-            max_len = json_value(doc["max_len"], int, "max_len")
-            if catalog_size < 1 or max_len < 2:
-                raise InputError(f"prepared dataset needs catalog_size >= 1 and max_len >= 2, "
-                                 f"got {catalog_size} and {max_len}")
-            if not splits["test"]:
-                raise InputError("prepared dataset has an empty test split")
-            for s in splits["train"] + splits["val"] + splits["test"]:
-                if not 2 <= len(s.items) <= max_len or max(s.items) > catalog_size:
-                    raise InputError(f"session {s.session_id!r}: a prepared session needs 2 to "
-                                     f"max_len {max_len} ids <= catalog_size {catalog_size}, "
-                                     f"got {list(s.items)}")
-            return cls(**splits, catalog_size=catalog_size, max_len=max_len)
+            return cls(**splits, catalog_size=json_value(doc["catalog_size"], int, "catalog_size"),
+                       max_len=json_value(doc["max_len"], int, "max_len"))
         except KeyError as e:
             raise InputError(f"prepared dataset lacks key {e}") from None
         except (TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
@@ -198,7 +200,7 @@ def check_max_len(max_len: int) -> None:
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
 
 
-def truncate_pad(items: Sequence[int], max_len: int = 20):
+def truncate_pad(items: Sequence[int], max_len: int = DEFAULT_MAX_LEN):
     """Keep the last ``max_len`` items; pad short lists with 0 as a suffix.
 
     Returns ``(padded_items, validity_mask)``, both of length max_len.
@@ -218,7 +220,7 @@ def remove_overlap(purchase_sessions: Sequence[Session], cart_sessions: Sequence
     )
 
 
-def clean_session(session: Session, max_len: int = 20) -> Optional[Session]:
+def clean_session(session: Session, max_len: int = DEFAULT_MAX_LEN) -> Optional[Session]:
     """Dedupe the trailing repeat and truncate to the last ``max_len`` items.
 
     Returns None when fewer than 2 items survive (no input/target pair).
@@ -238,7 +240,7 @@ def max_product_id(sessions: Sequence[Session]) -> int:
 
 def temporal_split(
     sessions: Sequence[Session],
-    max_len: int = 20,
+    max_len: int = DEFAULT_MAX_LEN,
     catalog_size: Optional[int] = None,
 ) -> PreparedDataset:
     """Split chronologically at 14/2/2: the earliest sessions train, then val, then test.
@@ -265,7 +267,7 @@ def temporal_split(
 
 def prepare_dataset(
     sessions: Sequence[Session],
-    max_len: int = 20,
+    max_len: int = DEFAULT_MAX_LEN,
     catalog_size: Optional[int] = None,
 ) -> PreparedDataset:
     """Full preprocessing pipeline: overlap removal, per-session cleaning,
@@ -274,11 +276,7 @@ def prepare_dataset(
     purchases = [s for s in sessions if s.kind == PURCHASE]
     carts = [s for s in sessions if s.kind == CART]
     purchases, carts = remove_overlap(purchases, carts)
-    cleaned = []
-    for s in purchases + carts:
-        c = clean_session(s, max_len=max_len)
-        if c is not None:
-            cleaned.append(c)
+    cleaned = [c for s in purchases + carts if (c := clean_session(s, max_len=max_len)) is not None]
     if not cleaned:
         raise ConfigError("no sessions survive preprocessing")
     return temporal_split(cleaned, max_len=max_len, catalog_size=catalog_size)
@@ -484,8 +482,5 @@ def generate_style_correlated(
     )
     rng = rng_for(seed, "style-clusters")
     centroids = rng.standard_normal((n_clusters, STYLE_DIM))
-    vectors = {}
-    for idx in range(catalog_size):
-        noise = rng.standard_normal(STYLE_DIM) * 0.1
-        vectors[idx + 1] = (centroids[cluster_of[idx]] + noise).astype(np.float32)
-    return sessions, oracle, vectors
+    noisy = centroids[cluster_of] + rng.standard_normal((catalog_size, STYLE_DIM)) * 0.1
+    return sessions, oracle, dict(enumerate(noisy.astype(np.float32), start=1))

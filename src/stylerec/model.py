@@ -27,12 +27,11 @@ import numpy as np
 
 from . import records
 from . import tensor as T
+from .data import DEFAULT_MAX_LEN, check_max_len
 from .errors import ConfigError, ContractError, FormatError, InputError, MaskError, NumericError, ShapeError
 from .kv import format_value, parse_field, parse_value
 from .seeding import SeedStream, rng_for
 from .style import STYLE_DIM
-
-DEFAULT_MAX_LEN = 20
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,7 @@ class ModelConfig:
             raise ConfigError("model dimensions and counts must be positive")
         if self.d_model % 2:
             raise ConfigError(f"d_model must be even for sin/cos pairs, got {self.d_model}")
-        if self.max_len < 2:
-            raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
+        check_max_len(self.max_len)
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d_ffn == 0:

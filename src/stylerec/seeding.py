@@ -10,8 +10,6 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 def derive_seed(root: int, *labels) -> int:
     """Derive a 64-bit sub-seed from a root seed and a label path."""
@@ -20,7 +18,7 @@ def derive_seed(root: int, *labels) -> int:
     for part in labels:
         h.update(b"/")
         h.update(str(part).encode("utf-8"))
-    return int.from_bytes(h.digest()[:8], "little") & _MASK64
+    return int.from_bytes(h.digest()[:8], "little")
 
 
 def rng_for(root: int, *labels) -> np.random.Generator:

@@ -41,6 +41,7 @@ from .model import (
     score,
 )
 from .seeding import SeedStream, derive_seed, rng_for
+from .style import STYLE_DIM
 
 CONFIGURATIONS = ("P", "P+Style", "P+Cart", "P+Cart+Style")
 
@@ -311,7 +312,7 @@ def _fingerprint(model_cfg: ModelConfig, cfg: TrainConfig, catalog_size: int) ->
 def _check_fit(config: ModelConfig, catalog_size: int, dataset: PreparedDataset,
                style_table: Optional[np.ndarray]) -> None:
     """A ConfigError unless the model has the dataset's catalog and max_len, and
-    gets a style table exactly when it uses style."""
+    gets a style table, one row per id and padding, exactly when it uses style."""
     for what, model, data in (("catalog", catalog_size, dataset.catalog_size),
                               ("max_len", config.max_len, dataset.max_len)):
         if model != data:
@@ -319,12 +320,14 @@ def _check_fit(config: ModelConfig, catalog_size: int, dataset: PreparedDataset,
     if config.use_style != (style_table is not None):
         raise ConfigError("a style model needs a style table" if config.use_style
                           else "a model without style takes no style table")
+    if style_table is not None and (shape := (catalog_size + 1, STYLE_DIM)) != style_table.shape:
+        raise ConfigError(f"style table shape {style_table.shape}, expected {shape}")
 
 
 def _check_run(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
                style_table: Optional[np.ndarray]) -> Tuple[List[Session], List[Session], str]:
-    """Every refusal ``train`` makes before its first epoch; returns the train and val
-    sessions it trains on (carts only under cart configurations) and the val mode."""
+    """Every refusal before a run's first epoch, the test split's protocol included; returns
+    the train and val sessions (carts only under cart configurations) and the val mode."""
     if model_cfg.use_style != cfg.use_style:
         raise ConfigError(f"model use_style={model_cfg.use_style} conflicts with "
                           f"configuration {cfg.configuration!r}")
@@ -338,7 +341,9 @@ def _check_run(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfi
     if not train_sessions or not val_sessions:
         raise ConfigError(f"configuration {cfg.configuration!r} leaves an empty "
                           f"train or val split")
-    return train_sessions, val_sessions, pick_eval_mode(cfg, dataset, val_sessions)
+    val_mode = pick_eval_mode(cfg, dataset, val_sessions)
+    pick_eval_mode(cfg, dataset, dataset.test)  # after val: every run may be tested
+    return train_sessions, val_sessions, val_mode
 
 
 def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,

@@ -9,7 +9,7 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +377,27 @@ class TestTrainEval:
                                                f"{data_products}\n")
         assert not (tmp_path / "rep-eval").exists()
 
+    @pytest.mark.parametrize("command", ["train", "suite", "sweep", "eval"])
+    def test_style_cache_beyond_the_catalog_is_config_error(self, tmp_path, tiny_config, capsys,
+                                                            monkeypatch, command):
+        """A cache for a larger catalog is a file the user named that does not fit the run:
+        one config-error line naming it, met before anything is made."""
+        monkeypatch.chdir(tmp_path)
+        make_prepared(tmp_path)  # catalog 8
+        save_style_cache({pid: np.ones(512, dtype=np.float32) for pid in range(1, 12)},
+                         tmp_path / "big.s4se")
+        tiny_config.write_text(tiny_config.read_text() + "train.configuration=P+Style\n")
+        save_checkpoint(init_params(replace(tiny_model_config(), use_style=True), 8, 0),
+                        tmp_path / "m.s4ck")
+        rest = {"eval": ("--checkpoint", "m.s4ck"), "sweep": ("--budget", 1)}.get(command, ())
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(command, "--config", tiny_config, "--data", "prep.json",
+                   "--style-cache", "big.s4se", *rest) == 2
+        assert capsys.readouterr().err == ("error config-error: big.s4se: style vector for id 11 "
+                                           "outside catalog 1..8\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
     def train_with_style_value(self, tmp_path, tiny_config, value) -> int:
         """``train --configuration P+Style`` with a style cache holding ``value`` once."""
         prep = make_prepared(tmp_path)
@@ -399,6 +420,18 @@ class TestTrainEval:
         assert self.train_with_style_value(tmp_path, tiny_config, 3e38) == 3
         err = capsys.readouterr().err
         assert err.startswith("error numeric-error:") and err.count("\n") == 1, err
+
+
+def write_test_negsample_data(raw, prepared) -> None:
+    """18 sessions over catalog 8, as raw lines and prepared at max_len 8: every val
+    session has 2 distinct items, one test session 6."""
+    sessions = [Session(f"s{t:02d}", PURCHASE, t, (1 + t % 7, 2 + t % 7)) for t in range(16)]
+    sessions += [Session("s16", PURCHASE, 16, (1, 2, 3, 4, 5, 6)),
+                 Session("s17", PURCHASE, 17, (1, 2))]
+    write_sessions(sessions, raw)
+    ds = data.prepare_dataset(sessions, max_len=8)
+    assert (ds.catalog_size, [len(s.items) for s in ds.val + ds.test]) == (8, [2, 2, 6, 2])
+    prepared.write_text(ds.to_json(), encoding="utf-8")
 
 
 class TestPathErrors:
@@ -470,6 +503,18 @@ class TestPathErrors:
                              "--budget", 2), None,
                             "config-error: catalog of 8 cannot supply 7 negatives for a session "
                             "with 5 distinct items"),
+        # testneg.cfg asks for 5 negatives in negsample mode: the val split of testneg.*
+        # supplies them, a test session of 6 distinct items leaves only 2 ids
+        **{f"{command}-test-negsample": (argv, None, "config-error: catalog of 8 cannot supply 5 "
+                                         "negatives for a session with 6 distinct items")
+           for command, argv in (
+               ("train", ("train", "--config", "testneg.cfg", "--data", "testneg.json")),
+               ("suite", ("suite", "--config", "testneg.cfg", "--data", "testneg.json",
+                          "--style-cache", "style.s4se")),
+               ("dynamic", ("dynamic", "--config", "testneg.cfg", "--sessions", "testneg.jsonl",
+                            "--max-lens", "8")),
+               ("sweep", ("sweep", "--config", "testneg.cfg", "--data", "testneg.json",
+                          "--budget", 2)))},
         "synth-products": (("synth", "--products", 1, "--sessions", 5, "--out", "new/s.jsonl"),
                            None, "config-error: need catalog_size >= 2 and n_sessions >= 1"),
         "synth-length-min": (("synth", "--products", 4, "--sessions", 5, "--length-min", 1,
@@ -505,6 +550,9 @@ class TestPathErrors:
                          tmp_path / "style.s4se")
         (tmp_path / "negsample.cfg").write_text(
             tiny_config.read_text() + "train.eval_mode=negsample\ntrain.eval_negatives=7\n")
+        (tmp_path / "testneg.cfg").write_text(
+            tiny_config.read_text() + "train.eval_mode=negsample\ntrain.eval_negatives=5\n")
+        write_test_negsample_data(tmp_path / "testneg.jsonl", tmp_path / "testneg.json")
         (tmp_path / "taken").mkdir()
         (tmp_path / "taken.txt").write_text("not a directory\n", encoding="utf-8")
         (tmp_path / "img").mkdir()

@@ -280,6 +280,13 @@ class TestTemporalSplit:
         assert prepare_dataset(sessions, max_len=2).catalog_size == 5
         assert prepare_dataset(sessions, max_len=2, catalog_size=9).catalog_size == 9
 
+    def test_catalog_below_the_largest_id_is_refused_at_construction(self):
+        sessions = [Session(f"s{i:02d}", PURCHASE, i, (1 + i % 10, 2 + (i + 1) % 9))
+                    for i in range(18)]
+        assert max_product_id(sessions) == 10
+        with pytest.raises(InputError, match=r"ids <= catalog_size 5, got \[\d+, \d+\]"):
+            prepare_dataset(sessions, max_len=8, catalog_size=5)
+
     def test_prepare_dataset_pipeline(self):
         sessions = [
             Session("dup", PURCHASE, 0, (1, 2, 3)),
@@ -322,26 +329,35 @@ class TestToJson:
          "test": [Session("t", PURCHASE, 9, (1, 2))]},
         {"train": [Session('q"uote\\back\nline\t', PURCHASE, 0, (1, 2))],
          "test": [Session("t", PURCHASE, 9, (1, 2))]},
-        {"train": [Session("one", PURCHASE, 7, (9,))], "test": [Session("two", PURCHASE, 8, (1,))]},
-        {"val": [Session("v", CART, 3, (2, 1, 2))]},
-        {},
-    ], ids=["non-ascii", "escapes", "single-item", "only-val", "all-empty"])
+        {"test": [Session("t", PURCHASE, 9, (1, 2))]},  # empty train and val write as []
+    ], ids=["non-ascii", "escapes", "only-test"])
     def test_matches_json_dumps(self, splits):
         ds = PreparedDataset(**{k: splits.get(k, []) for k in ("train", "val", "test")},
                              catalog_size=12, max_len=5)
         text = ds.to_json()
         assert text == oracle_json(ds)
-        if any(len(s.items) < 2 for s in ds.all_sessions()):
-            # a one-item session holds no input/target pair: the reader rejects it
-            with pytest.raises(InputError, match="session 'one'"):
-                PreparedDataset.from_json(text)
-            return
-        if not ds.test:  # eval needs a test split, so the reader rejects a dataset without one
-            with pytest.raises(InputError, match="empty test split"):
-                PreparedDataset.from_json(text)
-            return
         back = PreparedDataset.from_json(text)
         assert (back.train, back.val, back.test) == (ds.train, ds.val, ds.test)
+
+    @pytest.mark.parametrize("splits, message", [
+        # a one-item session holds no input/target pair
+        ({"train": [Session("one", PURCHASE, 7, (9,))], "test": [Session("two", PURCHASE, 8, (1,))]},
+         "session 'one'"),
+        # eval needs a test split
+        ({"val": [Session("v", CART, 3, (2, 1, 2))]}, "empty test split"),
+        ({}, "empty test split"),
+    ], ids=["single-item", "only-val", "all-empty"])
+    def test_construction_refuses_what_the_reader_refuses(self, splits, message):
+        """A dataset built in code meets the reader's rules, so to_json never writes a
+        file that from_json refuses; both refuse with one message."""
+        splits = {k: splits.get(k, []) for k in ("train", "val", "test")}
+        with pytest.raises(InputError, match=message) as built:
+            PreparedDataset(**splits, catalog_size=12, max_len=5)
+        text = json.dumps({"catalog_size": 12, "max_len": 5, "padding_id": 0,
+                           **{k: [s.to_row() for s in v] for k, v in splits.items()}}, indent=1)
+        with pytest.raises(InputError) as read:
+            PreparedDataset.from_json(text)
+        assert str(read.value) == str(built.value)
 
     def test_matches_json_dumps_on_a_prepared_dataset(self):
         sessions, _ = generate_synthetic(40, 300, length_range=(2, 9), seed=4, cart_ratio=0.3)

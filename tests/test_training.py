@@ -522,21 +522,23 @@ class TestEvaluate:
             sample_negatives(long.items, 12, 5, seed=0)
         assert str(refused.value) == str(sampled.value)
 
+    # table: the style table's rows, as an offset from the model's catalog size, or None
     @pytest.mark.parametrize("model_p, data_p, model_len, use_style, table", [
-        (300, 150, 6, False, False),
-        (150, 300, 6, False, False),
-        (150, 150, 3, False, False),
-        (150, 150, 6, False, True),
-        (150, 150, 6, True, False),
+        (300, 150, 6, False, None),
+        (150, 300, 6, False, None),
+        (150, 150, 3, False, None),
+        (150, 150, 6, False, 1),
+        (150, 150, 6, True, None),
+        (150, 150, 6, True, 0),
     ], ids=["model-catalog-larger", "model-catalog-smaller", "model-max-len-shorter",
-            "table-without-style", "style-without-table"])
+            "table-without-style", "style-without-table", "table-wrong-shape"])
     def test_test_split_rejects_a_model_that_does_not_fit(self, model_p, data_p, model_len,
                                                            use_style, table):
         sessions, _ = generate_synthetic(150, 400, length_range=(3, 8), seed=9)
         ds = prepare_dataset(sessions, max_len=6, catalog_size=data_p)
         m = ModelConfig(**{**TINY_MODEL, "max_len": model_len, "use_style": use_style})
         params = init_params(m, catalog_size=model_p, seed=9)
-        style = np.zeros((model_p + 1, 512), dtype=np.float32) if table else None
+        style = None if table is None else np.zeros((model_p + table, 512), dtype=np.float32)
         with pytest.raises(ConfigError):
             evaluate_test_split(params, ds, TrainConfig(seed=6), style)
 
@@ -629,6 +631,18 @@ class TestSuiteAndExperiments:
         with pytest.raises(ConfigError, match="catalog of 8 cannot supply 7 negatives"):
             Run("negsample", ds, ModelConfig(**TINY_MODEL),
                 TrainConfig(epochs=1, eval_mode=NEGSAMPLE, eval_negatives=7))
+        # the val split supplies 3 negatives to every session; a 6-item test session does not
+        val_fits = replace(ds, test=[*ds.test, Session("wide", PURCHASE, 99, (1, 2, 3, 4, 5, 6))])
+        assert max(len(set(s.items)) for s in ds.val) <= 5
+        with pytest.raises(ConfigError, match="catalog of 8 cannot supply 3 negatives for a "
+                                              "session with 6 distinct items"):
+            Run("test-negsample", val_fits, ModelConfig(**TINY_MODEL),
+                TrainConfig(epochs=1, eval_mode=NEGSAMPLE, eval_negatives=3))
+        # a style table one row short is refused here, not at P+Style's first batch
+        style_model = ModelConfig(**{**TINY_MODEL, "use_style": True})
+        with pytest.raises(ConfigError, match=r"style table shape \(8, 512\), expected \(9, 512\)"):
+            Run("short-table", ds, style_model, TrainConfig(epochs=1, configuration="P+Style"),
+                np.zeros((8, 512), dtype=np.float32))
         rows = run_experiment([fits], test=False)
         assert calls == []  # a plain generator: nothing trains until it is iterated
         next(rows)
