@@ -43,6 +43,7 @@ from .data import (
     read_text,
     write_sessions,
 )
+from . import threads
 from .errors import ConfigError, FormatError, InputError, StyleRecError
 from .metrics import FULL_CATALOG, NEGSAMPLE, format_report_table
 from .kv import parse_field
@@ -244,7 +245,7 @@ def _read_image(path: Path) -> np.ndarray:
     return image
 
 
-def _stylegen_vector(args: argparse.Namespace, pid: int, seed: int):
+def _stylegen_vector(args: argparse.Namespace, pid: int, seed: int, scratch: dict):
     """Raw style vector of one product, or None when it has no file. Every fault of
     the file names it: a FormatError keeps its kind, any other is an InputError."""
     folder, suffix = (args.features, "s4rf") if args.features else (args.images, "npy")
@@ -253,13 +254,50 @@ def _stylegen_vector(args: argparse.Namespace, pid: int, seed: int):
         return None
     try:
         layers = (load_feature_maps(path) if args.features
-                  else pseudo_feature_provider(_read_image(path), seed))
-        vec = extract_style_embedding(layers)
+                  else pseudo_feature_provider(_read_image(path), seed, scratch))
+        vec = extract_style_embedding(layers, scratch)
         if not np.isfinite(vec).all():
             raise InputError("non-finite values give a non-finite style vector")
     except StyleRecError as e:
         raise (FormatError if isinstance(e, FormatError) else InputError)(f"{path}: {e}") from None
     return vec
+
+
+def _stylegen_vectors(args: argparse.Namespace, seed: int, workers: int) -> Dict[int, np.ndarray]:
+    """Raw style vectors of the products that have a file, on ``workers`` threads that
+    take ids in order from one iterator; a fault is raised for the lowest failing id,
+    as one worker going through the ids in order would raise it."""
+    pids = iter(range(1, args.products + 1))  # next() is atomic under the interpreter lock
+    raw: Dict[int, np.ndarray] = {}
+    failed: Dict[int, Exception] = {}
+    scratch = [{} for _ in range(workers)]
+
+    def work(k: int, until_first: bool = False) -> None:
+        for pid in pids:
+            if failed:  # an id taken after a failure lies above it
+                return
+            try:
+                vec = _stylegen_vector(args, pid, seed, scratch[k])
+            except Exception as e:  # any kind: the ids below it are still taken and done
+                failed[pid] = e
+                return
+            if vec is not None:
+                raw[pid] = vec
+            if until_first and raw:
+                return
+
+    # the first vector sizes every worker's buffers, all on this thread's heap
+    work(0, until_first=True)
+    scratch[1:] = [{role: np.empty_like(buf) for role, buf in scratch[0].items()}
+                   for _ in scratch[1:]]
+    if not failed:
+        threads.on_workers(work, workers)
+    if failed:
+        try:
+            raise failed[min(failed)]
+        finally:  # no reference cycle keeps a failed file's frames, and its handle, alive
+            failed.clear()
+    return raw
 
 
 def cmd_stylegen(rc: RunConfig, args: argparse.Namespace) -> int:
@@ -273,9 +311,9 @@ def cmd_stylegen(rc: RunConfig, args: argparse.Namespace) -> int:
     if not source.is_dir():
         raise InputError(f"source directory not found: {source}")
     out, = _claim(args.out)
-    provider_seed = derive_seed(rc.seed, "style-provider")
-    raw = {pid: vec for pid in range(1, args.products + 1)
-           if (vec := _stylegen_vector(args, pid, provider_seed)) is not None}
+    with threads.one_blas_thread() as owned:
+        raw = _stylegen_vectors(args, derive_seed(rc.seed, "style-provider"),
+                                threads.WORKERS if owned else 1)
     vectors = dict.fromkeys(range(1, args.products + 1), np.zeros(STYLE_DIM, dtype=np.float32))
     vectors.update(standardize_embeddings(raw))
     save_style_cache(vectors, out)
@@ -506,6 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # numpy's warnings stay silent: the finite checks report a bad value as one error line
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+@threads.one_blas_thread()
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)

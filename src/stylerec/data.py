@@ -32,6 +32,9 @@ PADDING_ID = 0
 DEFAULT_TRAIN_FRAC = 14.0 / 18.0
 DEFAULT_VAL_FRAC = 2.0 / 18.0
 DEFAULT_MAX_LEN = 20
+# The longest max_len accepted anywhere: a batch holds [B, max_len, D] arrays, so a
+# larger value could only fail inside the work, after a command has claimed its outputs.
+MAX_LEN_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -94,9 +97,9 @@ class PreparedDataset:
     max_len: int
 
     def __post_init__(self):
-        if self.catalog_size < 1 or self.max_len < 2:
-            raise InputError(f"prepared dataset needs catalog_size >= 1 and max_len >= 2, "
-                             f"got {self.catalog_size} and {self.max_len}")
+        if self.catalog_size < 1 or not 2 <= self.max_len <= MAX_LEN_CAP:
+            raise InputError(f"prepared dataset needs catalog_size >= 1 and max_len "
+                             f"2..{MAX_LEN_CAP}, got {self.catalog_size} and {self.max_len}")
         if not self.test:
             raise InputError("prepared dataset has an empty test split")
         for s in self.all_sessions():
@@ -198,6 +201,8 @@ def dedupe_trailing(items: Sequence[int]) -> list:
 def check_max_len(max_len: int) -> None:
     if max_len < 2:
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
+    if max_len > MAX_LEN_CAP:
+        raise ConfigError(f"max_len must be <= {MAX_LEN_CAP}, got {max_len}")
 
 
 def truncate_pad(items: Sequence[int], max_len: int = DEFAULT_MAX_LEN):

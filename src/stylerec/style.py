@@ -1,4 +1,4 @@
-"""Gram matrices, style/content losses, and 512-dim product style embeddings.
+"""Gram matrices, the style loss, and 512-dim product style embeddings.
 
 A product's style embedding is computed from the first two convolutional
 layers of a feature provider (64 maps each): per layer, the 64x64 gram of
@@ -16,7 +16,8 @@ Externally computed activations can be supplied via S4RF files instead.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Sequence
+import math
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,12 +30,17 @@ _MAPS_PER_LAYER = 64
 _POOL = 4
 
 
-def _as_stack(maps) -> np.ndarray:
-    """A layer as an [N, H, W] float64 array; anything else, a list too, is a ShapeError."""
+def _as_stack(maps, scratch: Optional[dict] = None) -> np.ndarray:
+    """A layer as an [N, H, W] float64 array, widened into ``scratch``'s "wide" buffer
+    when one is given; anything else, a list too, is a ShapeError."""
     if not isinstance(maps, np.ndarray) or maps.ndim != 3 or maps.shape[0] < 1:
         raise ShapeError(f"layer must be an [N, H, W] array with N >= 1, "
                          f"got {getattr(maps, 'shape', type(maps).__name__)}")
-    return maps.astype(np.float64, copy=False)
+    if scratch is None or maps.dtype == np.float64:
+        return maps.astype(np.float64, copy=False)
+    wide = _take(scratch, "wide", maps.shape)
+    np.copyto(wide, maps)
+    return wide
 
 
 def gram(maps) -> np.ndarray:
@@ -61,16 +67,6 @@ def style_loss(input_grams: Sequence[np.ndarray], style_grams: Sequence[np.ndarr
     return total
 
 
-def content_loss(features_a, features_b) -> float:
-    """Half the sum of squared element differences between two stacks."""
-    a = np.asarray(features_a, dtype=np.float64)
-    b = np.asarray(features_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"content features differ in shape: {a.shape} vs {b.shape}")
-    d = a - b
-    return 0.5 * float((d * d).sum())
-
-
 def max_pool2d(matrix: np.ndarray, window: int = _POOL) -> np.ndarray:
     """Non-overlapping window x window max pooling of a 2-D matrix."""
     m = np.asarray(matrix)
@@ -82,15 +78,17 @@ def max_pool2d(matrix: np.ndarray, window: int = _POOL) -> np.ndarray:
     return m.reshape(h // window, window, w // window, window).max(axis=(1, 3))
 
 
-def extract_style_embedding(layers: Sequence) -> np.ndarray:
+def extract_style_embedding(layers: Sequence, scratch: Optional[dict] = None) -> np.ndarray:
     """Two 64-map layers -> 512 values: normalized gram, 4x4 max-pool, flatten.
 
     Catalog-level standardization is a separate pass (standardize_embeddings).
+    ``scratch`` is as for ``pseudo_feature_provider``.
     """
     if len(layers) != 2:
         raise ConfigError(f"style embedding needs exactly 2 layers, got {len(layers)}")
     parts = []
-    for stack in map(_as_stack, layers):
+    for maps in layers:
+        stack = _as_stack(maps, scratch)
         n, h, w = stack.shape
         if n != _MAPS_PER_LAYER:
             raise ConfigError(f"style embedding needs {_MAPS_PER_LAYER} maps per layer, got {n}")
@@ -132,17 +130,31 @@ def style_table(catalog_size: int, vectors: Dict[int, np.ndarray]) -> np.ndarray
 # pseudo feature provider
 # ---------------------------------------------------------------------------
 
-def _conv2d_same(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _take(scratch: dict, role: str, shape, dtype=np.float64) -> np.ndarray:
+    """A work array of ``shape``, a view of ``scratch[role]``, which is replaced by a
+    larger buffer when it is too small. glibc keeps a buffer in the heap of the thread
+    that allocates it, so a caller sizes a worker's buffers where it wants them."""
+    n = math.prod(shape)
+    buf = scratch.get(role)
+    if buf is None or buf.size < n:
+        buf = scratch[role] = np.empty(n, dtype)
+    return buf[:n].reshape(shape)
+
+
+def _conv2d_same(x: np.ndarray, weights: np.ndarray, scratch: dict) -> np.ndarray:
     """3x3 stride-1 same-padding convolution as one GEMM: [C, H, W] x [F, C*9] -> [F, H, W],
-    the filters flattened over (c, i, j) like the nine shifted copies of the input."""
+    the filters flattened over (c, i, j) like the nine shifted copies of the input. The
+    result is ``scratch``'s "out" buffer, which ``x`` may be: it is read before the GEMM."""
     c, h, w = x.shape
-    padded = np.zeros((c, h + 2, w + 2))
+    padded = _take(scratch, "padded", (c, h + 2, w + 2))
+    padded.fill(0.0)
     padded[:, 1:-1, 1:-1] = x
-    cols = np.empty((c, 3, 3, h, w))
+    cols = _take(scratch, "cols", (c, 3, 3, h, w))
     for i in range(3):
         for j in range(3):
             cols[:, i, j] = padded[:, i:i + h, j:j + w]
-    return (weights @ cols.reshape(c * 9, h * w)).reshape(-1, h, w)
+    out = _take(scratch, "out", (weights.shape[0], h * w))
+    return np.matmul(weights, cols.reshape(c * 9, h * w), out=out).reshape(-1, h, w)
 
 
 @functools.lru_cache(maxsize=16)
@@ -158,11 +170,15 @@ def _pseudo_weights(seed: int, c: int):
     return banks
 
 
-def pseudo_feature_provider(image: np.ndarray, seed: int) -> List[np.ndarray]:
+def pseudo_feature_provider(image: np.ndarray, seed: int,
+                            scratch: Optional[dict] = None) -> List[np.ndarray]:
     """Two frozen seeded conv layers over an H x W (x C) image, H and W at least 8.
 
     Both layers use 64 bias-free 3x3 filters with same padding and ReLU, so a
     zero image yields zero maps and equal seeds yield bit-identical stacks.
+    ``scratch``, a dict that one thread at a time passes, holds the work buffers
+    from call to call, and the returned float32 maps too: they then last until
+    the next call with it.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim not in (2, 3) or min(img.shape[:2]) < 8 or not img.size:
@@ -171,9 +187,14 @@ def pseudo_feature_provider(image: np.ndarray, seed: int) -> List[np.ndarray]:
     if img.ndim == 2:
         img = img[:, :, None]
     w1, w2 = _pseudo_weights(seed, img.shape[2])
-    layer1 = np.maximum(_conv2d_same(img.transpose(2, 0, 1), w1), 0.0)
-    layer2 = np.maximum(_conv2d_same(layer1, w2), 0.0)
-    return [layer1.astype(np.float32), layer2.astype(np.float32)]
+    scratch = {} if scratch is None else scratch
+    maps, layer = [], img.transpose(2, 0, 1)
+    for role, bank in (("map1", w1), ("map2", w2)):
+        layer = _conv2d_same(layer, bank, scratch)
+        np.maximum(layer, 0.0, out=layer)
+        maps.append(_take(scratch, role, layer.shape, np.float32))
+        np.copyto(maps[-1], layer, casting="same_kind")  # before layer 2 reuses the buffer
+    return maps
 
 
 # ---------------------------------------------------------------------------

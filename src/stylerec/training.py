@@ -15,16 +15,15 @@ P+Cart+Style.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
+from . import threads
 from .data import (CART, PURCHASE, PreparedDataset, Session, max_product_id,
                    prepare_dataset, truncate_pad)
 from .errors import ConfigError, ContractError
@@ -53,11 +52,6 @@ EVAL_BATCH = 256  # sessions per encode call in evaluate
 # 1.3 MB at 2**15; 2**14..2**16 step equally fast on a 2 MB-L2 Xeon, while
 # 2**12 loses a third to per-call overhead.
 ADAM_BLOCK = 1 << 15
-# Threads that update Adam blocks: the caller, plus one helper when the
-# process may run on two CPUs. numpy releases the interpreter lock inside
-# its ufunc loops, so the two overlap.
-ADAM_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba)
 SHORT_CATALOG = "catalog of {} cannot supply {} negatives for a session with {} distinct items"
 
@@ -169,15 +163,6 @@ def _train_exclusions(sessions: Sequence[Session], catalog_size: int) -> List[fr
     return out
 
 
-@functools.cache
-def _adam_helper():
-    """The process's one Adam helper thread, shared by every ``Adam``; it starts
-    on the first task and idles outside ``Adam.step``."""
-    # imported here so that runs which never train do not load it
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(1, thread_name_prefix="adam-helper")
-
-
 class Adam:
     """Adam over one flat buffer that owns the parameters' memory.
 
@@ -188,12 +173,12 @@ class Adam:
     in place (``t.data[...] = x``): a rebound ``.data`` misses the updates.
 
     ``step(g)`` updates ``data`` and the float64 moments in place,
-    ``ADAM_BLOCK`` elements at a time. ``ADAM_WORKERS`` threads (read when
-    the ``Adam`` is built: the caller and, at 2, the process's one helper
-    thread) take blocks from one shared counter, each through its own
-    float64 scratch pair, so a descheduled worker just takes fewer blocks.
-    Every element goes through the same float64 operations in the same
-    order as the out-of-place formula
+    ``ADAM_BLOCK`` elements at a time. ``threads.WORKERS`` threads (read when
+    the ``Adam`` is built; numpy releases the interpreter lock inside its
+    ufunc loops, so they overlap) take blocks from one shared counter, each
+    through its own float64 scratch pair, so a descheduled worker just takes
+    fewer blocks. Every element goes through the same float64 operations in
+    the same order as the out-of-place formula
 
         m = BETA1 * m + (1 - BETA1) * g
         v = BETA2 * v + (1 - BETA2) * (g * g)
@@ -212,7 +197,7 @@ class Adam:
         self.data = np.concatenate([t.data.reshape(-1) for t in tensors])
         self.grad = np.zeros_like(self.data)
         self.m, self.v = np.zeros(self.data.size), np.zeros(self.data.size)
-        self.workers = ADAM_WORKERS if self.data.size > ADAM_BLOCK else 1
+        self.workers = threads.WORKERS if self.data.size > ADAM_BLOCK else 1
         self._scratch = np.empty((self.workers, 2, ADAM_BLOCK))
         ends = np.cumsum([t.data.size for t in tensors])[:-1]
         for t, data, grad in zip(tensors, np.split(self.data, ends), np.split(self.grad, ends)):
@@ -224,17 +209,9 @@ class Adam:
         b1c = 1.0 - BETA1 ** self.t
         b2c = 1.0 - BETA2 ** self.t
         # next() on a count is atomic under the interpreter lock: each block once
-        work = functools.partial(self._update_blocks, itertools.count(0, ADAM_BLOCK),
-                                 grad, b1c, b2c)
-        if self.workers == 1:
-            work(self._scratch[0])
-            return
-        helper = _adam_helper().submit(work, self._scratch[1])
-        try:
-            work(self._scratch[0])
-        finally:
-            if not helper.cancel():  # it started: wait for the block it may hold
-                helper.result()
+        blocks = itertools.count(0, ADAM_BLOCK)
+        threads.on_workers(lambda k: self._update_blocks(blocks, grad, b1c, b2c,
+                                                         self._scratch[k]), self.workers)
 
     def _update_blocks(self, blocks, grad, b1c, b2c, scratch) -> None:
         """Update every block whose start this worker takes from ``blocks``."""
@@ -346,6 +323,7 @@ def _check_run(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfi
     return train_sessions, val_sessions, val_mode
 
 
+@threads.one_blas_thread()
 def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
           style_table: Optional[np.ndarray] = None,
           log: Optional[Callable[[str], None]] = None) -> TrainResult:
@@ -424,6 +402,7 @@ def _eval_candidates(session: Session, catalog_size: int, mode: str,
     return _catalog_pool(catalog_size, [i for i in session.items if i != truth])
 
 
+@threads.one_blas_thread()
 def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NEGSAMPLE,
              n_negatives: int = 100, seed: int = 0,
              style_table: Optional[np.ndarray] = None) -> MetricsReport:

@@ -3,14 +3,16 @@ compared with ``perfbench/references.json`` by the benchmark's own
 ``compare_probe``, so the tolerances are the gate's. A change that moves a
 probe output fails here before the benchmark reports it.
 
-``train-long`` is left out: its recorded loss is stale (ROADMAP).
+``train-long`` is left out: its recorded loss is stale (ROADMAP). The
+references were recorded at one BLAS thread, and the probes run in-process
+under ``threads.one_blas_thread``.
 """
 
 import json
 import sys
 from pathlib import Path
 
-from test_training import one_blas_thread_json
+from stylerec import threads
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PROBED = ("train-a07", "eval-20k", "ingest")
@@ -31,7 +33,11 @@ def probe_checks() -> dict:
     return {"attempted": checks.attempted, "failures": checks.notes}
 
 
-def test_probes_match_references(tmp_path):
-    got = one_blas_thread_json("test_bench_probes.probe_checks", tmp_path)
+def test_probes_match_references(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # probe_checks adds perfbench/
+    with threads.one_blas_thread() as owned:
+        assert owned
+        got = probe_checks()
     assert got["failures"] == []
     assert got["attempted"] >= len(PROBED)

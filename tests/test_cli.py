@@ -9,19 +9,21 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stylerec import cli, data, errors, training
+from stylerec import cli, data, errors, threads, training
 from stylerec.data import PURCHASE, PreparedDataset, Session, generate_synthetic, write_sessions
 from stylerec.errors import FormatError, InputError
 from stylerec.style import load_style_cache, save_style_cache, write_feature_maps
 from stylerec.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from stylerec.training import CONFIGURATIONS, TrainConfig
-from test_training import one_blas_thread_json
+from test_training import TINY_MODEL, tiny_dataset
 
 
 def run(*argv) -> int:
@@ -111,6 +113,15 @@ class TestPreprocess:
         code = run("preprocess", "--sessions", raw, "--out", tmp_path / "x", "--max-len", max_len)
         assert code == 2
         assert capsys.readouterr().err == f"error config-error: max_len must be >= 2, got {max_len}\n"
+        assert not (tmp_path / "x").exists() and not (tmp_path / "x.stats.txt").exists()
+
+    def test_max_len_above_the_cap_is_config_error(self, tmp_path, capsys):
+        raw = make_raw(tmp_path)
+        capsys.readouterr()
+        assert run("preprocess", "--sessions", raw, "--out", tmp_path / "x",
+                   "--max-len", data.MAX_LEN_CAP + 1) == 2
+        assert capsys.readouterr().err == (f"error config-error: max_len must be <= "
+                                           f"{data.MAX_LEN_CAP}, got {data.MAX_LEN_CAP + 1}\n")
         assert not (tmp_path / "x").exists() and not (tmp_path / "x.stats.txt").exists()
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
@@ -275,6 +286,112 @@ class TestStylegen:
         feat.mkdir()
         assert run("stylegen", "--features", feat, "--products", 2,
                    "--out", tmp_path / "c") == 2
+
+
+@contextlib.contextmanager
+def short_switch_interval():
+    """Hand the interpreter lock between threads as often as the interpreter allows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestStylegenWorkers:
+    """``stylegen`` on one and on two workers (``threads.WORKERS``): the calling thread
+    and the process's one helper take product ids from one iterator."""
+
+    def write_images(self, tmp_path, count, shape=(16, 16, 3)):
+        images = tmp_path / "img"
+        images.mkdir()
+        rng = np.random.default_rng(4)
+        for pid in range(1, count + 1):
+            if pid % 5:  # every fifth product has no image
+                np.save(images / f"{pid}.npy", rng.random(shape))
+        return images
+
+    def spy_threads(self, monkeypatch):
+        """The names of the threads that run ``_stylegen_vector``, one per call."""
+        names, real = [], cli._stylegen_vector
+        monkeypatch.setattr(cli, "_stylegen_vector", lambda *a: (
+            names.append(threading.current_thread().name), real(*a))[1])
+        return names
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_style_cache_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch,
+                                                                 capsys, workers):
+        images = self.write_images(tmp_path, 40)
+        one = tmp_path / "one.s4se"
+        assert run("stylegen", "--pseudo", "--images", images, "--products", 40,
+                   "--out", one, "--seed", 5) == 0
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        names = self.spy_threads(monkeypatch)
+        out = tmp_path / f"{workers}.s4se"
+        with short_switch_interval():
+            assert run("stylegen", "--pseudo", "--images", images, "--products", 40,
+                       "--out", out, "--seed", 5) == 0
+        assert out.read_bytes() == one.read_bytes()
+        assert len(names) == 40 and len(set(names)) == workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_lowest_failing_id_is_reported(self, tmp_path, monkeypatch, capsys, workers):
+        """Bad images at ids 3 and 7, and id 3 slow to read: the line names 3.npy, as one
+        worker going through the ids in order reports it."""
+        images = self.write_images(tmp_path, 12)
+        for pid in (3, 7):
+            (images / f"{pid}.npy").write_bytes(b"not an array")
+        real_read = cli._read_image
+        monkeypatch.setattr(cli, "_read_image", lambda path: (
+            time.sleep(0.05 if path.name == "3.npy" else 0), real_read(path))[1])
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        with short_switch_interval():
+            assert run("stylegen", "--pseudo", "--images", images, "--products", 12,
+                       "--out", tmp_path / "c.s4se") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error input-error: {images / '3.npy'}: ") and err.count("\n") == 1
+        assert not (tmp_path / "c.s4se").exists()
+
+    def test_an_error_raised_on_the_helper_propagates(self, tmp_path, monkeypatch):
+        images = self.write_images(tmp_path, 6)
+        monkeypatch.setattr(threads, "WORKERS", 2)
+        caller, helper_raised = threading.current_thread(), threading.Event()
+        real = cli._stylegen_vector
+
+        def vector(args, pid, seed, scratch):
+            if threading.current_thread() is not caller:
+                helper_raised.set()
+                raise RuntimeError(f"not a StyleRecError, id {pid}")
+            if pid > 1:  # id 1 sizes the buffers before the helper starts
+                assert helper_raised.wait(10)
+            return real(args, pid, seed, scratch)
+
+        monkeypatch.setattr(cli, "_stylegen_vector", vector)
+        with short_switch_interval(), pytest.raises(RuntimeError, match="not a StyleRecError"):
+            run("stylegen", "--pseudo", "--images", images, "--products", 6,
+                "--out", tmp_path / "c.s4se")
+        assert not (tmp_path / "c.s4se").exists()
+
+    def test_an_unowned_blas_count_runs_one_worker(self, tmp_path, monkeypatch, capsys):
+        images = self.write_images(tmp_path, 6)
+        monkeypatch.setattr(threads, "WORKERS", 2)
+        monkeypatch.setattr(threads, "_blas_thread_calls", lambda: None)
+        names = self.spy_threads(monkeypatch)
+        assert run("stylegen", "--pseudo", "--images", images, "--products", 6,
+                   "--out", tmp_path / "c.s4se") == 0
+        assert set(names) == {threading.current_thread().name}
+
+    def test_train_and_stylegen_share_one_helper_thread(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(threads, "WORKERS", 2)
+        ds, _ = tiny_dataset()
+        model = ModelConfig(**{**TINY_MODEL, "d_product": 64, "d_ffn": 256})
+        training.train(ds, model, TrainConfig(epochs=1, seed=6, batch_size=32))
+        images = self.write_images(tmp_path, 20)
+        assert run("stylegen", "--pseudo", "--images", images, "--products", 20,
+                   "--out", tmp_path / "c.s4se") == 0
+        helpers = [t for t in threading.enumerate() if t.name.startswith("stylerec-helper")]
+        assert len(helpers) == 1
 
 
 class TestTrainEval:
@@ -927,6 +1044,7 @@ class TestCheckpointHeader:
         (b"d_product=8\n", b"d_product=0\n"),
         (b"catalog_size=8", b"catalog_size=8\ncatalog_size=9"),
         (b"d_product=8\n", b"d_product=8\nd_product=8\n"),
+        (b"max_len=8", b"max_len=%d" % 10**15),  # beyond data.MAX_LEN_CAP
     ])
     def test_corrupt_header_is_format_error(self, tmp_path, capsys, old, new):
         ckpt = tmp_path / "m.s4ck"
@@ -1089,13 +1207,13 @@ def cli_pin_digests() -> dict:
 
 class TestCliPin:
     """Every file and stdout of 11 invocations of the 8 subcommands on one
-    tiny seeded config, pinned bit for bit. The runs go through a child
-    process with one BLAS thread, so the digests do not depend on the
+    tiny seeded config, pinned bit for bit. ``cli.main`` runs at one BLAS
+    thread (``threads.one_blas_thread``), so the digests do not depend on the
     machine's CPU count.
 
-    To re-record, print ``one_blas_thread_json("test_cli.cli_pin_digests", d)``
-    for an empty directory ``d``, from ``tests/`` with ``src/`` on the path,
-    and replace only the entries that the change is meant to move. Losses
+    To re-record, print ``cli_pin_digests()`` run in an empty directory,
+    from ``tests/`` with ``src/`` on the path, and replace only the entries
+    that the change is meant to move. Losses
     reported with the default ``train.l2`` move with the penalty's float
     summation; checkpoints move only with the training itself.
     """
@@ -1169,8 +1287,35 @@ class TestCliPin:
             "c14aae2f88aad75384b1b713a563332ec8a32aae8e997e66eeceb41e7bef93cb",
     }
 
-    def test_outputs_are_pinned(self, tmp_path):
-        assert one_blas_thread_json("test_cli.cli_pin_digests", tmp_path) == self.RECORDED
+    def test_outputs_are_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_pin_digests() == self.RECORDED
+
+    def test_style_checkpoint_does_not_depend_on_the_blas_thread_count(self, tmp_path,
+                                                                      monkeypatch):
+        """``train`` of a style configuration on the pinned inputs writes the same bytes
+        in child processes started with one and with two BLAS threads."""
+        monkeypatch.chdir(tmp_path)
+        Path("in").mkdir()
+        Path("in/run.cfg").write_text(PIN_CONFIG, encoding="utf-8")
+        invocations = {name: argv for name, *argv in PIN_INVOCATIONS}
+        for name in ("synth-styled", "preprocess"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(invocations[name]) == 0
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        digests = set()
+        for count in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=count)
+            proc = subprocess.run(
+                [sys.executable, "-m", "stylerec.cli", "train", *PIN_RUN, "--data",
+                 "out/prep.json", "--configuration", "P+Cart+Style", "--style-cache",
+                 "out/styled.jsonl.style.s4se", "--checkpoint-dir", f"ck{count}"],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(hashlib.sha256(Path(f"ck{count}/model-P+Cart+Style.s4ck")
+                                       .read_bytes()).hexdigest())
+        assert len(digests) == 1
 
 
 # the kinds and exit codes README documents; errors.py owns them
@@ -1209,21 +1354,35 @@ class TestErrorSurface:
                    "--out", tmp_path / "x") == code
         assert capsys.readouterr().err == f"error {kind}: boom\n"
 
+    def test_memory_error_is_one_input_error_line(self, tmp_path, tiny_config, capsys):
+        """A feed-forward width no 64-bit host can allocate is one input-error line, not
+        a traceback."""
+        prep = make_prepared(tmp_path)
+        huge = tmp_path / "huge.cfg"
+        huge.write_text(tiny_config.read_text().replace("model.d_ffn=8", f"model.d_ffn={10**13}"))
+        capsys.readouterr()
+        assert run("train", "--config", huge, "--data", prep, "--out", tmp_path / "t.s4ck",
+                   "--report-dir", tmp_path / "rep") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error input-error: Unable to allocate") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_memory_error_is_one_input_error_line(self, tmp_path, tiny_config, capsys, command):
-        """A max_len no 64-bit host can allocate, in the prepared dataset (and, for eval,
-        in the checkpoint header too) is one input-error line, not a traceback."""
+    def test_max_len_beyond_the_cap_is_refused_before_the_claim(self, tmp_path, tiny_config,
+                                                                 capsys, command):
+        """A prepared dataset whose max_len no host can allocate is one input-error line
+        from its constructor, before the claim: no checkpoint or report directory is made."""
         prep = make_prepared(tmp_path)
         prep.write_text(json.dumps({**json.loads(prep.read_text()), "max_len": 10**15}))
         ckpt = tmp_path / "m.s4ck"
         tiny_checkpoint(ckpt, 8)
-        rewrite_header(ckpt, b"max_len=8", b"max_len=%d" % 10**15)
-        argv = {"train": ("train", "--config", tiny_config, "--out", tmp_path / "t.s4ck"),
+        argv = {"train": ("train", "--config", tiny_config, "--checkpoint-dir", tmp_path / "cb"),
                 "eval": ("eval", "--checkpoint", ckpt)}[command]
         capsys.readouterr()
-        assert run(*argv, "--data", prep, "--report-dir", tmp_path / "rep") == 1
+        assert run(*argv, "--data", prep, "--report-dir", tmp_path / "rb") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error input-error: ") and err.count("\n") == 1, err
+        assert err.startswith("error input-error: prepared dataset needs catalog_size >= 1 "
+                              "and max_len 2..512, got ") and err.count("\n") == 1, err
+        assert not (tmp_path / "cb").exists() and not (tmp_path / "rb").exists()
 
     def test_every_error_class_is_documented(self):
         documented = {cls for cls, _, _ in ERROR_SURFACE}

@@ -6,11 +6,11 @@ import struct
 import numpy as np
 import pytest
 
+from stylerec import threads
 from stylerec.errors import ConfigError, ContractError, FormatError, ShapeError
 from stylerec.style import (
     STYLE_DIM,
     _pseudo_weights,
-    content_loss,
     extract_style_embedding,
     gram,
     load_feature_maps,
@@ -23,7 +23,6 @@ from stylerec.style import (
     style_table,
     write_feature_maps,
 )
-from test_training import one_blas_thread_json
 
 
 def brute_force_gram(stack):
@@ -136,22 +135,6 @@ class TestLosses:
     def test_gram_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             style_loss([np.ones((2, 2))], [np.ones((3, 3))], [1.0], [2], [4])
-
-    def test_content_identical_zero(self):
-        a = np.random.default_rng(37).standard_normal((3, 4, 4))
-        assert content_loss(a, a.copy()) == 0.0
-
-    def test_content_hand_case(self):
-        assert content_loss(np.ones((1, 2, 2)), np.zeros((1, 2, 2))) == 2.0
-
-    def test_content_symmetric(self):
-        rng = np.random.default_rng(38)
-        a, b = rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3))
-        assert content_loss(a, b) == content_loss(b, a)
-
-    def test_content_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            content_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestPooling:
@@ -310,23 +293,26 @@ def pin_images() -> dict:
 
 def provider_digests() -> dict:
     """Per image of ``pin_images``: the SHA-256 of the provider's maps and of
-    their style embedding, over the three ``PIN_SEEDS``."""
+    their style embedding, over the three ``PIN_SEEDS``. One scratch serves
+    every call, so its buffers grow and are reused across image shapes."""
     got = {}
+    scratch = {}
     for name, image in pin_images().items():
         maps, emb = hashlib.sha256(), hashlib.sha256()
         for seed in PIN_SEEDS:
-            layers = pseudo_feature_provider(image, seed)
+            layers = pseudo_feature_provider(image, seed, scratch)
             for layer in layers:
                 maps.update(layer.tobytes())
-            emb.update(extract_style_embedding(layers).tobytes())
+            emb.update(extract_style_embedding(layers, scratch).tobytes())
         got[name] = [maps.hexdigest(), emb.hexdigest()]
     return got
 
 
 class TestProviderPin:
     """The pseudo provider's maps and embeddings, pinned bit for bit on six
-    image shapes and three seeds. The digests come from a child process with
-    one BLAS thread, so they do not depend on the machine's CPU count."""
+    image shapes and three seeds. The digests are taken at one BLAS thread
+    (``threads.one_blas_thread``), so they do not depend on the machine's CPU
+    count."""
 
     RECORDED = {
         "32x32x3": ["878e09f488cbc71444a6e53541cb1db843b16b66d9bb2c917084920cfa9fc9bf",
@@ -343,8 +329,9 @@ class TestProviderPin:
                   "f3cc103136423a57975750907ebc1d367e2985ac6338976d4d5a439f50323f4a"],
     }
 
-    def test_provider_outputs_are_pinned(self, tmp_path):
-        assert one_blas_thread_json("test_style.provider_digests", tmp_path) == self.RECORDED
+    def test_provider_outputs_are_pinned(self):
+        with threads.one_blas_thread():
+            assert provider_digests() == self.RECORDED
 
     def test_filter_banks_are_cached_read_only(self):
         w1, w2 = banks = _pseudo_weights(9, 3)

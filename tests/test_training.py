@@ -2,18 +2,15 @@
 
 import hashlib
 import json
-import os
-import subprocess
 import sys
 import threading
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stylerec import tensor as T
-from stylerec import training
+from stylerec import threads, training
 from stylerec.data import PURCHASE, PreparedDataset, Session, generate_synthetic, prepare_dataset
 from stylerec.errors import ConfigError, ContractError
 from stylerec.metrics import FULL_CATALOG, NEGSAMPLE
@@ -29,7 +26,6 @@ from stylerec.model import (
 )
 from stylerec.training import (
     ADAM_BLOCK,
-    ADAM_WORKERS,
     CONFIGURATIONS,
     Adam,
     Run,
@@ -129,7 +125,7 @@ class TestAdam:
 
     def test_in_place_step_bit_identical_to_formula(self, monkeypatch):
         """Blocked steps over the flat buffer equal the out-of-place f64 formula bit
-        for bit at one and at two workers (``ADAM_WORKERS`` when the ``Adam`` is
+        for bit at one and at two workers (``threads.WORKERS`` when the ``Adam`` is
         built), so the worker count cannot change a bit, and every tensor keeps its
         views of ``adam.data`` and ``adam.grad``. A short switch interval interleaves
         the two workers' block claims as finely as the interpreter allows: a block
@@ -138,7 +134,7 @@ class TestAdam:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2):
-                monkeypatch.setattr(training, "ADAM_WORKERS", workers)
+                monkeypatch.setattr(threads, "WORKERS", workers)
                 self.check_steps_against_formula(workers)
         finally:
             sys.setswitchinterval(interval)
@@ -205,15 +201,15 @@ class TestAdam:
         and a second ``train`` starts none."""
         ds, _ = tiny_dataset()
         m = ModelConfig(**{**TINY_MODEL, "d_product": 64, "d_ffn": 256})
-        assert Adam(init_params(m, ds.catalog_size, 0), 1e-3).workers == ADAM_WORKERS
+        assert Adam(init_params(m, ds.catalog_size, 0), 1e-3).workers == threads.WORKERS
         cfg = TrainConfig(epochs=1, seed=6, batch_size=32)
         before = threading.active_count()
         train(ds, m, cfg)
         after_one = threading.active_count()
         train(ds, m, cfg)
         assert threading.active_count() <= after_one <= before + 1
-        helpers = [t for t in threading.enumerate() if t.name.startswith("adam-helper")]
-        assert len(helpers) == ADAM_WORKERS - 1
+        helpers = [t for t in threading.enumerate() if t.name.startswith("stylerec-helper")]
+        assert len(helpers) == threads.WORKERS - 1
 
 
 def params_digest(params: ModelParams) -> str:
@@ -223,25 +219,6 @@ def params_digest(params: ModelParams) -> str:
         h.update(name.encode())
         h.update(t.data.tobytes())
     return h.hexdigest()
-
-
-# training sums through BLAS, whose result bits can depend on its thread count
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def one_blas_thread_json(call: str, cwd):
-    """The JSON that ``call``, a function of a tests module, returns when run in a
-    child process in ``cwd`` with one BLAS thread."""
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
-                                         os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, **{var: "1" for var in BLAS_THREAD_VARS})
-    module = call.partition(".")[0]
-    proc = subprocess.run([sys.executable, "-c", f"import json, {module}; "
-                           f"print(json.dumps({call}()))"],
-                          cwd=cwd, capture_output=True, text=True, env=env, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
 
 
 SEEDED_MODEL = dict(d_product=16, d_model=8, n_blocks=1, n_heads=2, d_ffn=32, max_len=6)
@@ -270,8 +247,9 @@ def seeded_training_digests() -> dict:
 class TestSeededTraining:
     """Three short seeded ``train`` runs, pinned bit for bit: the final
     parameters and the per-epoch loss/val history. A change to any number
-    training produces fails here. The runs go through a child process with
-    one BLAS thread, so the digests do not depend on the machine's CPU count."""
+    training produces fails here. ``train`` runs at one BLAS thread
+    (``threads.one_blas_thread``), so the digests do not depend on the
+    machine's CPU count."""
 
     RECORDED = {
         "P": ["5ff6c4c791b7ee3a22a8434ac6d6ca8a8c0493b9e73bb662e58d3557a0a19d97",
@@ -282,9 +260,8 @@ class TestSeededTraining:
                     "a8fd467768cacf81318acca01d954fa9dd39705fa2ec4d7a12b2d7638d6553c5"],
     }
 
-    def test_final_parameters_and_history_are_pinned(self, tmp_path):
-        got = one_blas_thread_json("test_training.seeded_training_digests", tmp_path)
-        assert got == self.RECORDED
+    def test_final_parameters_and_history_are_pinned(self):
+        assert seeded_training_digests() == self.RECORDED
 
 
 class TestTrainingLoss:
