@@ -265,38 +265,27 @@ def _stylegen_vector(args: argparse.Namespace, pid: int, seed: int, scratch: dic
 
 def _stylegen_vectors(args: argparse.Namespace, seed: int, workers: int) -> Dict[int, np.ndarray]:
     """Raw style vectors of the products that have a file, on ``workers`` threads that
-    take ids in order from one iterator; a fault is raised for the lowest failing id,
-    as one worker going through the ids in order would raise it."""
-    pids = iter(range(1, args.products + 1))  # next() is atomic under the interpreter lock
+    take ids in order (``threads.in_order``); a fault is raised for the lowest failing id."""
+    pids = iter(range(1, args.products + 1))
     raw: Dict[int, np.ndarray] = {}
-    failed: Dict[int, Exception] = {}
     scratch = [{} for _ in range(workers)]
 
-    def work(k: int, until_first: bool = False) -> None:
+    def vector(k: int, pid: int) -> None:
+        vec = _stylegen_vector(args, pid, seed, scratch[k])
+        if vec is not None:
+            raw[pid] = vec
+
+    def until_first():
         for pid in pids:
-            if failed:  # an id taken after a failure lies above it
-                return
-            try:
-                vec = _stylegen_vector(args, pid, seed, scratch[k])
-            except Exception as e:  # any kind: the ids below it are still taken and done
-                failed[pid] = e
-                return
-            if vec is not None:
-                raw[pid] = vec
-            if until_first and raw:
+            yield pid
+            if raw:
                 return
 
     # the first vector sizes every worker's buffers, all on this thread's heap
-    work(0, until_first=True)
+    threads.in_order(vector, until_first(), 1)
     scratch[1:] = [{role: np.empty_like(buf) for role, buf in scratch[0].items()}
                    for _ in scratch[1:]]
-    if not failed:
-        threads.on_workers(work, workers)
-    if failed:
-        try:
-            raise failed[min(failed)]
-        finally:  # no reference cycle keeps a failed file's frames, and its handle, alive
-            failed.clear()
+    threads.in_order(vector, pids, workers)
     return raw
 
 

@@ -86,17 +86,20 @@ def json_value(value, kind: type, what: str):
 _ROW = '  {{\n   "session_id": {},\n   "kind": {},\n   "t": {},\n   "items": [\n    {}\n   ]\n  }}'
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparedDataset:
-    """Temporal train/val/test splits after preprocessing; the constructor owns their rules."""
+    """Temporal train/val/test splits after preprocessing; the constructor owns their
+    rules, and as the splits are tuples (lists are converted) it is the only way in."""
 
-    train: list
-    val: list
-    test: list
+    train: tuple
+    val: tuple
+    test: tuple
     catalog_size: int
     max_len: int
 
     def __post_init__(self):
+        for name in ("train", "val", "test"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.catalog_size < 1 or not 2 <= self.max_len <= MAX_LEN_CAP:
             raise InputError(f"prepared dataset needs catalog_size >= 1 and max_len "
                              f"2..{MAX_LEN_CAP}, got {self.catalog_size} and {self.max_len}")

@@ -361,7 +361,7 @@ def score(history, candidate_ids, params: ModelParams,
     dots = (full @ h64)[ids] if 4 * ids.size > len(full) else full[ids] @ h64
     if hn == 0.0 or np.any(en == 0.0):
         raise NumericError("cosine scoring hit a zero-norm vector")
-    return dots / (en * hn)
+    return np.divide(dots, np.multiply(en, hn, out=en), out=dots)  # both are this call's own
 
 
 def pairwise_bce_loss(s_pos: T.Tensor, s_neg: T.Tensor) -> T.Tensor:

@@ -5,7 +5,7 @@ order, so the last bits of training depend on its thread count. The
 program runs its own work at one BLAS thread (``one_blas_thread``) and
 finds its parallelism instead in ``WORKERS`` threads of its own: the
 calling thread, plus the process's one helper thread when the process may
-run on two CPUs (``on_workers``).
+run on two CPUs (``on_workers``), which take items in order (``in_order``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Dict, Iterator
 
 import numpy as np
 
@@ -83,3 +83,28 @@ def on_workers(work: Callable[[int], None], workers: int) -> None:
     finally:
         if not job.cancel():  # it started: wait for the work it may hold
             job.result()
+
+
+def in_order(do: Callable[[int, int], None], items: Iterator[int], workers: int) -> None:
+    """``do(k, item)`` on worker ``k`` for each of the ascending ``items``, which the
+    ``workers`` take in order from that one iterator (a ``range``'s is safe to share).
+    None takes an item after a failure, and the lowest failing item's fault is raised,
+    as one worker going through the items in order would raise it."""
+    failed: Dict[int, Exception] = {}
+
+    def work(k: int) -> None:
+        for item in items:  # next() is atomic under the interpreter lock
+            if failed:  # an item taken after a failure lies above it
+                return
+            try:
+                do(k, item)
+            except Exception as e:  # any kind: the items below it are still taken and done
+                failed[item] = e
+                return
+
+    on_workers(work, workers)
+    if failed:
+        try:
+            raise failed[min(failed)]
+        finally:  # no reference cycle keeps a failed item's frames, and its files, alive
+            failed.clear()

@@ -15,7 +15,6 @@ P+Cart+Style.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -47,6 +46,11 @@ CONFIGURATIONS = ("P", "P+Style", "P+Cart", "P+Cart+Style")
 HIDDEN_DIM_GRID = (8, 16, 32, 64, 128, 256)
 L2_GRID = (0.1, 0.001, 0.0001, 0.00001)
 EVAL_BATCH = 256  # sessions per encode call in evaluate
+# Full-catalog candidates per session from which evaluate ranks on threads.WORKERS
+# workers. In the 2-CPU sweep of BENCH_eval_workers.json two workers were slower from
+# 500 to 3k products, where they hand the interpreter lock back and forth, about even
+# at 4k-5k and faster from 6k (p10 0.26 against 0.31 ms/session; 0.40 against 0.66 at 20k).
+WIDE_RANKING = 6000
 # Elements per Adam block, the unit the Adam workers share out. A block's
 # slices of p, g, m, v and one worker's float64 scratch pair take about
 # 1.3 MB at 2**15; 2**14..2**16 step equally fast on a 2 MB-L2 Xeon, while
@@ -126,12 +130,15 @@ def _catalog_pool(catalog_size: int, exclude: Sequence[int]) -> np.ndarray:
 
 def sample_negatives(session_items: Sequence[int], catalog_size: int, n: int,
                      seed: int) -> np.ndarray:
-    """n distinct uniform ids excluding the truth and every session item."""
-    pool = _catalog_pool(catalog_size, session_items)
-    if pool.size < n:
+    """n distinct uniform ids excluding the truth and every session item: the draw
+    ``rng.choice`` makes from ``_catalog_pool``, made on pool indices and mapped past
+    the excluded ids, which skips building the O(catalog) pool."""
+    ex = sorted({i for i in map(int, session_items) if 1 <= i <= catalog_size})
+    if catalog_size - len(ex) < n:
         raise ConfigError(SHORT_CATALOG.format(catalog_size, n, len(set(map(int, session_items)))))
-    rng = np.random.default_rng(seed)
-    return rng.choice(pool, size=n, replace=False)
+    idx = np.random.default_rng(seed).choice(catalog_size - len(ex), size=n, replace=False) + 1
+    # pool id j is j plus the excluded ids at or below it; ex - arange(k) counts them
+    return idx + (np.array(ex, dtype=np.int64) - np.arange(len(ex))).searchsorted(idx, side="right")
 
 
 def _session_arrays(sessions: Sequence[Session], max_len: int):
@@ -175,7 +182,7 @@ class Adam:
     ``step(g)`` updates ``data`` and the float64 moments in place,
     ``ADAM_BLOCK`` elements at a time. ``threads.WORKERS`` threads (read when
     the ``Adam`` is built; numpy releases the interpreter lock inside its
-    ufunc loops, so they overlap) take blocks from one shared counter, each
+    ufunc loops, so they overlap) take blocks in order (``threads.in_order``), each
     through its own float64 scratch pair, so a descheduled worker just takes
     fewer blocks. Every element goes through the same float64 operations in
     the same order as the out-of-place formula
@@ -208,36 +215,31 @@ class Adam:
         self.t += 1
         b1c = 1.0 - BETA1 ** self.t
         b2c = 1.0 - BETA2 ** self.t
-        # next() on a count is atomic under the interpreter lock: each block once
-        blocks = itertools.count(0, ADAM_BLOCK)
-        threads.on_workers(lambda k: self._update_blocks(blocks, grad, b1c, b2c,
-                                                         self._scratch[k]), self.workers)
+        threads.in_order(lambda k, i: self._update_block(i, grad, b1c, b2c, self._scratch[k]),
+                         iter(range(0, self.data.size, ADAM_BLOCK)), self.workers)
 
-    def _update_blocks(self, blocks, grad, b1c, b2c, scratch) -> None:
-        """Update every block whose start this worker takes from ``blocks``."""
-        for i in blocks:
-            if i >= self.data.size:
-                return
-            j = min(i + ADAM_BLOCK, self.data.size)
-            pb, mb, vb = self.data[i:j], self.m[i:j], self.v[i:j]
-            a, b = scratch[0, :j - i], scratch[1, :j - i]
-            np.copyto(a, grad[i:j])  # exact widening to float64
-            np.multiply(a, a, out=b)
-            np.multiply(mb, BETA1, out=mb)
-            np.multiply(a, 1 - BETA1, out=a)
-            np.add(mb, a, out=mb)
-            np.multiply(vb, BETA2, out=vb)
-            np.multiply(b, 1 - BETA2, out=b)
-            np.add(vb, b, out=vb)
-            np.divide(mb, b1c, out=a)
-            np.multiply(a, self.lr, out=a)
-            np.divide(vb, b2c, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, EPS, out=b)
-            np.divide(a, b, out=a)
-            np.copyto(b, pb)  # widening first beats a mixed-dtype subtract
-            np.subtract(b, a, out=b)
-            np.copyto(pb, b, casting="same_kind")  # the one rounding to p's dtype
+    def _update_block(self, i, grad, b1c, b2c, scratch) -> None:
+        """Update the block that starts at element ``i``."""
+        j = min(i + ADAM_BLOCK, self.data.size)
+        pb, mb, vb = self.data[i:j], self.m[i:j], self.v[i:j]
+        a, b = scratch[0, :j - i], scratch[1, :j - i]
+        np.copyto(a, grad[i:j])  # exact widening to float64
+        np.multiply(a, a, out=b)
+        np.multiply(mb, BETA1, out=mb)
+        np.multiply(a, 1 - BETA1, out=a)
+        np.add(mb, a, out=mb)
+        np.multiply(vb, BETA2, out=vb)
+        np.multiply(b, 1 - BETA2, out=b)
+        np.add(vb, b, out=vb)
+        np.divide(mb, b1c, out=a)
+        np.multiply(a, self.lr, out=a)
+        np.divide(vb, b2c, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, EPS, out=b)
+        np.divide(a, b, out=a)
+        np.copyto(b, pb)  # widening first beats a mixed-dtype subtract
+        np.subtract(b, a, out=b)
+        np.copyto(pb, b, casting="same_kind")  # the one rounding to p's dtype
 
 
 # ---------------------------------------------------------------------------
@@ -402,30 +404,32 @@ def _eval_candidates(session: Session, catalog_size: int, mode: str,
     return _catalog_pool(catalog_size, [i for i in session.items if i != truth])
 
 
-@threads.one_blas_thread()
 def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NEGSAMPLE,
              n_negatives: int = 100, seed: int = 0,
              style_table: Optional[np.ndarray] = None) -> MetricsReport:
     """Rank the true next product for every session; aggregate HR/NDCG/MRR.
 
     History vectors are encoded ``EVAL_BATCH`` sessions at a time; the
-    model then scores candidates through ``evaluate_with_scorer``, against
-    one ``product_table`` built for this call.
+    model then scores candidates through ``_rank_sessions``, against one
+    ``product_table`` built for this call, on ``threads.WORKERS`` workers
+    when the BLAS count is owned and the full catalog is ``WIDE_RANKING`` wide.
     """
     cfg = params.config
     pos_enc = positional_encoding(cfg.max_len, cfg.d_model)
     ids, mask, _ = _session_arrays(sessions, cfg.max_len)
     hist = []
-    with T.no_grad():
+    with threads.one_blas_thread() as owned, T.no_grad():
         for b0 in range(0, len(sessions), EVAL_BATCH):
             sel = slice(b0, b0 + EVAL_BATCH)
             hidden = encode(ids[sel], mask[sel], params, pos_enc, style_table)
             hist.extend(history_vector(hidden, mask[sel], params).data)
-    rows = iter(hist)
-    table = product_table(params)
-    return evaluate_with_scorer(sessions, params.catalog_size,
-                                lambda session, cands: score(next(rows), cands, params, table),
-                                mode=mode, n_negatives=n_negatives, seed=seed)
+        table = product_table(params)
+        # a full-catalog session ranks every id but its other items
+        wide = mode == FULL_CATALOG and params.catalog_size + 1 - max(
+            (len(s.items) for s in sessions), default=0) >= WIDE_RANKING
+        return _rank_sessions(sessions, params.catalog_size,
+                              lambda i, cands: score(hist[i], cands, params, table),
+                              mode, n_negatives, seed, threads.WORKERS if owned and wide else 1)
 
 
 def evaluate_test_split(params: ModelParams, dataset: PreparedDataset, cfg: TrainConfig,
@@ -444,15 +448,28 @@ def evaluate_with_scorer(sessions: Sequence[Session], catalog_size: int,
                          seed: int = 0) -> MetricsReport:
     """The evaluation protocol for any scorer: the model and the baselines.
 
-    ``scorer`` is called once per session, in order.
+    ``scorer`` is called once per session, in order, on the calling thread.
     """
+    return _rank_sessions(sessions, catalog_size, lambda i, cands: scorer(sessions[i], cands),
+                          mode, n_negatives, seed, 1)
+
+
+def _rank_sessions(sessions: Sequence[Session], catalog_size: int,
+                   scorer: Callable[[int, np.ndarray], np.ndarray], mode: str,
+                   n_negatives: int, seed: int, workers: int) -> MetricsReport:
+    """Rank each session's truth among its candidates, scored by ``scorer(index,
+    candidates)``, on ``workers`` workers that take sessions in order; a fault is
+    raised for the lowest failing session. The ranks do not depend on ``workers``."""
     if not sessions:
         raise ContractError("evaluate needs at least one session")
-    ranks = []
-    for session in sessions:
-        cands = _eval_candidates(session, catalog_size, mode, n_negatives, seed)
-        scores = np.asarray(scorer(session, cands), dtype=np.float64)
-        ranks.append(rank_of_truth(scores, cands, session.items[-1]))
+    ranks = [0] * len(sessions)
+
+    def rank(k: int, i: int) -> None:
+        cands = _eval_candidates(sessions[i], catalog_size, mode, n_negatives, seed)
+        scores = np.asarray(scorer(i, cands), dtype=np.float64)
+        ranks[i] = rank_of_truth(scores, cands, sessions[i].items[-1])
+
+    threads.in_order(rank, iter(range(len(sessions))), workers)
     return MetricsReport(mode=mode, ranks=ranks)
 
 

@@ -23,6 +23,7 @@ from stylerec.errors import FormatError, InputError
 from stylerec.style import load_style_cache, save_style_cache, write_feature_maps
 from stylerec.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from stylerec.training import CONFIGURATIONS, TrainConfig
+from conftest import short_switch_interval
 from test_training import TINY_MODEL, tiny_dataset
 
 
@@ -286,17 +287,6 @@ class TestStylegen:
         feat.mkdir()
         assert run("stylegen", "--features", feat, "--products", 2,
                    "--out", tmp_path / "c") == 2
-
-
-@contextlib.contextmanager
-def short_switch_interval():
-    """Hand the interpreter lock between threads as often as the interpreter allows."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
 
 
 class TestStylegenWorkers:

@@ -1,5 +1,6 @@
 """Data pipeline tests: parsing, preprocessing, splits, synthetic oracle."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -358,6 +359,24 @@ class TestToJson:
         with pytest.raises(InputError) as read:
             PreparedDataset.from_json(text)
         assert str(read.value) == str(built.value)
+
+    def test_the_constructor_is_the_only_way_in(self):
+        """The splits are tuples of a frozen dataset: a session appended or a split
+        replaced after construction fails, and ``dataclasses.replace`` builds a new
+        dataset through the rules."""
+        ds = PreparedDataset(train=[Session("a", PURCHASE, 1, (1, 2))], val=[],
+                             test=[Session("t", PURCHASE, 9, (1, 2))], catalog_size=8, max_len=5)
+        assert (ds.train, ds.val, ds.test) == ((Session("a", PURCHASE, 1, (1, 2)),), (),
+                                               (Session("t", PURCHASE, 9, (1, 2)),))
+        with pytest.raises(AttributeError):
+            ds.test.append(Session("late", PURCHASE, 999, (1, 99)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.test = [Session("late", PURCHASE, 999, (1, 99))]
+        with pytest.raises(InputError, match="session 'late'"):
+            dataclasses.replace(ds, test=[*ds.test, Session("late", PURCHASE, 999, (1, 99))])
+        with pytest.raises(InputError, match="empty test split"):
+            dataclasses.replace(ds, test=[])
+        assert dataclasses.replace(ds, val=ds.train).val == ds.train
 
     def test_matches_json_dumps_on_a_prepared_dataset(self):
         sessions, _ = generate_synthetic(40, 300, length_range=(2, 9), seed=4, cart_ratio=0.3)

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
-import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import short_switch_interval
 from stylerec import tensor as T
 from stylerec import threads, training
 from stylerec.data import PURCHASE, PreparedDataset, Session, generate_synthetic, prepare_dataset
@@ -23,6 +24,7 @@ from stylerec.model import (
     load_checkpoint,
     positional_encoding,
     save_checkpoint,
+    score,
 )
 from stylerec.training import (
     ADAM_BLOCK,
@@ -96,6 +98,23 @@ class TestSampleNegatives:
         return np.array([i for i in range(1, catalog_size + 1) if i not in exclude],
                         dtype=np.int64)
 
+    def test_pool_free_draw_matches_the_pool_draw(self):
+        """The draw equals ``rng.choice`` over ``_catalog_pool`` at catalogs up to 50,000,
+        through both of numpy's ways to draw without replacement: Floyd's, and a shuffle
+        of the whole pool's tail when a pool above 10,000 supplies more than 1/50 of it."""
+        rng = np.random.default_rng(32)
+        for P in (120, 10_000, 10_013, 20_001, 50_000):
+            for trial in range(12):
+                # the ends of the catalog, repeats, and ids outside 1..P
+                items = np.concatenate((rng.integers(-2, P + 3, size=int(rng.integers(1, 40))),
+                                        [1, 2, 2, P][:trial % 5]))
+                pool = _catalog_pool(P, items)
+                for n in (1, min(100, pool.size), pool.size // 50 + 1, pool.size // 3):
+                    old = np.random.default_rng(trial).choice(pool, size=n, replace=False)
+                    new = sample_negatives(tuple(items), P, n, trial)
+                    assert new.dtype == old.dtype
+                    np.testing.assert_array_equal(new, old)
+
     def test_mask_pool_matches_list_pool(self):
         rng = np.random.default_rng(31)
         for trial in range(60):
@@ -130,14 +149,10 @@ class TestAdam:
         views of ``adam.data`` and ``adam.grad``. A short switch interval interleaves
         the two workers' block claims as finely as the interpreter allows: a block
         updated twice or skipped breaks the equality."""
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
+        with short_switch_interval():
             for workers in (1, 2):
                 monkeypatch.setattr(threads, "WORKERS", workers)
                 self.check_steps_against_formula(workers)
-        finally:
-            sys.setswitchinterval(interval)
 
     def check_steps_against_formula(self, workers):
         rng = np.random.default_rng(40)
@@ -562,6 +577,111 @@ class TestEvaluate:
         params.product_emb.data[3] = hist  # truth now scores cosine 1
         for mode in (NEGSAMPLE, FULL_CATALOG):
             assert evaluate(params, [session], mode=mode).ranks == [1]
+
+
+class TestEvaluateWorkers:
+    """Full-catalog ranking on one and on two workers (``threads.WORKERS``): the calling
+    thread and the process's one helper take sessions in order from one iterator, once
+    every session scores at least ``WIDE_RANKING`` candidates."""
+
+    P = 400
+
+    def make_setup(self, n=120):
+        sessions, _ = generate_synthetic(self.P, n, length_range=(3, 8), seed=13)
+        return sessions, init_params(ModelConfig(**TINY_MODEL), self.P, seed=13)
+
+    def spy_threads(self, monkeypatch, both_join=False):
+        """The names of the threads that run ``score``, one per call. With
+        ``both_join``, a thread waits before its second session until the other has
+        scored one, so that neither can take every session of a short run."""
+        names, both_scored = [], threading.Event()
+
+        def spy(*args):
+            me = threading.current_thread().name
+            names.append(me)
+            if len(set(names)) == 2:
+                both_scored.set()
+            elif both_join and names.count(me) > 1:
+                assert both_scored.wait(10)
+            return score(*args)
+
+        monkeypatch.setattr(training, "score", spy)
+        return names
+
+    def spy_workers(self, monkeypatch):
+        """The worker count of each ``threads.on_workers`` call."""
+        counts, real = [], threads.on_workers
+        monkeypatch.setattr(threads, "on_workers", lambda work, workers: (
+            counts.append(workers), real(work, workers))[1])
+        return counts
+
+    def test_ranks_do_not_depend_on_the_worker_count(self, monkeypatch):
+        sessions, params = self.make_setup()
+        one = evaluate(params, sessions, mode=FULL_CATALOG).ranks
+        monkeypatch.setattr(training, "WIDE_RANKING", 1)
+        for workers in (1, 2):
+            monkeypatch.setattr(threads, "WORKERS", workers)
+            names = self.spy_threads(monkeypatch, both_join=workers == 2)
+            with short_switch_interval():
+                assert evaluate(params, sessions, mode=FULL_CATALOG).ranks == one
+            assert len(names) == len(sessions) and len(set(names)) == workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_lowest_failing_session_is_reported(self, monkeypatch, workers):
+        """Truths outside the catalog at sessions 3 and 7, and session 3 slow to rank:
+        the error names session 3's truth, as one worker going in order raises it."""
+        sessions, params = self.make_setup(n=40)
+        for i in (3, 7):
+            s = sessions[i]
+            sessions[i] = Session(s.session_id, s.kind, s.t, (*s.items[:-1], 10 ** 6 + i))
+        real = training.rank_of_truth
+        monkeypatch.setattr(training, "rank_of_truth", lambda scores, cands, truth: (
+            time.sleep(0.05 if truth == 10 ** 6 + 3 else 0), real(scores, cands, truth))[1])
+        monkeypatch.setattr(training, "WIDE_RANKING", 1)
+        monkeypatch.setattr(threads, "WORKERS", workers)
+        with short_switch_interval(), pytest.raises(ContractError,
+                                                    match=f"truth id {10 ** 6 + 3} not among"):
+            evaluate(params, sessions, mode=FULL_CATALOG)
+
+    def test_an_unowned_blas_count_runs_one_worker(self, monkeypatch):
+        sessions, params = self.make_setup(n=30)
+        monkeypatch.setattr(training, "WIDE_RANKING", 1)
+        monkeypatch.setattr(threads, "WORKERS", 2)
+        monkeypatch.setattr(threads, "_blas_thread_calls", lambda: None)
+        names, counts = self.spy_threads(monkeypatch), self.spy_workers(monkeypatch)
+        evaluate(params, sessions, mode=FULL_CATALOG)
+        assert set(names) == {threading.current_thread().name} and counts == [1]
+
+    def test_negsample_and_narrow_catalogs_run_one_worker(self, monkeypatch):
+        """Two workers exactly from ``WIDE_RANKING`` full-catalog candidates: the
+        catalog plus one, less the longest session; never in negsample mode."""
+        sessions, params = self.make_setup(n=30)
+        longest = max(len(s.items) for s in sessions)
+        monkeypatch.setattr(threads, "WORKERS", 2)
+        counts = self.spy_workers(monkeypatch)
+        for mode, wide, workers in ((FULL_CATALOG, training.WIDE_RANKING, 1),  # the rule's own
+                                    (FULL_CATALOG, self.P + 2 - longest, 1), (NEGSAMPLE, 1, 1),
+                                    (FULL_CATALOG, self.P + 1 - longest, 2)):
+            monkeypatch.setattr(training, "WIDE_RANKING", wide)
+            names = self.spy_threads(monkeypatch, both_join=workers == 2)
+            counts.clear()
+            with short_switch_interval():
+                evaluate(params, sessions, mode=mode, n_negatives=20)
+            assert len(set(names)) == workers and counts == [workers], (mode, wide)
+
+    def test_baseline_scorers_run_in_order_on_the_calling_thread(self, monkeypatch):
+        sessions, _ = self.make_setup(n=30)
+        monkeypatch.setattr(training, "WIDE_RANKING", 1)
+        monkeypatch.setattr(threads, "WORKERS", 2)
+        calls, popularity = [], popularity_scorer(sessions, self.P)
+
+        def scorer(session, candidates):
+            calls.append((session.session_id, threading.current_thread().name))
+            return popularity(session, candidates)
+
+        with short_switch_interval():
+            evaluate_with_scorer(sessions, self.P, scorer, mode=FULL_CATALOG)
+        assert calls == [(s.session_id, threading.current_thread().name) for s in sessions]
 
 
 class TestSuiteAndExperiments:
