@@ -155,6 +155,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
               if raw is not None and ("." in dest or dest in _RUN_KEYS)]
     for key, raw in pairs:
         rc.set_key(key, raw)
+    if not -2 ** 63 <= rc.seed < 2 ** 63:  # the oracle stores it as an int64
+        raise ConfigError(f"seed must fit in a signed 64-bit integer, got {rc.seed}")
     return rc
 
 
@@ -216,9 +218,9 @@ def _load_style_table(rc: RunConfig, catalog_size: int) -> np.ndarray:
 def cmd_preprocess(rc: RunConfig, args: argparse.Namespace) -> int:
     source = _require_file(rc.sessions, "sessions file")
     check_max_len(args.max_len)
-    out, stats_out = _claim(args.out, f"{Path(args.out)}.stats.txt")
     sessions = parse_sessions(source)
     ds = prepare_dataset(sessions, max_len=args.max_len)
+    out, stats_out = _claim(args.out, f"{Path(args.out)}.stats.txt")
     stats = format_statistics_table(dataset_statistics(sessions))
     summary = "\n".join([
         stats,
@@ -275,14 +277,10 @@ def _stylegen_vectors(args: argparse.Namespace, seed: int, workers: int) -> Dict
         if vec is not None:
             raw[pid] = vec
 
-    def until_first():
-        for pid in pids:
-            yield pid
-            if raw:
-                return
-
-    # the first vector sizes every worker's buffers, all on this thread's heap
-    threads.in_order(vector, until_first(), 1)
+    for pid in pids:  # the first vector sizes every worker's buffers, on this thread's heap
+        vector(0, pid)
+        if raw:
+            break
     scratch[1:] = [{role: np.empty_like(buf) for role, buf in scratch[0].items()}
                    for _ in scratch[1:]]
     threads.in_order(vector, pids, workers)
@@ -300,9 +298,8 @@ def cmd_stylegen(rc: RunConfig, args: argparse.Namespace) -> int:
     if not source.is_dir():
         raise InputError(f"source directory not found: {source}")
     out, = _claim(args.out)
-    with threads.one_blas_thread() as owned:
-        raw = _stylegen_vectors(args, derive_seed(rc.seed, "style-provider"),
-                                threads.WORKERS if owned else 1)
+    with threads.one_blas_thread() as workers:
+        raw = _stylegen_vectors(args, derive_seed(rc.seed, "style-provider"), workers)
     vectors = dict.fromkeys(range(1, args.products + 1), np.zeros(STYLE_DIM, dtype=np.float32))
     vectors.update(standardize_embeddings(raw))
     save_style_cache(vectors, out)

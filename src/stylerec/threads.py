@@ -5,7 +5,7 @@ order, so the last bits of training depend on its thread count. The
 program runs its own work at one BLAS thread (``one_blas_thread``) and
 finds its parallelism instead in ``WORKERS`` threads of its own: the
 calling thread, plus the process's one helper thread when the process may
-run on two CPUs (``on_workers``), which take items in order (``in_order``).
+run on two CPUs, which take items in order (``in_order``).
 """
 
 from __future__ import annotations
@@ -44,17 +44,18 @@ def _blas_thread_calls():
 @contextmanager
 def one_blas_thread():
     """Run the block at one BLAS thread and restore the caller's count after it; yields
-    True ("owned"), or False ("unowned") when the count cannot be set, in which case
-    nothing changes. Nesting is safe: an inner block restores the outer block's one."""
+    the block's worker count: ``WORKERS`` when it owns the BLAS count, else 1 ("unowned":
+    nothing changes, and two workers at BLAS's own count ran slower than one). Nesting
+    is safe: an inner block restores the outer block's one."""
     calls = _blas_thread_calls()
     if calls is None:
-        yield False
+        yield 1
         return
     set_, get = calls
     before = get()
     set_(1)
     try:
-        yield True
+        yield WORKERS
     finally:
         set_(before)
 
@@ -68,28 +69,12 @@ def _helper():
     return ThreadPoolExecutor(1, thread_name_prefix="stylerec-helper")
 
 
-def on_workers(work: Callable[[int], None], workers: int) -> None:
-    """Run ``work(0)`` on the calling thread and, at 2 workers, ``work(1)`` on the helper
-    at the same time, in a copy of the caller's context (numpy's ``errstate`` lives
-    there); returns once both are done, and re-raises what either raised. ``work(1)``
-    is dropped if the helper has not started it when ``work(0)`` returns, so the two
-    must share out their work themselves, say from one ``itertools.count``."""
-    if workers == 1:
-        work(0)
-        return
-    job = _helper().submit(contextvars.copy_context().run, work, 1)
-    try:
-        work(0)
-    finally:
-        if not job.cancel():  # it started: wait for the work it may hold
-            job.result()
-
-
 def in_order(do: Callable[[int, int], None], items: Iterator[int], workers: int) -> None:
     """``do(k, item)`` on worker ``k`` for each of the ascending ``items``, which the
-    ``workers`` take in order from that one iterator (a ``range``'s is safe to share).
-    None takes an item after a failure, and the lowest failing item's fault is raised,
-    as one worker going through the items in order would raise it."""
+    ``workers`` take in order from that one iterator (a ``range``'s is safe to share):
+    the calling thread as worker 0 and, at 2, the helper as worker 1, in a copy of the
+    caller's context (numpy's ``errstate`` lives there). None takes an item after a
+    failure, and the lowest failing item's fault is raised, as one worker in order would."""
     failed: Dict[int, Exception] = {}
 
     def work(k: int) -> None:
@@ -102,7 +87,12 @@ def in_order(do: Callable[[int, int], None], items: Iterator[int], workers: int)
                 failed[item] = e
                 return
 
-    on_workers(work, workers)
+    helper = _helper().submit(contextvars.copy_context().run, work, 1) if workers > 1 else None
+    try:
+        work(0)
+    finally:
+        if helper and not helper.cancel():  # it started: wait for the items it holds
+            helper.result()
     if failed:
         try:
             raise failed[min(failed)]

@@ -181,11 +181,12 @@ class Adam:
 
     ``step(g)`` updates ``data`` and the float64 moments in place,
     ``ADAM_BLOCK`` elements at a time. ``threads.WORKERS`` threads (read when
-    the ``Adam`` is built; numpy releases the interpreter lock inside its
-    ufunc loops, so they overlap) take blocks in order (``threads.in_order``), each
-    through its own float64 scratch pair, so a descheduled worker just takes
-    fewer blocks. Every element goes through the same float64 operations in
-    the same order as the out-of-place formula
+    the ``Adam`` is built; the step makes no BLAS call, so they run whether or
+    not the BLAS count is set, and numpy releases the interpreter lock inside
+    its ufunc loops, so they overlap) take blocks in order (``threads.in_order``),
+    each through its own float64 scratch pair, so a descheduled worker just
+    takes fewer blocks. Every element goes through the same float64
+    operations in the same order as the out-of-place formula
 
         m = BETA1 * m + (1 - BETA1) * g
         v = BETA2 * v + (1 - BETA2) * (g * g)
@@ -311,6 +312,9 @@ def _check_run(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfi
         raise ConfigError(f"model use_style={model_cfg.use_style} conflicts with "
                           f"configuration {cfg.configuration!r}")
     _check_fit(model_cfg, dataset.catalog_size, dataset, style_table)
+    if dataset.catalog_size < 2:  # else _train_negative would draw forever
+        raise ConfigError(f"catalog of {dataset.catalog_size} cannot supply a training "
+                          f"negative other than the target")
 
     def keep(s: Session) -> bool:
         return s.kind == PURCHASE or cfg.use_cart
@@ -394,16 +398,6 @@ def train(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfig,
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_candidates(session: Session, catalog_size: int, mode: str,
-                     n_negatives: int, seed: int) -> np.ndarray:
-    truth = session.items[-1]
-    if mode == NEGSAMPLE:
-        negs = sample_negatives(session.items, catalog_size, n_negatives,
-                                derive_seed(seed, "eval-neg", session.session_id))
-        return np.concatenate(([truth], negs))
-    return _catalog_pool(catalog_size, [i for i in session.items if i != truth])
-
-
 def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NEGSAMPLE,
              n_negatives: int = 100, seed: int = 0,
              style_table: Optional[np.ndarray] = None) -> MetricsReport:
@@ -411,14 +405,14 @@ def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NE
 
     History vectors are encoded ``EVAL_BATCH`` sessions at a time; the
     model then scores candidates through ``_rank_sessions``, against one
-    ``product_table`` built for this call, on ``threads.WORKERS`` workers
-    when the BLAS count is owned and the full catalog is ``WIDE_RANKING`` wide.
+    ``product_table`` built for this call, on the workers ``threads.one_blas_thread``
+    yields when the full catalog is ``WIDE_RANKING`` wide, else on one.
     """
     cfg = params.config
     pos_enc = positional_encoding(cfg.max_len, cfg.d_model)
     ids, mask, _ = _session_arrays(sessions, cfg.max_len)
     hist = []
-    with threads.one_blas_thread() as owned, T.no_grad():
+    with threads.one_blas_thread() as workers, T.no_grad():
         for b0 in range(0, len(sessions), EVAL_BATCH):
             sel = slice(b0, b0 + EVAL_BATCH)
             hidden = encode(ids[sel], mask[sel], params, pos_enc, style_table)
@@ -429,7 +423,7 @@ def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NE
             (len(s.items) for s in sessions), default=0) >= WIDE_RANKING
         return _rank_sessions(sessions, params.catalog_size,
                               lambda i, cands: score(hist[i], cands, params, table),
-                              mode, n_negatives, seed, threads.WORKERS if owned and wide else 1)
+                              mode, n_negatives, seed, workers if wide else 1)
 
 
 def evaluate_test_split(params: ModelParams, dataset: PreparedDataset, cfg: TrainConfig,
@@ -465,9 +459,16 @@ def _rank_sessions(sessions: Sequence[Session], catalog_size: int,
     ranks = [0] * len(sessions)
 
     def rank(k: int, i: int) -> None:
-        cands = _eval_candidates(sessions[i], catalog_size, mode, n_negatives, seed)
+        session = sessions[i]
+        truth = session.items[-1]
+        if mode == NEGSAMPLE:
+            cands = np.concatenate(([truth], sample_negatives(
+                session.items, catalog_size, n_negatives,
+                derive_seed(seed, "eval-neg", session.session_id))))
+        else:
+            cands = _catalog_pool(catalog_size, [x for x in session.items if x != truth])
         scores = np.asarray(scorer(i, cands), dtype=np.float64)
-        ranks[i] = rank_of_truth(scores, cands, sessions[i].items[-1])
+        ranks[i] = rank_of_truth(scores, cands, truth)
 
     threads.in_order(rank, iter(range(len(sessions))), workers)
     return MetricsReport(mode=mode, ranks=ranks)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from stylerec import cli, data, errors, threads, training
-from stylerec.data import PURCHASE, PreparedDataset, Session, generate_synthetic, write_sessions
+from stylerec.data import CART, PURCHASE, PreparedDataset, Session, generate_synthetic, write_sessions
 from stylerec.errors import FormatError, InputError
 from stylerec.style import load_style_cache, save_style_cache, write_feature_maps
 from stylerec.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
@@ -29,6 +29,13 @@ from test_training import TINY_MODEL, tiny_dataset
 
 def run(*argv) -> int:
     return cli.main([str(a) for a in argv])
+
+
+def child_env(**extra) -> dict:
+    """The environment of a child process that imports this checkout's ``stylerec``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 @pytest.fixture
@@ -137,6 +144,21 @@ class TestPreprocess:
                        "not json\n")
         assert run("preprocess", "--sessions", raw, "--out", tmp_path / "x") == 1
         assert ":2:" in capsys.readouterr().err
+
+    def test_refused_sessions_leave_no_directory(self, tmp_path, capsys):
+        """A malformed line, and sessions that leave a split empty, are refused before
+        the claim: neither makes the output's parent directories."""
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"session_id": "a", "kind": "purchase", "t": 1, "items": [1, 2]}\n'
+                       "not json\n")
+        carts = tmp_path / "carts.jsonl"  # no purchase session is left to test
+        write_sessions([Session(f"c{t:02d}", CART, t, (1, 2)) for t in range(18)], carts)
+        for raw, code, err in ((bad, 1, f"error input-error: {bad}:2: invalid JSON"),
+                               (carts, 2, "error config-error: empty split: train=14, val=2, "
+                                          "test=0 from 18 sessions")):
+            assert run("preprocess", "--sessions", raw, "--out", tmp_path / "new/dir/x") == code
+            assert capsys.readouterr().err.startswith(err)
+            assert not (tmp_path / "new").exists()
 
 
 def npz_bytes(**arrays) -> bytes:
@@ -407,6 +429,22 @@ class TestTrainEval:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_one_product_catalog_is_refused_before_the_claim(self, tmp_path, tiny_config):
+        """Its one id is every session's target, so no training negative exists: one
+        config-error line, not a draw that never ends. A child process bounds the wait."""
+        one = [Session(f"s{t:02d}", PURCHASE, t, (1, 1)) for t in range(18)]
+        ds = PreparedDataset(train=one[:14], val=one[14:16], test=one[16:],
+                             catalog_size=1, max_len=8)
+        (tmp_path / "one.json").write_text(ds.to_json(), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "stylerec.cli", "train", "--config", tiny_config,
+             "--data", "one.json"],
+            cwd=tmp_path, capture_output=True, text=True, env=child_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error config-error: catalog of 1 cannot supply a training "
+                               "negative other than the target\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.json", "run.cfg"]
+
     def test_eval_mode_tagged(self, tmp_path, tiny_config):
         prep = make_prepared(tmp_path)
         ckpt = tmp_path / "m.s4ck"
@@ -639,6 +677,9 @@ class TestPathErrors:
         "synth-cart-ratio-nan": (("synth", "--products", 4, "--sessions", 5, "--cart-ratio", "nan",
                                   "--out", "new/s.jsonl"),
                                  None, "config-error: cart_ratio must be in [0, 1], got nan"),
+        "synth-seed": (("synth", "--products", 5, "--sessions", 10, "--seed", 10 ** 20,
+                        "--out", "new/s.jsonl"), None,
+                       f"config-error: seed must fit in a signed 64-bit integer, got {10 ** 20}"),
         "synth-order-style": (("synth", "--products", 10, "--sessions", 5, "--style-correlated",
                                "--clusters", 2, "--order", 2, "--out", "new/s.jsonl"), None,
                               "config-error: style-correlated sessions are first order, "
@@ -681,15 +722,13 @@ class TestPathErrors:
         counted = [(training, "train"), (cli, "train"), (training, "evaluate"),
                    (cli, "generate_synthetic"), (data, "generate_synthetic"),
                    (cli, "pseudo_feature_provider")]
-        if command.startswith("preprocess"):  # dynamic parses its sessions as an input
-            counted.append((cli, "parse_sessions"))
-        for module, name in counted:
+        for module, name in counted:  # preprocess and dynamic parse sessions as an input
             counting(module, name)
         before = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
         assert run(*argv) == (2 if err.startswith("config-error") else 1)
         assert capsys.readouterr().err == f"error {err}\n"
-        assert calls == []  # nothing trained, evaluated, parsed, drawn or read
+        assert calls == []  # nothing trained, evaluated, drawn or read
         # no checkpoints/, reports/ or new/ directory, and no file
         assert sorted(tmp_path.rglob("*")) == before
 
@@ -1292,11 +1331,9 @@ class TestCliPin:
         for name in ("synth-styled", "preprocess"):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(invocations[name]) == 0
-        src = Path(__file__).resolve().parents[1] / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         digests = set()
         for count in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=count)
+            env = child_env(OPENBLAS_NUM_THREADS=count)
             proc = subprocess.run(
                 [sys.executable, "-m", "stylerec.cli", "train", *PIN_RUN, "--data",
                  "out/prep.json", "--configuration", "P+Cart+Style", "--style-cache",
@@ -1380,11 +1417,9 @@ class TestErrorSurface:
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "s.jsonl"
-        src = Path(__file__).resolve().parents[1] / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "stylerec.cli", "synth", "--products", "4",
              "--sessions", "5", "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert out.is_file()

@@ -20,8 +20,8 @@ def blas_calls():
 
 
 def test_owned_on_this_numpy_build(blas_calls):
-    with threads.one_blas_thread() as owned:
-        assert owned
+    with threads.one_blas_thread() as workers:
+        assert workers == threads.WORKERS
         assert blas_calls[1]() == 1
 
 
@@ -30,7 +30,7 @@ def test_restores_the_callers_count_and_nests(blas_calls):
     set_(2)
     with threads.one_blas_thread():
         with threads.one_blas_thread() as inner:
-            assert inner and get() == 1
+            assert inner == threads.WORKERS and get() == 1
         assert get() == 1
     assert get() == 2
     with pytest.raises(KeyError), threads.one_blas_thread():
@@ -39,43 +39,43 @@ def test_restores_the_callers_count_and_nests(blas_calls):
 
 
 def test_unowned_changes_nothing(monkeypatch):
+    """An unowned count gives the block one worker, on a 2-CPU machine too."""
     monkeypatch.setattr(threads, "_blas_thread_calls", lambda: None)
-    with threads.one_blas_thread() as owned:
-        assert owned is False
+    monkeypatch.setattr(threads, "WORKERS", 2)
+    with threads.one_blas_thread() as workers:
+        assert workers == 1
 
 
-def on_two_workers(work):
-    """``on_workers(work, 2)``, with the caller's share held back until the helper has
-    started its own, which it would otherwise be cancelled from once the caller is done."""
-    helper_started = threading.Event()
+def one_item_each(do):
+    """``in_order(do, ...)`` over two items on 2 workers, each held at a two-party
+    barrier until the other worker has taken its own: the calling thread, once done,
+    would otherwise take the helper's item too."""
+    both = threading.Barrier(2, timeout=10)
 
-    def both(k):
-        if k == 1:
-            helper_started.set()
-        else:
-            assert helper_started.wait(10)
-        work(k)
+    def held(k, item):
+        both.wait()
+        do(k, item)
 
-    threads.on_workers(both, 2)
+    threads.in_order(held, iter(range(2)), 2)
 
 
 def test_the_helper_runs_in_the_callers_context():
     """numpy's errstate is context-local: the helper sees the caller's."""
     seen = {}
 
-    def work(k):
+    def do(k, item):
         seen[k] = threading.current_thread().name, np.geterr()["over"]
 
     with np.errstate(over="ignore"):
-        on_two_workers(work)
+        one_item_each(do)
     assert seen[0][1] == seen[1][1] == "ignore"
     assert seen[1][0].startswith("stylerec-helper")
 
 
-def test_on_workers_raises_what_the_helper_raised():
-    def work(k):
+def test_in_order_raises_what_the_helper_raised():
+    def do(k, item):
         if k == 1:
             raise ValueError("from the helper")
 
     with pytest.raises(ValueError, match="from the helper"):
-        on_two_workers(work)
+        one_item_each(do)

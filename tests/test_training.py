@@ -609,10 +609,10 @@ class TestEvaluateWorkers:
         return names
 
     def spy_workers(self, monkeypatch):
-        """The worker count of each ``threads.on_workers`` call."""
-        counts, real = [], threads.on_workers
-        monkeypatch.setattr(threads, "on_workers", lambda work, workers: (
-            counts.append(workers), real(work, workers))[1])
+        """The worker count of each ``threads.in_order`` call."""
+        counts, real = [], threads.in_order
+        monkeypatch.setattr(threads, "in_order", lambda do, items, workers: (
+            counts.append(workers), real(do, items, workers))[1])
         return counts
 
     def test_ranks_do_not_depend_on_the_worker_count(self, monkeypatch):
@@ -740,6 +740,13 @@ class TestSuiteAndExperiments:
         with pytest.raises(ConfigError, match=r"style table shape \(8, 512\), expected \(9, 512\)"):
             Run("short-table", ds, style_model, TrainConfig(epochs=1, configuration="P+Style"),
                 np.zeros((8, 512), dtype=np.float32))
+        # a one-product catalog's one id is every target: _train_negative would draw forever
+        one = [Session(f"s{t}", PURCHASE, t, (1, 1)) for t in range(3)]
+        with pytest.raises(ConfigError, match="catalog of 1 cannot supply a training "
+                                              "negative other than the target"):
+            Run("one-product", PreparedDataset(train=one[:1], val=one[1:2], test=one[2:],
+                                               catalog_size=1, max_len=8),
+                ModelConfig(**TINY_MODEL), cfg)
         rows = run_experiment([fits], test=False)
         assert calls == []  # a plain generator: nothing trains until it is iterated
         next(rows)
