@@ -155,8 +155,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
               if raw is not None and ("." in dest or dest in _RUN_KEYS)]
     for key, raw in pairs:
         rc.set_key(key, raw)
-    if not -2 ** 63 <= rc.seed < 2 ** 63:  # the oracle stores it as an int64
-        raise ConfigError(f"seed must fit in a signed 64-bit integer, got {rc.seed}")
     return rc
 
 
@@ -316,7 +314,7 @@ def cmd_synth(rc: RunConfig, args: argparse.Namespace) -> int:
                dominant_mass=args.dominant_mass, cart_ratio=args.cart_ratio)
     n_clusters = args.clusters if args.style_correlated else None
     check_generator_args(args.products, args.n_sessions, order=args.order, n_clusters=n_clusters,
-                         **gen)
+                         seed=rc.seed, **gen)
     suffixes = [".oracle.npz"] + [".style.s4se"] * args.style_correlated
     out, oracle_path, *cache = _claim(args.out, *(f"{Path(args.out)}{x}" for x in suffixes))
     if args.style_correlated:

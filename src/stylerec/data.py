@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote  # the quoting json.dumps does
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -35,6 +37,7 @@ DEFAULT_MAX_LEN = 20
 # The longest max_len accepted anywhere: a batch holds [B, max_len, D] arrays, so a
 # larger value could only fail inside the work, after a command has claimed its outputs.
 MAX_LEN_CAP = 512
+_FIELDS = frozenset(("session_id", "kind", "t", "items"))  # the keys of a session row
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,12 @@ class Session:
     items: tuple
 
     def __post_init__(self):
-        json_value(self.t, int, "session t")  # so the writers' templates match json.dumps
+        # each rule's first test passes the exact types the parser builds, at no call;
+        # the types are checked so that the writers' templates match json.dumps
+        if type(self.session_id) is not str:
+            json_value(self.session_id, str, "session_id")
+        if type(self.t) is not int:
+            json_value(self.t, int, "session t")
         if self.kind not in (PURCHASE, CART):
             raise InputError(f"session {self.session_id!r}: unknown kind {self.kind!r}")
         items = tuple(self.items)
@@ -69,7 +77,7 @@ class Session:
     @classmethod
     def from_row(cls, row) -> "Session":
         """Inverse of ``to_row``; a missing or mistyped field raises InputError."""
-        if not isinstance(row, dict) or not {"session_id", "kind", "t", "items"} <= row.keys():
+        if not isinstance(row, dict) or not _FIELDS <= row.keys():
             raise InputError("a session must be a JSON object with session_id, kind, t and items")
         return cls(str(row["session_id"]), row["kind"], row["t"],
                    tuple(json_value(row["items"], list, "session items")))
@@ -111,15 +119,15 @@ class PreparedDataset:
                                  f"max_len {self.max_len} ids <= catalog_size "
                                  f"{self.catalog_size}, got {list(s.items)}")
 
-    def all_sessions(self):
-        return list(self.train) + list(self.val) + list(self.test)
+    def all_sessions(self) -> tuple:
+        return self.train + self.val + self.test
 
     def to_json(self) -> str:
         """The text of ``json.dumps(doc, indent=1)``, written row by row from a template."""
         parts = [json.dumps({"catalog_size": self.catalog_size, "max_len": self.max_len,
                              "padding_id": PADDING_ID}, indent=1)[:-2]]
         for name in ("train", "val", "test"):
-            rows = ",\n".join(_ROW.format(json.dumps(s.session_id), json.dumps(s.kind), s.t,
+            rows = ",\n".join(_ROW.format(_quote(s.session_id), _quote(s.kind), s.t,
                                           ",\n    ".join(map(str, s.items)))
                               for s in getattr(self, name))
             parts.append(f',\n "{name}": [\n{rows}\n ]' if rows else f',\n "{name}": []')
@@ -130,14 +138,14 @@ class PreparedDataset:
         """Parse ``to_json`` output; malformed or mistyped input raises InputError."""
         try:
             doc = json.loads(text)
-            splits = {k: [Session.from_row(r) for r in doc[k]] for k in ("train", "val", "test")}
+            splits = {k: tuple(map(Session.from_row, doc[k])) for k in ("train", "val", "test")}
             if json_value(doc.get("padding_id", PADDING_ID), int, "padding_id") != PADDING_ID:
                 raise InputError(f"prepared dataset padding_id must be 0, not {doc['padding_id']!r}")
             return cls(**splits, catalog_size=json_value(doc["catalog_size"], int, "catalog_size"),
                        max_len=json_value(doc["max_len"], int, "max_len"))
         except KeyError as e:
             raise InputError(f"prepared dataset lacks key {e}") from None
-        except (TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        except (TypeError, ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
             raise InputError(f"malformed prepared dataset: {e}") from None
 
 
@@ -155,6 +163,19 @@ def read_text(path) -> str:
         raise InputError(f"{path}:{line}: not UTF-8 ({e.reason})") from None
 
 
+_decode = json.JSONDecoder().raw_decode
+
+
+def _json_row(line: str):
+    """``json.loads(line)`` for a stripped line, decoded without its two whitespace scans;
+    a line that is not one JSON value goes to ``json.loads``, which raises its own error."""
+    try:
+        row, end = _decode(line)
+    except ValueError:  # a BOM or a bad value; extra data leaves end short
+        end = -1
+    return row if end == len(line) else json.loads(line)
+
+
 def parse_sessions(path) -> list:
     """Read a JSON-lines sessions file; report malformed lines by number."""
     sessions = []
@@ -164,9 +185,11 @@ def parse_sessions(path) -> list:
         if not line:
             continue
         try:
-            session = Session.from_row(json.loads(line))
+            session = Session.from_row(_json_row(line))
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        except RecursionError:  # the decoder's own depth limit
+            raise InputError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
         except InputError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         if session.session_id in seen:
@@ -183,7 +206,7 @@ _LINE = '{{"session_id": {}, "kind": {}, "t": {}, "items": [{}]}}\n'
 def write_sessions(sessions: Iterable[Session], path) -> None:
     """Write sessions in the line format parse_sessions reads, one template per line."""
     with open(path, "w", encoding="utf-8") as fh:  # streamed: no copy of the whole file
-        fh.writelines(_LINE.format(json.dumps(s.session_id), json.dumps(s.kind), s.t,
+        fh.writelines(_LINE.format(_quote(s.session_id), _quote(s.kind), s.t,
                                    ", ".join(map(str, s.items))) for s in sessions)
 
 
@@ -236,6 +259,8 @@ def clean_session(session: Session, max_len: int = DEFAULT_MAX_LEN) -> Optional[
     items = dedupe_trailing(session.items)[-max_len:]
     if len(items) < 2:
         return None
+    if len(items) == len(session.items):  # both steps only cut, so nothing changed
+        return session
     return Session(session.session_id, session.kind, session.t, tuple(items))
 
 
@@ -256,7 +281,7 @@ def temporal_split(
     Ties on ``t`` break by session_id so the split is deterministic. Cart
     sessions are excluded from the test split.
     """
-    ordered = sorted(sessions, key=lambda s: (s.t, s.session_id))
+    ordered = sorted(sessions, key=attrgetter("t", "session_id"))
     n = len(ordered)
     n_train = int(round(n * DEFAULT_TRAIN_FRAC))
     n_val = int(round(n * DEFAULT_VAL_FRAC))
@@ -298,14 +323,11 @@ def dataset_statistics(sessions: Sequence[Session]) -> dict:
     """Per-kind counts: #Sessions, #Products, Avg.Length, #Actions."""
     stats = {}
     for kind, label in ((PURCHASE, "Purchase"), (CART, "S.Cart")):
-        subset = [s for s in sessions if s.kind == kind]
-        n_actions = sum(len(s.items) for s in subset)
-        products = set()
-        for s in subset:
-            products.update(s.items)
+        subset = [s.items for s in sessions if s.kind == kind]
+        n_actions = sum(map(len, subset))
         stats[label] = {
             "sessions": len(subset),
-            "products": len(products),
+            "products": len(set().union(*subset)),
             "avg_length": (n_actions / len(subset)) if subset else 0.0,
             "actions": n_actions,
         }
@@ -372,9 +394,11 @@ class SyntheticOracle:
 
 def check_generator_args(catalog_size: int, n_sessions: int = 1, *, length_range=(3, 12),
                          dominant_mass: float = 0.8, cart_ratio: float = 0.0, order: int = 1,
-                         n_clusters: Optional[int] = None) -> None:
+                         n_clusters: Optional[int] = None, seed: int = 0) -> None:
     """A ConfigError unless the synthetic generators take these arguments; with
     ``n_clusters``, as ``generate_style_correlated`` takes them."""
+    if not -2 ** 63 <= seed < 2 ** 63:  # the oracle stores it as an int64
+        raise ConfigError(f"seed must fit in a signed 64-bit integer, got {seed}")
     if catalog_size < 2 or n_sessions < 1:
         raise ConfigError("need catalog_size >= 2 and n_sessions >= 1")
     if order not in (1, 2):
@@ -438,7 +462,7 @@ def generate_synthetic(
     """
     P = catalog_size
     check_generator_args(P, n_sessions, length_range=length_range, dominant_mass=dominant_mass,
-                         cart_ratio=cart_ratio, order=order)
+                         cart_ratio=cart_ratio, order=order, seed=seed)
     lo, hi = length_range
     transition = make_transition(P, seed, dominant_mass=dominant_mass, order=order,
                                  cluster_of=cluster_of)
@@ -481,7 +505,8 @@ def generate_style_correlated(
     product id.
     """
     check_generator_args(catalog_size, n_sessions, length_range=length_range,
-                         dominant_mass=dominant_mass, cart_ratio=cart_ratio, n_clusters=n_clusters)
+                         dominant_mass=dominant_mass, cart_ratio=cart_ratio, n_clusters=n_clusters,
+                         seed=seed)
     cluster_of = (np.arange(catalog_size) * n_clusters) // catalog_size
     sessions, oracle = generate_synthetic(
         catalog_size, n_sessions, length_range=length_range, seed=seed,

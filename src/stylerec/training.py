@@ -403,20 +403,25 @@ def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NE
              style_table: Optional[np.ndarray] = None) -> MetricsReport:
     """Rank the true next product for every session; aggregate HR/NDCG/MRR.
 
-    History vectors are encoded ``EVAL_BATCH`` sessions at a time; the
-    model then scores candidates through ``_rank_sessions``, against one
-    ``product_table`` built for this call, on the workers ``threads.one_blas_thread``
-    yields when the full catalog is ``WIDE_RANKING`` wide, else on one.
+    History vectors are encoded ``EVAL_BATCH`` sessions at a time, shortest
+    first, so that a batch pads few positions (a vector's bits can move with
+    its batch's width, not with its place in the batch); the model then
+    scores candidates in the caller's order through ``_rank_sessions``,
+    against one ``product_table`` built for this call, on the workers
+    ``threads.one_blas_thread`` yields when the full catalog is
+    ``WIDE_RANKING`` wide, else on one.
     """
     cfg = params.config
     pos_enc = positional_encoding(cfg.max_len, cfg.d_model)
     ids, mask, _ = _session_arrays(sessions, cfg.max_len)
-    hist = []
+    order = np.argsort(mask.sum(axis=1), kind="stable")
+    hist = [None] * len(sessions)
     with threads.one_blas_thread() as workers, T.no_grad():
         for b0 in range(0, len(sessions), EVAL_BATCH):
-            sel = slice(b0, b0 + EVAL_BATCH)
+            sel = order[b0:b0 + EVAL_BATCH]
             hidden = encode(ids[sel], mask[sel], params, pos_enc, style_table)
-            hist.extend(history_vector(hidden, mask[sel], params).data)
+            for i, h in zip(sel.tolist(), history_vector(hidden, mask[sel], params).data):
+                hist[i] = h
         table = product_table(params)
         # a full-catalog session ranks every id but its other items
         wide = mode == FULL_CATALOG and params.catalog_size + 1 - max(

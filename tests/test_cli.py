@@ -932,11 +932,12 @@ class TestPreparedDatasetInput:
         json.dumps({**GOOD, "max_len": 1}).encode(),
         json.dumps({**GOOD, "catalog_size": 0}).encode(),
         json.dumps({**GOOD, "test": []}).encode(),  # eval would have nothing to rank
+        b"[" * 100000,  # beyond the decoder's depth limit
     ], ids=["json", "missing-split", "list", "bad-t", "not-utf8", "padding-id", "float-t",
             "bool-item", "float-max-len", "string-max-len", "string-catalog-size",
             "float-catalog-size", "bool-catalog-size", "bool-padding-id", "id-above-catalog",
             "one-item-session", "session-over-max-len", "max-len-1", "catalog-size-0",
-            "empty-test"])
+            "empty-test", "nested-too-deeply"])
     def test_malformed_dataset_is_input_error(self, tmp_path, capsys, blob):
         data = tmp_path / "prep.json"
         data.write_bytes(blob)

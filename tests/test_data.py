@@ -43,8 +43,15 @@ class TestSessionValidation:
         with pytest.raises(InputError):
             Session("a", "view", 0, (1, 2))
 
+    @pytest.mark.parametrize("session_id", [5, None, b"a"], ids=["int", "none", "bytes"])
+    def test_non_str_session_id_rejected(self, session_id):
+        # the writers quote a session id as json.dumps quotes a str
+        with pytest.raises(InputError) as refused:
+            Session(session_id, PURCHASE, 0, (1, 2))
+        assert str(refused.value) == f"session_id must be a JSON str, not {session_id!r}"
+
     def test_empty_items_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^session 'a': empty item list$"):
             Session("a", PURCHASE, 0, ())
 
     def test_padding_id_rejected_as_item(self):
@@ -59,13 +66,15 @@ class TestSessionValidation:
                              ids=["bool", "float", "str", "none", "np.int64"])
     def test_non_int_t_rejected(self, t):
         # write_sessions and to_json write t with str(); only an int reads back as JSON's
-        with pytest.raises(InputError, match=r"^session t must be a JSON int, not "):
+        with pytest.raises(InputError) as refused:
             Session("a", PURCHASE, t, (1, 2))
+        assert str(refused.value) == f"session t must be a JSON int, not {t!r}"
 
     def test_items_coerced_to_int_tuple(self):
-        s = Session("a", CART, 5, [np.int64(4), 7])
-        assert s.items == (4, 7)
-        assert all(type(i) is int for i in s.items)
+        for items in ([np.int64(4), 7], [4, 7]):
+            s = Session("a", CART, 5, items)
+            assert type(s.items) is tuple and s.items == (4, 7)
+            assert all(type(i) is int for i in s.items)
 
     @pytest.mark.parametrize("item", [np.int64(4), np.int32(4)], ids=["int64", "int32"])
     def test_numpy_integers_become_int(self, item):
@@ -137,6 +146,33 @@ class TestParsing:
         with pytest.raises(InputError, match=r"list\.jsonl:1: a session must be a JSON object"):
             parse_sessions(path)
 
+    # each line and message as the parser gave them when it ran json.loads on every line;
+    # a line nested too deeply then escaped as a RecursionError
+    ROW = '{"session_id": "a", "kind": "purchase", "t": 0, "items": [1, 2]}'
+    MALFORMED = {
+        "two-values": (ROW + "\n" + ROW.replace('"a"', '"b"') + " " + ROW.replace('"a"', '"c"'),
+                       "2: invalid JSON (Extra data)"),
+        "trailing-garbage": (ROW + "\n" + ROW.replace('"a"', '"b"') + " x",
+                             "2: invalid JSON (Extra data)"),
+        "split-session": (ROW + '\n{"session_id": "b", "kind": "purchase",\n "t": 1, "items": [1]}',
+                          "2: invalid JSON (Expecting property name enclosed in double quotes)"),
+        "bom": ("\ufeff" + ROW, "1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+        "non-object": (ROW + "\n[1, 2]", "2: a session must be a JSON object with session_id, "
+                                         "kind, t and items"),
+        "number": (ROW + "\n 7 ", "2: a session must be a JSON object with session_id, kind, t "
+                                  "and items"),
+        "nested-too-deeply": (ROW + "\n" + "[" * 100000, "2: invalid JSON (nested too deeply)"),
+    }
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_line_keeps_its_message(self, tmp_path, name):
+        text, message = self.MALFORMED[name]
+        path = tmp_path / "s.jsonl"
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(InputError) as refused:
+            parse_sessions(path)
+        assert str(refused.value) == f"{path}:{message}"
+
     def test_non_utf8_reports_line(self, tmp_path):
         path = tmp_path / "latin1.jsonl"
         path.write_bytes(b'{"session_id": "a", "kind": "purchase", "t": 0, "items": [1, 2]}\n'
@@ -147,18 +183,19 @@ class TestParsing:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.jsonl"
         path.write_text(
-            '\n{"session_id": "a", "kind": "cart", "t": 3, "items": [9, 9, 4]}\n\n'
+            '\n{"session_id": "a", "kind": "cart", "t": 3, "items": [9, 9, 4]}\n\n \t\n\r\n\x0b\n'
+            '  {"session_id": "b", "kind": "cart", "t": 4, "items": [1, 2]} \n'
         )
         parsed = parse_sessions(path)
-        assert parsed == [Session("a", CART, 3, (9, 9, 4))]
+        assert parsed == [Session("a", CART, 3, (9, 9, 4)), Session("b", CART, 4, (1, 2))]
 
 
 class TestWriteSessions:
     """``write_sessions`` builds its lines from a template; ``json.dumps`` is the oracle."""
 
     @pytest.mark.parametrize("session_id", ["séance-ü 日本\u2028", 'q"uote', "back\\slash",
-                                            "new\nline", ""],
-                             ids=["non-ascii", "quote", "backslash", "newline", "empty"])
+                                            "new\nline", "\x00\x1f\x7f \U0001f600", ""],
+                             ids=["non-ascii", "quote", "backslash", "newline", "control", "empty"])
     def test_bytes_match_json_dumps(self, tmp_path, session_id):
         sessions = [Session(session_id, CART, 12345678901, (7, 1, 7)),
                     Session(session_id + "-2", PURCHASE, -3, (2, 30))]
@@ -222,6 +259,12 @@ class TestPreprocessing:
     def test_clean_session_drops_too_short(self):
         assert clean_session(Session("a", PURCHASE, 0, (5, 5, 5)), max_len=20) is None
         assert clean_session(Session("a", PURCHASE, 0, (5,)), max_len=20) is None
+
+    def test_clean_session_returns_its_input_when_it_cuts_nothing(self):
+        s = Session("a", PURCHASE, 0, (1, 2, 3))
+        assert clean_session(s, max_len=3) is s
+        assert clean_session(s, max_len=2) == Session("a", PURCHASE, 0, (2, 3))
+        assert clean_session(Session("a", PURCHASE, 0, (1, 2, 2)), max_len=3).items == (1, 2)
 
     def test_clean_session_keeps_pairs(self):
         cleaned = clean_session(Session("a", PURCHASE, 0, (5, 6)), max_len=20)
@@ -330,8 +373,10 @@ class TestToJson:
          "test": [Session("t", PURCHASE, 9, (1, 2))]},
         {"train": [Session('q"uote\\back\nline\t', PURCHASE, 0, (1, 2))],
          "test": [Session("t", PURCHASE, 9, (1, 2))]},
+        {"train": [Session("\x00\x1f\x7f \U0001f600 \ud800", CART, 0, (1, 2))],
+         "test": [Session('"\\"', PURCHASE, 9, (1, 2))]},
         {"test": [Session("t", PURCHASE, 9, (1, 2))]},  # empty train and val write as []
-    ], ids=["non-ascii", "escapes", "only-test"])
+    ], ids=["non-ascii", "escapes", "control-and-surrogates", "only-test"])
     def test_matches_json_dumps(self, splits):
         ds = PreparedDataset(**{k: splits.get(k, []) for k in ("train", "val", "test")},
                              catalog_size=12, max_len=5)
@@ -493,6 +538,25 @@ class TestSyntheticOracle:
         for ratio in (-0.1, 2.0, float("nan")):  # NaN would make every session a purchase
             with pytest.raises(ConfigError, match="cart_ratio"):
                 generate_synthetic(5, 10, cart_ratio=ratio)
+
+    @pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1, 10 ** 20])
+    def test_seed_beyond_int64_is_refused_before_any_draw(self, seed, monkeypatch):
+        """The oracle saves its seed as an int64, so both generators refuse one that does
+        not fit, before a transition is drawn."""
+        monkeypatch.setattr("stylerec.data.make_transition", None)  # any draw would fail
+        message = f"seed must fit in a signed 64-bit integer, got {seed}"
+        with pytest.raises(ConfigError) as plain:
+            generate_synthetic(5, 10, seed=seed)
+        with pytest.raises(ConfigError) as styled:
+            generate_style_correlated(10, 10, n_clusters=2, seed=seed)
+        assert str(plain.value) == str(styled.value) == message
+
+    def test_int64_seed_bounds_save(self, tmp_path):
+        for seed in (2 ** 63 - 1, -2 ** 63):
+            _, oracle = generate_synthetic(5, 3, seed=seed)
+            oracle.save(tmp_path / "oracle.npz")
+            with np.load(tmp_path / "oracle.npz") as back:
+                assert int(back["seed"]) == seed
 
 
 def choice_sampler(oracle, n_sessions, length_range, seed, cart_ratio):

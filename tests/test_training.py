@@ -563,6 +563,50 @@ class TestEvaluate:
             ranks = evaluate(params, sessions, mode=mode, n_negatives=100, seed=5).ranks
             assert hashlib.sha256(repr(ranks).encode()).hexdigest() == digest, mode
 
+    def test_encodes_in_length_order_with_the_recorded_ranks(self, monkeypatch):
+        """Over more than one batch, ``evaluate`` encodes the shortest sessions first:
+        one ``encode`` call per ``EVAL_BATCH`` sessions, each in non-decreasing length,
+        padding fewer positions than batches in the caller's order. The digests were
+        recorded with batches in the caller's order."""
+        P = 2003
+        cfg = ModelConfig(d_product=16, d_model=8, n_blocks=1, n_heads=2,
+                          dropout=0.0, max_len=8)
+        params = init_params(cfg, P, 13)
+        rng = np.random.default_rng(14)
+        sessions = []
+        for i in range(700):
+            items = rng.integers(1, P + 1, int(rng.integers(2, 12)))
+            if i % 3 == 0:
+                items[-1] = items[0]
+            sessions.append(Session(f"m{i}", PURCHASE, i, tuple(int(x) for x in items)))
+        widths = []  # the valid positions of each row, per encode call
+        real = training.encode
+
+        def spy(ids, mask, *args):
+            widths.append(mask.sum(axis=1))
+            return real(ids, mask, *args)
+
+        monkeypatch.setattr(training, "encode", spy)
+        recorded = {
+            NEGSAMPLE: "4651104e98f9ac3d41e727b4db11e5fa110d818764fef9ff148115d44b357bde",
+            FULL_CATALOG: "851ee7a506b987ba80f21ba998e3f7239801c73c8e792cb8889ba49b1ad41809",
+        }
+        for mode, digest in recorded.items():
+            widths.clear()
+            ranks = evaluate(params, sessions, mode=mode, n_negatives=100, seed=5).ranks
+            assert hashlib.sha256(repr(ranks).encode()).hexdigest() == digest, mode
+            assert len(widths) == -(-len(sessions) // training.EVAL_BATCH) == 3
+            assert all(np.all(np.diff(w) >= 0) for w in widths)
+        lengths = np.array([min(len(s.items) - 1, cfg.max_len) for s in sessions])
+        np.testing.assert_array_equal(np.concatenate(widths), np.sort(lengths))
+
+        def padded(batches):
+            return sum(len(w) * int(w.max()) - int(w.sum()) for w in batches)
+
+        in_caller_order = [lengths[b0:b0 + training.EVAL_BATCH]
+                           for b0 in range(0, len(sessions), training.EVAL_BATCH)]
+        assert padded(widths) < padded(in_caller_order)
+
     def test_sees_in_place_parameter_edits(self):
         # Adam.step updates product_emb.data in place between validation
         # epochs; evaluate must score against the current values.
