@@ -21,6 +21,7 @@ same typed codec, ``kv.parse_field``.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -355,6 +356,8 @@ def cmd_train(rc: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_eval(rc: RunConfig, args: argparse.Namespace) -> int:
     cfg = rc.train_config()
+    if not re.fullmatch(r"[A-Za-z0-9_.+-]+", args.label):  # a file name and one record field
+        raise ConfigError(f"--label must be letters, digits, _, ., + or -, got {args.label!r}")
     params = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     ds, _ = _inputs(rc, use_style=False)
     # wide enough for either catalog, so a mismatch reaches the fit check
@@ -482,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of sessions")
     p.add_argument("--out", required=True, help="session JSONL output path")
     p.add_argument("--cart-ratio", dest="cart_ratio", type=float, default=0.0)
-    p.add_argument("--order", type=int, default=1, choices=(1, 2))
+    p.add_argument("--order", type=int, default=1, help="Markov order: 1 or 2")
     p.add_argument("--length-min", dest="length_min", type=int, default=3)
     p.add_argument("--length-max", dest="length_max", type=int, default=12)
     p.add_argument("--dominant-mass", dest="dominant_mass", type=float, default=0.8)
@@ -492,14 +495,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common, dataset, epochs],
                        help="train one configuration")
-    p.add_argument("--configuration", dest="train.configuration", choices=CONFIGURATIONS)
+    p.add_argument("--configuration", dest="train.configuration",
+                   help=f"one of {', '.join(CONFIGURATIONS)}")
     p.add_argument("--out", help="checkpoint output path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common, dataset], help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--mode", dest="train.eval_mode",
-                   choices=("auto", NEGSAMPLE, FULL_CATALOG))
+    p.add_argument("--mode", dest="train.eval_mode", help=f"auto, {NEGSAMPLE} or {FULL_CATALOG}")
     p.add_argument("--negatives", dest="train.eval_negatives",
                    help="candidate negatives per session")
     p.add_argument("--label", default="eval", help="name used in report lines")

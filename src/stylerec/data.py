@@ -79,7 +79,7 @@ class Session:
         """Inverse of ``to_row``; a missing or mistyped field raises InputError."""
         if not isinstance(row, dict) or not _FIELDS <= row.keys():
             raise InputError("a session must be a JSON object with session_id, kind, t and items")
-        return cls(str(row["session_id"]), row["kind"], row["t"],
+        return cls(row["session_id"], row["kind"], row["t"],
                    tuple(json_value(row["items"], list, "session items")))
 
 

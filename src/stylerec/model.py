@@ -20,7 +20,7 @@ width with ReLU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -68,31 +68,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.input_dim // self.n_heads
-
-    def to_kv(self) -> str:
-        return "\n".join(f"{f.name}={format_value(getattr(self, f.name))}"
-                         for f in fields(self))
-
-    @classmethod
-    def from_kv(cls, text: str) -> "ModelConfig":
-        """Parse ``to_kv`` output; a bad, missing, repeated or out-of-range
-        key or value raises FormatError."""
-        kwargs = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            if key in kwargs:
-                raise FormatError(f"model config repeats {key}")
-            kwargs[key] = parse_field(cls, key, value, key, FormatError)
-        missing = [f.name for f in fields(cls) if f.name not in kwargs]
-        if missing:
-            raise FormatError(f"model config lacks {', '.join(missing)}")
-        try:
-            return cls(**kwargs)
-        except ConfigError as e:
-            raise FormatError(f"model config: {e}") from None
 
 
 class ModelParams:
@@ -330,18 +305,17 @@ def product_table(params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
     return table, norms
 
 
-def score(history, candidate_ids, params: ModelParams,
-          table: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def score(history, candidate_ids, table: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Cosine similarity between one history vector and candidate embeddings.
 
     Inference-only: accepts a [d_product] vector (or a 1-row array) and
     returns a float array over candidates. Downstream sorts break ties by
     ascending product id. ``table`` is ``product_table(params)``, built
-    once for many calls. A candidate set wider than a quarter of the
-    catalog is scored by one product over the whole table, which beats
-    gathering its rows; the dot products then agree with the gathered
-    ones to within an ulp or two (BLAS sums a row differently by its
-    place in the matrix).
+    once for many calls; its rows 1..P are the catalog. A candidate set
+    wider than a quarter of the catalog is scored by one product over the
+    whole table, which beats gathering its rows; the dot products then
+    agree with the gathered ones to within an ulp or two (BLAS sums a row
+    differently by its place in the matrix).
     """
     h = np.squeeze(np.asarray(history))
     if h.ndim != 1:
@@ -349,12 +323,9 @@ def score(history, candidate_ids, params: ModelParams,
     ids = np.asarray(candidate_ids)
     if ids.size == 0:
         raise ContractError("score needs at least one candidate")
-    if ids.min() < 1 or ids.max() > params.catalog_size:
-        raise ContractError(f"candidate ids must lie in 1..{params.catalog_size}")
     full, norms = table
-    if full.shape != params.product_emb.shape:
-        raise ContractError(f"product table {full.shape} does not match the "
-                            f"embeddings {params.product_emb.shape}")
+    if ids.min() < 1 or ids.max() > len(full) - 1:
+        raise ContractError(f"candidate ids must lie in 1..{len(full) - 1}")
     hn = np.linalg.norm(h)
     h64 = h.astype(np.float64)
     en = norms[ids]
@@ -378,8 +349,11 @@ def pairwise_bce_loss(s_pos: T.Tensor, s_neg: T.Tensor) -> T.Tensor:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write config and all tensors (32-bit floats) to an S4CK file."""
-    config_block = (params.config.to_kv() + f"\ncatalog_size={params.catalog_size}").encode("utf-8")
+    """Write config and all tensors (32-bit floats) to an S4CK file. The config
+    block is one ``key=value`` line per ModelConfig field, in declaration
+    order, then ``catalog_size``."""
+    header = {**asdict(params.config), "catalog_size": params.catalog_size}
+    config_block = "\n".join(f"{k}={format_value(v)}" for k, v in header.items()).encode("utf-8")
     chunks = [records.pack("I", len(config_block)), config_block]
     for name in sorted(params.tensors):
         raw = name.encode("utf-8")
@@ -392,17 +366,30 @@ def save_checkpoint(params: ModelParams, path) -> None:
 def load_checkpoint(path) -> ModelParams:
     """Read an S4CK file back into float32 parameter tensors.
 
-    The file must hold each tensor ``param_shapes`` names for its config
+    The config block is split on "\n" alone; it must hold each ModelConfig
+    field and ``catalog_size`` once, each value as ``save_checkpoint`` writes
+    it. The file must hold each tensor ``param_shapes`` names for its config
     once, with that shape, in any order; anything else is a FormatError.
     """
     r = records.Reader(path, b"S4CK")
     (cfg_len,) = r.unpack("I", "config length")
-    lines = r.text(cfg_len, "checkpoint config block").splitlines()
-    sizes = [line for line in lines if line.startswith("catalog_size=")]
-    if len(sizes) != 1:
-        raise FormatError(f"checkpoint config block needs one catalog_size line, has {len(sizes)}")
-    catalog_size = parse_value("int", sizes[0][len("catalog_size="):], "catalog_size", FormatError)
-    config = ModelConfig.from_kv("\n".join(line for line in lines if line not in sizes))
+    values = {}
+    for line in r.text(cfg_len, "checkpoint config block").split("\n"):
+        key, _, raw = line.partition("=")
+        if key in values:
+            raise FormatError(f"checkpoint config block repeats {key}")
+        values[key] = (parse_value("int", raw, key, FormatError) if key == "catalog_size"
+                       else parse_field(ModelConfig, key, raw, key, FormatError))
+        if format_value(values[key]) != raw:  # int() and float() would pass padding
+            raise FormatError(f"checkpoint config value {key}={raw!r} is not as written")
+    missing = [k for k in [*(f.name for f in fields(ModelConfig)), "catalog_size"] if k not in values]
+    if missing:
+        raise FormatError(f"checkpoint config block lacks {', '.join(missing)}")
+    catalog_size = values.pop("catalog_size")
+    try:
+        config = ModelConfig(**values)
+    except ConfigError as e:
+        raise FormatError(f"model config: {e}") from None
     expected = param_shapes(config, catalog_size)
     tensors: Dict[str, T.Tensor] = {}
     while not r.at_end():

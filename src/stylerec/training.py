@@ -427,7 +427,7 @@ def evaluate(params: ModelParams, sessions: Sequence[Session], *, mode: str = NE
         wide = mode == FULL_CATALOG and params.catalog_size + 1 - max(
             (len(s.items) for s in sessions), default=0) >= WIDE_RANKING
         return _rank_sessions(sessions, params.catalog_size,
-                              lambda i, cands: score(hist[i], cands, params, table),
+                              lambda i, cands: score(hist[i], cands, table),
                               mode, n_negatives, seed, workers if wide else 1)
 
 

@@ -24,6 +24,7 @@ from stylerec.style import load_style_cache, save_style_cache, write_feature_map
 from stylerec.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from stylerec.training import CONFIGURATIONS, TrainConfig
 from conftest import short_switch_interval
+from test_data import NON_STR_IDS
 from test_training import TINY_MODEL, tiny_dataset
 
 
@@ -684,6 +685,28 @@ class TestPathErrors:
                                "--clusters", 2, "--order", 2, "--out", "new/s.jsonl"), None,
                               "config-error: style-correlated sessions are first order, "
                               "got order 2"),
+        "synth-order": (("synth", "--products", 4, "--sessions", 5, "--order", 3,
+                         "--out", "new/s.jsonl"), None, "config-error: order must be 1 or 2"),
+        "train-no-data": (("train", "--config", "run.cfg"), None,
+                          "config-error: no prepared dataset configured; pass the flag or set "
+                          "it in the config file"),
+        "stylegen-pseudo-images": (("stylegen", "--pseudo", "--products", 2,
+                                    "--out", "new/s.s4se"), None,
+                                   "config-error: --pseudo needs --images DIR"),
+        "stylegen-source": (("stylegen", "--features", "nope", "--products", 2,
+                             "--out", "new/s.s4se"), None,
+                            "input-error: source directory not found: nope"),
+        "sweep-budget": (("sweep", "--config", "run.cfg", "--data", "prep.json", "--budget", 0),
+                         None, "config-error: sweep budget must be >= 1"),
+        # every session of short.jsonl collapses below two items
+        "preprocess-no-survivors": (("preprocess", "--sessions", "short.jsonl",
+                                     "--out", "new/p.json"), None,
+                                    "config-error: no sessions survive preprocessing"),
+        **{f"preprocess-id-{name}": (("preprocess", "--sessions", f"id-{name}.jsonl",
+                                      "--out", "new/p.json"), None,
+                                     f"input-error: id-{name}.jsonl:1: session_id must be a "
+                                     f"JSON str, not {value!r}")
+           for name, value in NON_STR_IDS.items()},
     }
 
     @pytest.mark.parametrize("command", list(CASES))
@@ -701,6 +724,11 @@ class TestPathErrors:
         (tmp_path / "testneg.cfg").write_text(
             tiny_config.read_text() + "train.eval_mode=negsample\ntrain.eval_negatives=5\n")
         write_test_negsample_data(tmp_path / "testneg.jsonl", tmp_path / "testneg.json")
+        write_sessions([Session("a", PURCHASE, 0, (3,)), Session("b", PURCHASE, 1, (2, 2))],
+                       tmp_path / "short.jsonl")
+        for name, value in NON_STR_IDS.items():
+            (tmp_path / f"id-{name}.jsonl").write_text(json.dumps(
+                {"session_id": value, "kind": "purchase", "t": 0, "items": [1, 2]}) + "\n")
         (tmp_path / "taken").mkdir()
         (tmp_path / "taken.txt").write_text("not a directory\n", encoding="utf-8")
         (tmp_path / "img").mkdir()
@@ -933,11 +961,17 @@ class TestPreparedDatasetInput:
         json.dumps({**GOOD, "catalog_size": 0}).encode(),
         json.dumps({**GOOD, "test": []}).encode(),  # eval would have nothing to rank
         b"[" * 100000,  # beyond the decoder's depth limit
+        # the writers quote an id as a JSON str, so no other JSON type is an id
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "session_id": None}]}).encode(),
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "session_id": 5}]}).encode(),
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "session_id": True}]}).encode(),
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "session_id": [1, 2]}]}).encode(),
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "session_id": {"a": 1}}]}).encode(),
     ], ids=["json", "missing-split", "list", "bad-t", "not-utf8", "padding-id", "float-t",
             "bool-item", "float-max-len", "string-max-len", "string-catalog-size",
             "float-catalog-size", "bool-catalog-size", "bool-padding-id", "id-above-catalog",
             "one-item-session", "session-over-max-len", "max-len-1", "catalog-size-0",
-            "empty-test", "nested-too-deeply"])
+            "empty-test", "nested-too-deeply", *(f"id-{name}" for name in NON_STR_IDS)])
     def test_malformed_dataset_is_input_error(self, tmp_path, capsys, blob):
         data = tmp_path / "prep.json"
         data.write_bytes(blob)
@@ -947,6 +981,7 @@ class TestPreparedDatasetInput:
                    "--report-dir", tmp_path / "rep") == 1
         err = capsys.readouterr().err
         assert err.startswith("error input-error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "rep").exists()
         if b"\xe9" not in blob:
             with pytest.raises(InputError):
                 PreparedDataset.from_json(blob.decode("utf-8"))
@@ -986,6 +1021,8 @@ class TestConfigPath:
         # 8 products minus a val or test session's items cannot supply 7 negatives
         ("train.eval_mode=negsample\ntrain.eval_negatives=7\n", ("train",)),
         ("train.eval_mode=negsample\n", ("eval", "--negatives", "7")),
+        # a label names the report file and is one field of its records
+        ("", ("eval", "--label", "a b/../../escaped")),
     ])
     def test_bad_setting_is_one_config_error_line(self, tmp_path, tiny_config, capsys,
                                                   cfg_line, argv):
@@ -1006,6 +1043,21 @@ class TestConfigPath:
         err = capsys.readouterr().err
         assert err.startswith("error config-error:") and err.count("\n") == 1, err
         assert not (tmp_path / "x.s4ck").exists() and not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("argv, flag, key, message", [
+        (("train",), "--configuration", "train.configuration",
+         f"configuration must be one of {CONFIGURATIONS}, got 'Q'"),
+        (("eval", "--checkpoint", "m.s4ck"), "--mode", "train.eval_mode",
+         "unknown eval_mode 'Q'"),
+    ], ids=["configuration", "mode"])
+    def test_flag_and_config_line_print_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                       argv, flag, key, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"{key}=Q\n", encoding="utf-8")
+        for setting in ((flag, "Q"), ("--config", "run.cfg")):
+            assert run(*argv, *setting) == 2
+            assert capsys.readouterr().err == f"error config-error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_eval_mode_from_config_file(self, tmp_path, tiny_config):
         # the long val session leaves 4 ids for 5 negatives, so auto picks
@@ -1075,6 +1127,11 @@ class TestCheckpointHeader:
         (b"catalog_size=8", b"catalog_size=8\ncatalog_size=9"),
         (b"d_product=8\n", b"d_product=8\nd_product=8\n"),
         (b"max_len=8", b"max_len=%d" % 10**15),  # beyond data.MAX_LEN_CAP
+        (b"n_blocks=1\n", b"n_blocks=1\nnope=1\n"),
+        # the header is machine-written: a blank, padded or split line is no header of it
+        (b"n_blocks=1\n", b"n_blocks=1\n\n"),
+        (b"d_product=8\n", b" d_product=8\n"),
+        (b"d_product=8\n", b"d_product=8\r\n"),
     ])
     def test_corrupt_header_is_format_error(self, tmp_path, capsys, old, new):
         ckpt = tmp_path / "m.s4ck"

@@ -31,6 +31,10 @@ from stylerec.errors import ConfigError, InputError
 from stylerec.seeding import rng_for
 
 
+# session ids of each JSON type but str, as a sessions line or a prepared dataset holds them
+NON_STR_IDS = {"null": None, "number": 5, "true": True, "list": [1, 2], "object": {"a": 1}}
+
+
 def make_sessions(n, kind=PURCHASE, start_t=0, prefix="s"):
     return [
         Session(f"{prefix}{i:04d}", kind, start_t + i, (1 + i % 3, 2 + i % 3, 3 + i % 3))
@@ -162,6 +166,11 @@ class TestParsing:
         "number": (ROW + "\n 7 ", "2: a session must be a JSON object with session_id, kind, t "
                                   "and items"),
         "nested-too-deeply": (ROW + "\n" + "[" * 100000, "2: invalid JSON (nested too deeply)"),
+        # the writers quote an id as a JSON str, so no other JSON type is an id
+        **{f"id-{name}": (json.dumps({"session_id": value, "kind": "purchase", "t": 0,
+                                      "items": [1, 2]}),
+                          f"1: session_id must be a JSON str, not {value!r}")
+           for name, value in NON_STR_IDS.items()},
     }
 
     @pytest.mark.parametrize("name", list(MALFORMED))

@@ -1,5 +1,7 @@
 """Model tests: encodings, attention vs brute force, scoring, checkpoints."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -75,13 +77,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(dropout=1.0)
 
-    def test_kv_round_trip(self):
-        cfg = tiny_config(use_style=True, dropout=0.25)
-        assert ModelConfig.from_kv(cfg.to_kv()) == cfg
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(FormatError):
-            ModelConfig.from_kv("nope=1")
+    def test_checkpoint_header_round_trip(self, tmp_path):
+        # every field differs from its default
+        cfg = ModelConfig(d_product=10, d_model=6, n_blocks=1, n_heads=3, d_ffn=5, dropout=0.25,
+                          use_style=True, max_len=9)
+        assert all(getattr(cfg, f.name) != getattr(ModelConfig(), f.name) for f in fields(cfg))
+        save_checkpoint(init_params(cfg, catalog_size=3, seed=1), tmp_path / "m.s4ck")
+        assert load_checkpoint(tmp_path / "m.s4ck").config == cfg
 
 
 class TestPositionalEncoding:
@@ -428,7 +430,7 @@ class TestHistoryAndScore:
     def test_score_of_matching_embedding_is_one(self):
         _, params, _ = self.make()
         h = params.product_emb.data[4].copy()
-        s = score(h, np.array([4, 5, 6]), params, product_table(params))
+        s = score(h, np.array([4, 5, 6]), product_table(params))
         assert s[0] == pytest.approx(1.0)
         assert np.all(s <= 1.0 + 1e-12) and np.all(s >= -1.0 - 1e-12)
 
@@ -438,23 +440,25 @@ class TestHistoryAndScore:
         h = rng.standard_normal(params.config.d_product)
         cands = np.arange(1, 10)
         table = product_table(params)
-        np.testing.assert_allclose(score(h, cands, params, table),
-                                   score(3.7 * h, cands, params, table), rtol=1e-12)
+        np.testing.assert_allclose(score(h, cands, table), score(3.7 * h, cands, table),
+                                   rtol=1e-12)
 
     def test_score_zero_norm_rejected(self):
         _, params, _ = self.make()
         with pytest.raises(NumericError):
-            score(np.zeros(params.config.d_product), np.array([1]), params,
-                  product_table(params))
+            score(np.zeros(params.config.d_product), np.array([1]), product_table(params))
 
     def test_score_candidate_range_checked(self):
-        _, params, _ = self.make()
+        _, params, _ = self.make()  # a catalog of 9
         h = np.ones(params.config.d_product)
         table = product_table(params)
-        with pytest.raises(ContractError):
-            score(h, np.array([0]), params, table)
-        with pytest.raises(ContractError):
-            score(h, np.array([], dtype=np.int64), params, table)
+        score(h, np.array([1, 9]), table)
+        for ids in ([0], [10], []):
+            with pytest.raises(ContractError):
+                score(h, np.array(ids, dtype=np.int64), table)
+        # the table alone sets the catalog
+        with pytest.raises(ContractError, match=r"1\.\.8"):
+            score(h, np.array([9]), (table[0][:9], table[1][:9]))
 
 
 class TestProductTable:
@@ -484,7 +488,7 @@ class TestProductTable:
             full = np.setdiff1d(np.arange(1, self.P + 1), exclude)
             negsample = rng.choice(full, size=101, replace=False)
             for ids in (full, negsample):
-                with_table = score(h, ids, params, table)
+                with_table = score(h, ids, table)
                 assert with_table.dtype == np.float64
                 # the reference gathers and converts the candidate rows alone
                 emb = params.product_emb.data[ids].astype(np.float64)
@@ -492,19 +496,13 @@ class TestProductTable:
                                                            * np.linalg.norm(h))
                 np.testing.assert_array_max_ulp(with_table, gathered, maxulp=2)
 
-    def test_mismatched_table_rejected(self):
-        params, _ = self.make()
-        other = init_params(tiny_config(d_product=16), self.P - 1, seed=21)
-        with pytest.raises(ContractError):
-            score(np.ones(16), np.array([1, 2]), params, product_table(other))
-
     def test_zero_norm_row_rejected(self):
         params, _ = self.make()
         params.product_emb.data[7] = 0.0
         table = product_table(params)
         for ids in (np.array([6, 7]), np.arange(1, self.P + 1)):
             with pytest.raises(NumericError):
-                score(np.ones(16), ids, params, table)
+                score(np.ones(16), ids, table)
 
 
 class TestPairwiseLoss:
@@ -656,10 +654,10 @@ class TestCheckpoint:
         pe = positional_encoding(cfg.max_len, cfg.d_model)
         ids, mask = batch_for([[1, 4, 2]], cfg.max_len)
         hist = history_vector(encode(ids, mask, params, pe), mask, params)
-        s1 = score(hist.data[0], np.arange(1, 10), params, product_table(params))
+        s1 = score(hist.data[0], np.arange(1, 10), product_table(params))
         path = tmp_path / "model.s4ck"
         save_checkpoint(params, path)
         back = load_checkpoint(path)
         hist2 = history_vector(encode(ids, mask, back, pe), mask, back)
-        s2 = score(hist2.data[0], np.arange(1, 10), back, product_table(back))
+        s2 = score(hist2.data[0], np.arange(1, 10), product_table(back))
         np.testing.assert_array_equal(s1, s2)
