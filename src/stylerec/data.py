@@ -37,6 +37,9 @@ DEFAULT_MAX_LEN = 20
 # The longest max_len accepted anywhere: a batch holds [B, max_len, D] arrays, so a
 # larger value could only fail inside the work, after a command has claimed its outputs.
 MAX_LEN_CAP = 512
+# The most entries of a dense synthetic transition (P**2 at order 1, P**3 at order 2):
+# far above the P=1,000 first-order oracle, at 800 MB of float64.
+TRANSITION_CAP = 10 ** 8
 _FIELDS = frozenset(("session_id", "kind", "t", "items"))  # the keys of a session row
 
 
@@ -113,11 +116,17 @@ class PreparedDataset:
                              f"2..{MAX_LEN_CAP}, got {self.catalog_size} and {self.max_len}")
         if not self.test:
             raise InputError("prepared dataset has an empty test split")
+        seen = set()
         for s in self.all_sessions():
             if not 2 <= len(s.items) <= self.max_len or max(s.items) > self.catalog_size:
                 raise InputError(f"session {s.session_id!r}: a prepared session needs 2 to "
                                  f"max_len {self.max_len} ids <= catalog_size "
                                  f"{self.catalog_size}, got {list(s.items)}")
+            if s.session_id in seen:
+                raise InputError(f"session {s.session_id!r}: repeated session_id")
+            seen.add(s.session_id)
+        if cart := next((s for s in self.test if s.kind != PURCHASE), None):
+            raise InputError(f"session {cart.session_id!r}: a test session must be a purchase")
 
     def all_sessions(self) -> tuple:
         return self.train + self.val + self.test
@@ -177,7 +186,7 @@ def _json_row(line: str):
 
 
 def parse_sessions(path) -> list:
-    """Read a JSON-lines sessions file; report malformed lines by number."""
+    """Read a JSON-lines sessions file; report bad lines and same-kind repeats by number."""
     sessions = []
     seen = set()
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
@@ -192,9 +201,9 @@ def parse_sessions(path) -> list:
             raise InputError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
         except InputError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
-        if session.session_id in seen:
+        if (key := (session.session_id, session.kind)) in seen:
             raise InputError(f"{path}:{lineno}: duplicate session_id {session.session_id!r}")
-        seen.add(session.session_id)
+        seen.add(key)
         sessions.append(session)
     return sessions
 
@@ -240,15 +249,6 @@ def truncate_pad(items: Sequence[int], max_len: int = DEFAULT_MAX_LEN):
     kept = list(items)[-max_len:]
     pad = max_len - len(kept)
     return kept + [PADDING_ID] * pad, [True] * len(kept) + [False] * pad
-
-
-def remove_overlap(purchase_sessions: Sequence[Session], cart_sessions: Sequence[Session]):
-    """Drop session identities that appear in both the purchase and cart sets."""
-    shared = {s.session_id for s in purchase_sessions} & {s.session_id for s in cart_sessions}
-    return (
-        [s for s in purchase_sessions if s.session_id not in shared],
-        [s for s in cart_sessions if s.session_id not in shared],
-    )
 
 
 def clean_session(session: Session, max_len: int = DEFAULT_MAX_LEN) -> Optional[Session]:
@@ -303,13 +303,16 @@ def prepare_dataset(
     max_len: int = DEFAULT_MAX_LEN,
     catalog_size: Optional[int] = None,
 ) -> PreparedDataset:
-    """Full preprocessing pipeline: overlap removal, per-session cleaning,
-    temporal split with purchase-only test."""
+    """In one pass, drop every id that names a purchase and a cart session and clean
+    the other sessions; then split by time with a purchase-only test."""
     check_max_len(max_len)
-    purchases = [s for s in sessions if s.kind == PURCHASE]
-    carts = [s for s in sessions if s.kind == CART]
-    purchases, carts = remove_overlap(purchases, carts)
-    cleaned = [c for s in purchases + carts if (c := clean_session(s, max_len=max_len)) is not None]
+    kind_of, cleaned = {}, []  # session_id -> its kind, or None once it names both
+    for s in sessions:
+        if kind_of.setdefault(s.session_id, s.kind) != s.kind:
+            kind_of[s.session_id] = None
+        elif (c := clean_session(s, max_len=max_len)) is not None:
+            cleaned.append(c)
+    cleaned = [c for c in cleaned if kind_of[c.session_id]]
     if not cleaned:
         raise ConfigError("no sessions survive preprocessing")
     return temporal_split(cleaned, max_len=max_len, catalog_size=catalog_size)
@@ -403,6 +406,9 @@ def check_generator_args(catalog_size: int, n_sessions: int = 1, *, length_range
         raise ConfigError("need catalog_size >= 2 and n_sessions >= 1")
     if order not in (1, 2):
         raise ConfigError("order must be 1 or 2")
+    if catalog_size ** (order + 1) > TRANSITION_CAP:
+        raise ConfigError(f"a dense order-{order} transition over {catalog_size} products "
+                          f"exceeds the cap of {TRANSITION_CAP} entries")
     lo, hi = length_range
     if lo < 2 or hi < lo:
         raise ConfigError(f"bad length_range {length_range}")

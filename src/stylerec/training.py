@@ -34,6 +34,7 @@ from .model import (
     history_vector,
     init_params,
     pairwise_bce_loss,
+    param_shapes,
     positional_encoding,
     product_table,
     score,
@@ -57,6 +58,9 @@ WIDE_RANKING = 6000
 # 2**12 loses a third to per-call overhead.
 ADAM_BLOCK = 1 << 15
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba)
+# The most parameters a run trains: far above acceptance 07's 1.63M, while a larger
+# model could only fail inside the work, after a command has claimed its outputs.
+PARAM_CAP = 10 ** 8
 SHORT_CATALOG = "catalog of {} cannot supply {} negatives for a session with {} distinct items"
 
 
@@ -312,6 +316,9 @@ def _check_run(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfi
         raise ConfigError(f"model use_style={model_cfg.use_style} conflicts with "
                           f"configuration {cfg.configuration!r}")
     _check_fit(model_cfg, dataset.catalog_size, dataset, style_table)
+    n_params = sum(map(math.prod, param_shapes(model_cfg, dataset.catalog_size).values()))
+    if n_params > PARAM_CAP:
+        raise ConfigError(f"a model of {n_params} parameters exceeds the cap of {PARAM_CAP}")
     if dataset.catalog_size < 2:  # else _train_negative would draw forever
         raise ConfigError(f"catalog of {dataset.catalog_size} cannot supply a training "
                           f"negative other than the target")

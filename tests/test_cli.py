@@ -133,6 +133,25 @@ class TestPreprocess:
                                            f"{data.MAX_LEN_CAP}, got {data.MAX_LEN_CAP + 1}\n")
         assert not (tmp_path / "x").exists() and not (tmp_path / "x.stats.txt").exists()
 
+    def test_an_id_of_a_purchase_and_a_cart_session_is_dropped(self, tmp_path, capsys):
+        """Both sessions of the id leave the prepared file; the statistics table counts
+        the parsed file, before the drop."""
+        raw = make_raw(tmp_path)
+        both = tmp_path / "both.jsonl"
+        both.write_text(raw.read_text() + "".join(
+            json.dumps({"session_id": "a", "kind": kind, "t": t, "items": [1, 2, 3]}) + "\n"
+            for kind, t in ((PURCHASE, 200), (CART, 201))))
+        capsys.readouterr()
+        assert run("preprocess", "--sessions", both, "--out", tmp_path / "both.json",
+                   "--max-len", 8) == 0
+        ds = PreparedDataset.from_json((tmp_path / "both.json").read_text())
+        assert "a" not in {s.session_id for s in ds.all_sessions()}
+        assert ds == PreparedDataset.from_json(make_prepared(tmp_path, raw).read_text())
+        stats = (tmp_path / "both.json.stats.txt").read_text().splitlines()
+        parsed = data.parse_sessions(both)
+        assert [line.split()[1] for line in stats[2:4]] == [
+            str(sum(s.kind == kind for s in parsed)) for kind in (PURCHASE, CART)]
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = run("preprocess", "--sessions", tmp_path / "nope.jsonl",
                    "--out", tmp_path / "x")
@@ -687,6 +706,11 @@ class TestPathErrors:
                               "got order 2"),
         "synth-order": (("synth", "--products", 4, "--sessions", 5, "--order", 3,
                          "--out", "new/s.jsonl"), None, "config-error: order must be 1 or 2"),
+        # over data.TRANSITION_CAP; make_transition raises here if it is ever reached
+        "synth-transition-cap": (("synth", "--products", 10 ** 9, "--sessions", 5,
+                                  "--out", "new/s.jsonl"), None,
+                                 "config-error: a dense order-1 transition over 1000000000 "
+                                 "products exceeds the cap of 100000000 entries"),
         "train-no-data": (("train", "--config", "run.cfg"), None,
                           "config-error: no prepared dataset configured; pass the flag or set "
                           "it in the config file"),
@@ -752,6 +776,10 @@ class TestPathErrors:
                    (cli, "pseudo_feature_provider")]
         for module, name in counted:  # preprocess and dynamic parse sessions as an input
             counting(module, name)
+
+        def make_transition(*args, **kwargs):  # stops an uncapped oracle before it fills GBs
+            raise AssertionError("a dense transition was built")
+        monkeypatch.setattr(data, "make_transition", make_transition)
         before = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
         assert run(*argv) == (2 if err.startswith("config-error") else 1)
@@ -960,6 +988,9 @@ class TestPreparedDatasetInput:
         json.dumps({**GOOD, "max_len": 1}).encode(),
         json.dumps({**GOOD, "catalog_size": 0}).encode(),
         json.dumps({**GOOD, "test": []}).encode(),  # eval would have nothing to rank
+        # preprocess keeps one session per id, and tests on purchases only
+        json.dumps({**GOOD, "train": GOOD["test"]}).encode(),
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "kind": "cart"}]}).encode(),
         b"[" * 100000,  # beyond the decoder's depth limit
         # the writers quote an id as a JSON str, so no other JSON type is an id
         json.dumps({**GOOD, "test": [{**GOOD["test"][0], "session_id": None}]}).encode(),
@@ -971,7 +1002,8 @@ class TestPreparedDatasetInput:
             "bool-item", "float-max-len", "string-max-len", "string-catalog-size",
             "float-catalog-size", "bool-catalog-size", "bool-padding-id", "id-above-catalog",
             "one-item-session", "session-over-max-len", "max-len-1", "catalog-size-0",
-            "empty-test", "nested-too-deeply", *(f"id-{name}" for name in NON_STR_IDS)])
+            "empty-test", "repeated-id", "cart-test-session", "nested-too-deeply",
+            *(f"id-{name}" for name in NON_STR_IDS)])
     def test_malformed_dataset_is_input_error(self, tmp_path, capsys, blob):
         data = tmp_path / "prep.json"
         data.write_bytes(blob)
@@ -1018,6 +1050,8 @@ class TestConfigPath:
         ("model.use_style=true\n", ("train",)),
         ("model.max_len=5\n", ("train",)),  # the prepared dataset owns max_len
         ("train.learning_rate=inf\n", ("train",)),
+        # over training.PARAM_CAP; without the cap numpy refuses its 87 TiB at once
+        ("model.d_ffn=1000000000000\n", ("train",)),
         # 8 products minus a val or test session's items cannot supply 7 negatives
         ("train.eval_mode=negsample\ntrain.eval_negatives=7\n", ("train",)),
         ("train.eval_mode=negsample\n", ("eval", "--negatives", "7")),
@@ -1439,17 +1473,21 @@ class TestErrorSurface:
                    "--out", tmp_path / "x") == code
         assert capsys.readouterr().err == f"error {kind}: boom\n"
 
-    def test_memory_error_is_one_input_error_line(self, tmp_path, tiny_config, capsys):
-        """A feed-forward width no 64-bit host can allocate is one input-error line, not
-        a traceback."""
+    def test_memory_error_is_one_input_error_line(self, tmp_path, tiny_config, capsys,
+                                                  monkeypatch):
+        """An allocation the host cannot hold is one input-error line, not a traceback."""
         prep = make_prepared(tmp_path)
-        huge = tmp_path / "huge.cfg"
-        huge.write_text(tiny_config.read_text().replace("model.d_ffn=8", f"model.d_ffn={10**13}"))
+
+        def init_params(*args, **kwargs):
+            raise MemoryError("Unable to allocate 87.3 TiB for an array with shape "
+                              "(12, 1000000000000) and data type float64")
+        monkeypatch.setattr(training, "init_params", init_params)
         capsys.readouterr()
-        assert run("train", "--config", huge, "--data", prep, "--out", tmp_path / "t.s4ck",
+        assert run("train", "--config", tiny_config, "--data", prep, "--out", tmp_path / "t.s4ck",
                    "--report-dir", tmp_path / "rep") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error input-error: Unable to allocate") and err.count("\n") == 1, err
+        assert capsys.readouterr().err == ("error input-error: Unable to allocate 87.3 TiB for an "
+                                           "array with shape (12, 1000000000000) and data type "
+                                           "float64\n")
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_max_len_beyond_the_cap_is_refused_before_the_claim(self, tmp_path, tiny_config,

@@ -12,6 +12,7 @@ from stylerec.data import (
     PreparedDataset,
     Session,
     SyntheticOracle,
+    check_generator_args,
     clean_session,
     dataset_statistics,
     dedupe_trailing,
@@ -22,7 +23,6 @@ from stylerec.data import (
     max_product_id,
     parse_sessions,
     prepare_dataset,
-    remove_overlap,
     temporal_split,
     truncate_pad,
     write_sessions,
@@ -110,12 +110,21 @@ class TestParsing:
         with pytest.raises(InputError, match=r":2:"):
             parse_sessions(path)
 
-    def test_duplicate_session_id_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("kind", [PURCHASE, CART])
+    def test_duplicate_session_id_reports_line(self, tmp_path, kind):
         path = tmp_path / "dup.jsonl"
-        row = {"session_id": "a", "kind": "purchase", "t": 0, "items": [1, 2]}
-        path.write_text(json.dumps(row) + "\n" + json.dumps(row) + "\n")
-        with pytest.raises(InputError, match=r":2: duplicate"):
+        row = {"session_id": "a", "kind": kind, "t": 0, "items": [1, 2]}
+        other = {**row, "kind": PURCHASE if kind == CART else CART}
+        path.write_text("".join(json.dumps(r) + "\n" for r in (row, other, row)))
+        with pytest.raises(InputError, match=r"^.*dup.jsonl:3: duplicate session_id 'a'$"):
             parse_sessions(path)
+
+    def test_an_id_may_name_one_purchase_and_one_cart_session(self, tmp_path):
+        """prepare_dataset drops such an id; the parser keeps both sessions."""
+        path = tmp_path / "both.jsonl"
+        both = [Session("a", PURCHASE, 0, (1, 2)), Session("a", CART, 1, (3, 4))]
+        write_sessions(both, path)
+        assert parse_sessions(path) == both
 
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "missing.jsonl"
@@ -253,12 +262,19 @@ class TestPreprocessing:
         with pytest.raises(ConfigError):
             truncate_pad([1, 2], max_len=1)
 
-    def test_remove_overlap_drops_shared_identity(self):
-        p = [Session("a", PURCHASE, 0, (1, 2)), Session("b", PURCHASE, 1, (3, 4))]
-        c = [Session("b", CART, 2, (5, 6)), Session("c", CART, 3, (7, 8))]
-        p2, c2 = remove_overlap(p, c)
-        assert [s.session_id for s in p2] == ["a"]
-        assert [s.session_id for s in c2] == ["c"]
+    def test_prepare_dataset_drops_an_id_of_both_kinds(self):
+        """An id that names a purchase and a cart session leaves with both, wherever they
+        stand; the sessions are read once, so an iterator serves as well as a list."""
+        kept = make_sessions(15) + make_sessions(3, kind=CART, start_t=2, prefix="c")
+        shared = [Session("b", CART, 1, (3, 4)), Session("b", PURCHASE, 20, (5, 6))]
+        ds = prepare_dataset(iter([shared[0], *kept, shared[1]]))
+        assert sorted(s.session_id for s in ds.all_sessions()) == sorted(s.session_id for s in kept)
+        assert ds == prepare_dataset(kept)
+
+    def test_prepare_dataset_refuses_an_id_repeated_in_one_kind(self):
+        sessions = make_sessions(18)
+        with pytest.raises(InputError, match=r"^session 's0003': repeated session_id$"):
+            prepare_dataset([*sessions, Session("s0003", PURCHASE, 30, (1, 2))])
 
     def test_clean_session_dedupes_before_truncating(self):
         s = Session("a", PURCHASE, 0, (1, 2, 3, 4, 4))
@@ -278,6 +294,27 @@ class TestPreprocessing:
     def test_clean_session_keeps_pairs(self):
         cleaned = clean_session(Session("a", PURCHASE, 0, (5, 6)), max_len=20)
         assert cleaned.items == (5, 6)
+
+
+class TestRefusals:
+    """Each refusal of a data function names its fault."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: dedupe_trailing([]), InputError, "dedupe_trailing on an empty item list"),
+        # a dense transition over data.TRANSITION_CAP entries is refused before it is built
+        (lambda: make_transition(10 ** 4 + 1, seed=0), ConfigError,
+         "a dense order-1 transition over 10001 products exceeds the cap of 100000000 entries"),
+        (lambda: generate_synthetic(465, 5, order=2), ConfigError,
+         "a dense order-2 transition over 465 products exceeds the cap of 100000000 entries"),
+    ], ids=["dedupe-empty", "transition-order-1", "transition-order-2"])
+    def test_refusal_names_its_fault(self, call, error, message):
+        with pytest.raises(error) as refused:
+            call()
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("catalog_size, order", [(10 ** 4, 1), (464, 2)])
+    def test_the_largest_transition_under_the_cap_passes_the_check(self, catalog_size, order):
+        check_generator_args(catalog_size, order=order)
 
 
 class TestTemporalSplit:
@@ -401,7 +438,11 @@ class TestToJson:
         # eval needs a test split
         ({"val": [Session("v", CART, 3, (2, 1, 2))]}, "empty test split"),
         ({}, "empty test split"),
-    ], ids=["single-item", "only-val", "all-empty"])
+        # preprocess keeps one session per id, and tests on purchases only
+        ({"train": [Session("a", PURCHASE, 1, (1, 2))], "test": [Session("a", PURCHASE, 9, (3, 4))]},
+         "session 'a': repeated session_id"),
+        ({"test": [Session("c", CART, 9, (1, 2))]}, "session 'c': a test session must be a purchase"),
+    ], ids=["single-item", "only-val", "all-empty", "repeated-id", "cart-test-session"])
     def test_construction_refuses_what_the_reader_refuses(self, splits, message):
         """A dataset built in code meets the reader's rules, so to_json never writes a
         file that from_json refuses; both refuse with one message."""
@@ -430,7 +471,10 @@ class TestToJson:
             dataclasses.replace(ds, test=[*ds.test, Session("late", PURCHASE, 999, (1, 99))])
         with pytest.raises(InputError, match="empty test split"):
             dataclasses.replace(ds, test=[])
-        assert dataclasses.replace(ds, val=ds.train).val == ds.train
+        with pytest.raises(InputError, match="session 'a': repeated session_id"):
+            dataclasses.replace(ds, val=ds.train)
+        cart = Session("v", CART, 5, (2, 1))
+        assert dataclasses.replace(ds, val=[cart]).val == (cart,)
 
     def test_matches_json_dumps_on_a_prepared_dataset(self):
         sessions, _ = generate_synthetic(40, 300, length_range=(2, 9), seed=4, cart_ratio=0.3)

@@ -50,6 +50,15 @@ class TestRankOfTruth:
         with pytest.raises(ContractError):
             rank_of_truth([0.5, 0.2], [1, 1], 1)
 
+    @pytest.mark.parametrize("scores, ids, message", [
+        ([0.5, 0.2], [1], "scores (2,) and candidates (1,) must be 1-D and equal"),
+        ([[0.5, 0.2]], [[1, 2]], "scores (1, 2) and candidates (1, 2) must be 1-D and equal"),
+    ], ids=["lengths-differ", "2-d"])
+    def test_refusal_names_its_fault(self, scores, ids, message):
+        with pytest.raises(ContractError) as refused:
+            rank_of_truth(scores, ids, 1)
+        assert str(refused.value) == message
+
     def test_matches_brute_force_on_1000_instances(self):
         rng = np.random.default_rng(70)
         for _ in range(1000):

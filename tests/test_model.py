@@ -1,6 +1,7 @@
 """Model tests: encodings, attention vs brute force, scoring, checkpoints."""
 
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from stylerec.errors import (
     InputError,
     MaskError,
     NumericError,
+    ShapeError,
 )
 from stylerec.model import (
     ModelConfig,
@@ -661,3 +663,51 @@ class TestCheckpoint:
         hist2 = history_vector(encode(ids, mask, back, pe), mask, back)
         s2 = score(hist2.data[0], np.arange(1, 10), product_table(back))
         np.testing.assert_array_equal(s1, s2)
+
+
+
+class TestRefusals:
+    """Each refusal of a model function names its fault. A call takes ``m``: untrained
+    parameters over a catalog of 5 with and without style, their positional table, and
+    one two-item session padded to max_len 6."""
+
+    @pytest.fixture
+    def m(self):
+        cfg = tiny_config()
+        ids, mask = batch_for([[1, 2]], cfg.max_len)
+        return SimpleNamespace(params=init_params(cfg, 5, 1), ids=ids, mask=mask,
+                               styled=init_params(tiny_config(use_style=True), 5, 1),
+                               pe=positional_encoding(cfg.max_len, cfg.d_model))
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda m: tiny_config(d_ffn=-1), ConfigError, "d_ffn must be >= 1, got -1"),
+        (lambda m: positional_encoding(0, 4), ConfigError, "max_len must be >= 1, got 0"),
+        (lambda m: init_product_embeddings(0, 8, 0), ConfigError,
+         "catalog_size must be >= 1, got 0"),
+        (lambda m: encode(m.ids[0], m.mask[0], m.params, m.pe), ShapeError,
+         "session batch must be [B, L], got (6,)"),
+        (lambda m: encode(m.ids, m.mask[:, :5], m.params, m.pe), MaskError,
+         "mask shape (1, 5) does not match ids (1, 6)"),
+        (lambda m: encode(-m.ids, m.mask, m.params, m.pe), InputError, "negative product id -2"),
+        (lambda m: encode(m.ids, m.mask | True, m.params, m.pe), MaskError,
+         "mask must flag exactly the non-padding (nonzero id) positions"),
+        (lambda m: history_vector(T.Tensor(np.zeros((1, 12))), m.mask, m.params), ShapeError,
+         "need [B, W, D] hidden states and a [B, L >= W] mask, got (1, 12) and (1, 6)"),
+        (lambda m: build_input(m.ids, m.styled, m.pe), ContractError,
+         "use_style is on but no style table was provided"),
+        (lambda m: build_input(np.ones((1, 7), dtype=np.int64), m.params, m.pe), ShapeError,
+         "session length 7 exceeds positional table 6"),
+        (lambda m: build_input(m.ids, m.styled, m.pe, style_table=np.zeros((5, STYLE_DIM))),
+         ShapeError, "style table shape (5, 512), expected (6, 512)"),
+        (lambda m: multi_head_attention(T.Tensor(np.zeros((1, 6, 5))), m.params, 0, m.mask),
+         ShapeError, "attention input must be [B, L, 12], got (1, 6, 5)"),
+        (lambda m: score(np.zeros((2, 8)), [1, 2], product_table(m.params)), ShapeError,
+         "score expects one history vector, got shape (2, 8)"),
+    ], ids=["d-ffn-below-1", "positional-max-len-0", "catalog-0", "ids-not-a-batch",
+            "mask-shape", "negative-id", "mask-flags-padding", "hidden-not-3d",
+            "style-model-without-table", "longer-than-the-positional-table",
+            "style-table-shape", "attention-width", "score-of-a-batch"])
+    def test_refusal_names_its_fault(self, m, call, error, message):
+        with pytest.raises(error) as refused:
+            call(m)
+        assert str(refused.value) == message

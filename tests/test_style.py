@@ -137,6 +137,24 @@ class TestLosses:
             style_loss([np.ones((2, 2))], [np.ones((3, 3))], [1.0], [2], [4])
 
 
+class TestRefusals:
+    """Each refusal of a style function names its fault."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda path: style_loss([np.zeros((2, 2))], [], [1.0], [2], [4]),
+         "per-layer argument lists must have equal length"),
+        (lambda path: max_pool2d(np.zeros(16)), "max_pool2d expects a matrix, got (16,)"),
+        (lambda path: style_table(3, {1: np.zeros(5)}), "style vector for id 1 has shape (5,)"),
+        (lambda path: write_feature_maps([np.zeros((8, 8))], path),
+         "S4RF layer must be [N, H, W], got (8, 8)"),
+    ], ids=["loss-list-lengths", "pool-a-vector", "style-vector-shape", "s4rf-layer-2d"])
+    def test_refusal_names_its_fault(self, tmp_path, call, message):
+        with pytest.raises(ShapeError) as refused:
+            call(tmp_path / "maps.s4rf")
+        assert str(refused.value) == message
+        assert not (tmp_path / "maps.s4rf").exists()
+
+
 class TestPooling:
     def test_all_equal_stays_equal(self):
         out = max_pool2d(np.full((64, 64), 2.5), 4)

@@ -366,6 +366,51 @@ class TestBackward:
         assert grads[w].shape == (3, 5) and grads[b].shape == (5,)
 
 
+class TestRefusals:
+    """Each refusal of an op names its fault."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: T.Tensor(np.zeros(2)).item(), ContractError, "item() on tensor of shape (2,)"),
+        (lambda: T.matmul(np.zeros(3), np.zeros((3, 2))), ShapeError,
+         "matmul supports 2-D/3-D operands, got (3,) @ (3, 2)"),
+        (lambda: T.matmul(np.zeros((2, 3)), np.zeros((4, 3, 2))), ShapeError,
+         "matmul with stacked right and flat left operand is unsupported"),
+        (lambda: T.matmul(np.zeros((2, 2, 3)), np.zeros((4, 3, 2))), ShapeError,
+         "matmul batch dims differ: (2, 2, 3) @ (4, 3, 2)"),
+        (lambda: T.transpose(np.zeros(3)), ShapeError, "transpose needs at least 2 axes"),
+        (lambda: T.layer_norm(np.zeros((2, 3)), np.ones(3), np.zeros(3), eps=0.0), ContractError,
+         "layer_norm eps must be positive"),
+        (lambda: T.dropout(np.ones(3), 0.1, seed=0, mode="test"), ContractError,
+         "dropout mode must be 'train' or 'eval', got 'test'"),
+        (lambda: T.dropout(np.ones(3), 0.1), ContractError,
+         "train-mode dropout needs an explicit seed"),
+        (lambda: T.concat_last_dim([]), ContractError, "concat_last_dim of an empty list"),
+        (lambda: T.concat_last_dim([np.zeros((2, 3)), np.zeros((3, 3))]), ShapeError,
+         "concat_last_dim leading dims differ: [(2, 3), (3, 3)]"),
+        (lambda: T.embedding_lookup(np.zeros((3, 2)), np.array([0.5])), ContractError,
+         "embedding ids must be integers"),
+        (lambda: T.gather_rows(np.zeros(3), 0), ShapeError,
+         "gather_rows expects a 2-D or 3-D tensor"),
+        (lambda: T.gather_rows(np.zeros((2, 3, 4)), np.array([0.0, 1.0])), ShapeError,
+         "need one integer row index per matrix of (2, 3, 4), got float64 of shape (2,)"),
+        (lambda: T.gather_rows(np.zeros((2, 3, 4)), np.array([0, 3])), ShapeError,
+         "row index out of range for shape (2, 3, 4)"),
+        (lambda: T.cosine_similarity(np.ones(3), np.ones(4)), ShapeError,
+         "cosine_similarity needs matching 1-D/2-D shapes, got (3,), (4,)"),
+        (lambda: T.backward(np.ones(1)), ContractError, "backward expects a Tensor"),
+        (lambda: T.backward(T.Tensor(np.ones(()))), ContractError,
+         "loss does not require grad; nothing recorded on the tape"),
+    ], ids=["item-of-a-vector", "matmul-1d", "matmul-flat-left-stacked-right",
+            "matmul-batch-dims", "transpose-1d", "layer-norm-eps", "dropout-mode",
+            "dropout-seed", "concat-empty", "concat-leading-dims", "embedding-float-ids",
+            "gather-1d", "gather-float-index", "gather-out-of-range", "cosine-shapes",
+            "backward-array", "backward-no-grad"])
+    def test_refusal_names_its_fault(self, call, error, message):
+        with pytest.raises(error) as refused:
+            call()
+        assert str(refused.value) == message
+
+
 class TestGradientSuite:
     """Randomized finite-difference sweep across the whole op catalog."""
 
