@@ -122,11 +122,20 @@ class PreparedDataset:
                 raise InputError(f"session {s.session_id!r}: a prepared session needs 2 to "
                                  f"max_len {self.max_len} ids <= catalog_size "
                                  f"{self.catalog_size}, got {list(s.items)}")
+            if s.items[-1] == s.items[-2]:  # clean_session collapses a trailing repeat
+                raise InputError(f"session {s.session_id!r}: a prepared session ends in "
+                                 f"two different ids, got {list(s.items)}")
             if s.session_id in seen:
                 raise InputError(f"session {s.session_id!r}: repeated session_id")
             seen.add(s.session_id)
         if cart := next((s for s in self.test if s.kind != PURCHASE), None):
             raise InputError(f"session {cart.session_id!r}: a test session must be a purchase")
+        spans = [(name, min(ts), max(ts)) for name in ("train", "val", "test")
+                 if (ts := [s.t for s in getattr(self, name)])]  # an empty split has none
+        for (before, _, last), (after, first, _) in zip(spans, spans[1:]):
+            if last > first:  # a tie may straddle two splits: temporal_split orders it by id
+                raise InputError(f"prepared splits out of time order: {before} reaches "
+                                 f"t={last}, after {after} begins at t={first}")
 
     def all_sessions(self) -> tuple:
         return self.train + self.val + self.test
@@ -223,16 +232,6 @@ def write_sessions(sessions: Iterable[Session], path) -> None:
 # preprocessing
 # ---------------------------------------------------------------------------
 
-def dedupe_trailing(items: Sequence[int]) -> list:
-    """Collapse a run of the repeated final product to a single occurrence."""
-    if not items:
-        raise InputError("dedupe_trailing on an empty item list")
-    out = list(items)
-    while len(out) >= 2 and out[-1] == out[-2]:
-        out.pop()
-    return out
-
-
 def check_max_len(max_len: int) -> None:
     if max_len < 2:
         raise ConfigError(f"max_len must be >= 2, got {max_len}")
@@ -252,16 +251,17 @@ def truncate_pad(items: Sequence[int], max_len: int = DEFAULT_MAX_LEN):
 
 
 def clean_session(session: Session, max_len: int = DEFAULT_MAX_LEN) -> Optional[Session]:
-    """Dedupe the trailing repeat and truncate to the last ``max_len`` items.
-
-    Returns None when fewer than 2 items survive (no input/target pair).
-    """
-    items = dedupe_trailing(session.items)[-max_len:]
+    """Collapse a run of the repeated final product to one occurrence, then keep the
+    last ``max_len`` items; None when fewer than 2 survive (no input/target pair)."""
+    items, end = session.items, len(session.items)
+    while end >= 2 and items[end - 1] == items[end - 2]:
+        end -= 1
+    items = items[:end][-max_len:]
     if len(items) < 2:
         return None
     if len(items) == len(session.items):  # both steps only cut, so nothing changed
         return session
-    return Session(session.session_id, session.kind, session.t, tuple(items))
+    return Session(session.session_id, session.kind, session.t, items)
 
 
 def max_product_id(sessions: Sequence[Session]) -> int:

@@ -20,7 +20,8 @@ width with ReLU.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -130,6 +131,14 @@ def param_shapes(config: ModelConfig, catalog_size: int) -> Dict[str, Tuple[int,
             shapes[f"block{b}.{ln}.gamma"] = shapes[f"block{b}.{ln}.beta"] = (d,)
     shapes["w_out"] = (d, config.d_product)
     return shapes
+
+
+def param_count(config: ModelConfig, catalog_size: int) -> int:
+    """The parameters ``param_shapes`` names, counted without its per-block entries: a
+    block's size does not depend on its head count, so one block of one head is sized."""
+    one = param_shapes(replace(config, n_blocks=1, n_heads=1), catalog_size)
+    return sum(math.prod(shape) * (config.n_blocks if name.startswith("block0.") else 1)
+               for name, shape in one.items())
 
 
 def init_params(config: ModelConfig, catalog_size: int, seed: int,
@@ -390,6 +399,9 @@ def load_checkpoint(path) -> ModelParams:
         config = ModelConfig(**values)
     except ConfigError as e:
         raise FormatError(f"model config: {e}") from None
+    if 4 * (n := param_count(config, catalog_size)) > (left := len(r.buf) - r.off):
+        raise FormatError(f"checkpoint config declares {n} parameters ({4 * n} bytes), "
+                          f"but {left} bytes follow its config block")
     expected = param_shapes(config, catalog_size)
     tensors: Dict[str, T.Tensor] = {}
     while not r.at_end():
@@ -408,5 +420,5 @@ def load_checkpoint(path) -> ModelParams:
         tensors[name] = T.Tensor(r.floats(dims, f"data of {name}"), requires_grad=True)
     missing = [name for name in expected if name not in tensors]
     if missing:
-        raise FormatError(f"checkpoint lacks {len(missing)} tensor(s): {', '.join(missing)}")
+        raise FormatError(f"checkpoint lacks {len(missing)} tensor(s), the first {missing[0]}")
     return ModelParams(config, catalog_size, tensors)

@@ -34,7 +34,7 @@ from .model import (
     history_vector,
     init_params,
     pairwise_bce_loss,
-    param_shapes,
+    param_count,
     positional_encoding,
     product_table,
     score,
@@ -158,6 +158,7 @@ def _session_arrays(sessions: Sequence[Session], max_len: int):
 
 
 def _train_negative(rng, catalog_size: int, exclude: frozenset) -> int:
+    # a prepared session ends in two different ids, so some id lies outside ``exclude``
     while True:
         c = int(rng.integers(1, catalog_size + 1))
         if c not in exclude:
@@ -316,12 +317,8 @@ def _check_run(dataset: PreparedDataset, model_cfg: ModelConfig, cfg: TrainConfi
         raise ConfigError(f"model use_style={model_cfg.use_style} conflicts with "
                           f"configuration {cfg.configuration!r}")
     _check_fit(model_cfg, dataset.catalog_size, dataset, style_table)
-    n_params = sum(map(math.prod, param_shapes(model_cfg, dataset.catalog_size).values()))
-    if n_params > PARAM_CAP:
+    if (n_params := param_count(model_cfg, dataset.catalog_size)) > PARAM_CAP:
         raise ConfigError(f"a model of {n_params} parameters exceeds the cap of {PARAM_CAP}")
-    if dataset.catalog_size < 2:  # else _train_negative would draw forever
-        raise ConfigError(f"catalog of {dataset.catalog_size} cannot supply a training "
-                          f"negative other than the target")
 
     def keep(s: Session) -> bool:
         return s.kind == PURCHASE or cfg.use_cart

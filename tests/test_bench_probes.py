@@ -41,3 +41,17 @@ def test_probes_match_references(tmp_path, monkeypatch):
         got = probe_checks()
     assert got["failures"] == []
     assert got["attempted"] >= len(PROBED)
+
+
+
+def test_every_traced_function_exists(monkeypatch):
+    """The benchmark's tracer installs over every name it traces and uninstalls: a traced
+    function renamed or folded away fails here, not only in a ``--trace`` run."""
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH), *sys.path])
+    import spans
+    import workloads
+
+    tracer = spans.Tracer(workloads.TRACED, workloads.COUNTERS)
+    with tracer.active():  # a LivenessError names a traced function that no longer exists
+        assert len(tracer._undo) >= len(workloads.TRACED)
+    assert not tracer._undo

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stylerec import cli, data, errors, threads, training
+from stylerec import cli, data, errors, model, threads, training
 from stylerec.data import CART, PURCHASE, PreparedDataset, Session, generate_synthetic, write_sessions
 from stylerec.errors import FormatError, InputError
 from stylerec.style import load_style_cache, save_style_cache, write_feature_maps
@@ -450,19 +450,20 @@ class TestTrainEval:
         assert outs[0] == outs[1]
 
     def test_one_product_catalog_is_refused_before_the_claim(self, tmp_path, tiny_config):
-        """Its one id is every session's target, so no training negative exists: one
-        config-error line, not a draw that never ends. A child process bounds the wait."""
-        one = [Session(f"s{t:02d}", PURCHASE, t, (1, 1)) for t in range(18)]
-        ds = PreparedDataset(train=one[:14], val=one[14:16], test=one[16:],
-                             catalog_size=1, max_len=8)
-        (tmp_path / "one.json").write_text(ds.to_json(), encoding="utf-8")
+        """Its one id would be every session's target, leaving no training negative; but
+        its only sessions, [1, 1], end in a repeat, which no prepared dataset holds: one
+        input-error line, not a draw that never ends. A child process bounds the wait."""
+        one = [Session(f"s{t:02d}", PURCHASE, t, (1, 1)).to_row() for t in range(18)]
+        doc = {"catalog_size": 1, "max_len": 8, "padding_id": 0,
+               "train": one[:14], "val": one[14:16], "test": one[16:]}
+        (tmp_path / "one.json").write_text(json.dumps(doc, indent=1), encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "stylerec.cli", "train", "--config", tiny_config,
              "--data", "one.json"],
             cwd=tmp_path, capture_output=True, text=True, env=child_env(), timeout=60)
-        assert proc.returncode == 2
-        assert proc.stderr == ("error config-error: catalog of 1 cannot supply a training "
-                               "negative other than the target\n")
+        assert proc.returncode == 1
+        assert proc.stderr == ("error input-error: session 's00': a prepared session ends "
+                               "in two different ids, got [1, 1]\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["one.json", "run.cfg"]
 
     def test_eval_mode_tagged(self, tmp_path, tiny_config):
@@ -992,6 +993,9 @@ class TestPreparedDatasetInput:
         json.dumps({**GOOD, "train": GOOD["test"]}).encode(),
         json.dumps({**GOOD, "test": [{**GOOD["test"][0], "kind": "cart"}]}).encode(),
         b"[" * 100000,  # beyond the decoder's depth limit
+        # preprocess collapses a trailing repeat, and splits by time
+        json.dumps({**GOOD, "test": [{**GOOD["test"][0], "items": [1, 2, 2]}]}).encode(),
+        json.dumps({**GOOD, "train": [{**GOOD["test"][0], "session_id": "tr", "t": 5}]}).encode(),
         # the writers quote an id as a JSON str, so no other JSON type is an id
         json.dumps({**GOOD, "test": [{**GOOD["test"][0], "session_id": None}]}).encode(),
         json.dumps({**GOOD, "test": [{**GOOD["test"][0], "session_id": 5}]}).encode(),
@@ -1003,7 +1007,7 @@ class TestPreparedDatasetInput:
             "float-catalog-size", "bool-catalog-size", "bool-padding-id", "id-above-catalog",
             "one-item-session", "session-over-max-len", "max-len-1", "catalog-size-0",
             "empty-test", "repeated-id", "cart-test-session", "nested-too-deeply",
-            *(f"id-{name}" for name in NON_STR_IDS)])
+            "trailing-repeat", "out-of-time-order", *(f"id-{name}" for name in NON_STR_IDS)])
     def test_malformed_dataset_is_input_error(self, tmp_path, capsys, blob):
         data = tmp_path / "prep.json"
         data.write_bytes(blob)
@@ -1028,6 +1032,20 @@ def tiny_model_config() -> ModelConfig:
 def tiny_checkpoint(path, catalog_size: int) -> None:
     """An untrained checkpoint with the tiny_config model shape."""
     save_checkpoint(init_params(tiny_model_config(), catalog_size, 0), path)
+
+
+def bound_param_shapes(monkeypatch) -> None:
+    """Make ``param_shapes`` fail above 1,000 blocks in every module that holds it, so a
+    refusal that sizes a huge model block by block fails at once, not by filling memory."""
+    real = model.param_shapes
+
+    def bounded(config, catalog_size):
+        assert config.n_blocks <= 1000, f"param_shapes asked for {config.n_blocks} blocks"
+        return real(config, catalog_size)
+
+    for module in (model, training, cli):
+        if getattr(module, "param_shapes", None) is real:
+            monkeypatch.setattr(module, "param_shapes", bounded)
 
 
 class TestConfigPath:
@@ -1057,9 +1075,12 @@ class TestConfigPath:
         ("train.eval_mode=negsample\n", ("eval", "--negatives", "7")),
         # a label names the report file and is one field of its records
         ("", ("eval", "--label", "a b/../../escaped")),
+        # over training.PARAM_CAP, counted from one block rather than block by block
+        ("model.n_blocks=1000000000\n", ("train",)),
     ])
     def test_bad_setting_is_one_config_error_line(self, tmp_path, tiny_config, capsys,
-                                                  cfg_line, argv):
+                                                  monkeypatch, cfg_line, argv):
+        bound_param_shapes(monkeypatch)
         prep = make_prepared(tmp_path)
         ckpt = tmp_path / "m.s4ck"
         tiny_checkpoint(ckpt, 8)
@@ -1097,7 +1118,7 @@ class TestConfigPath:
         # the long val session leaves 4 ids for 5 negatives, so auto picks
         # full-catalog; every test session leaves 9, so negsample can run
         short = [Session(f"s{i}", PURCHASE, i, (1 + i, 2 + i, 3 + i)) for i in range(6)]
-        long = Session("long", PURCHASE, 9, tuple(range(1, 9)))
+        long = Session("long", PURCHASE, 1, tuple(range(1, 9)))
         ds = PreparedDataset(train=short[:2], val=[long], test=short[2:],
                              catalog_size=12, max_len=8)
         prep = tmp_path / "prep.json"
@@ -1166,8 +1187,11 @@ class TestCheckpointHeader:
         (b"n_blocks=1\n", b"n_blocks=1\n\n"),
         (b"d_product=8\n", b" d_product=8\n"),
         (b"d_product=8\n", b"d_product=8\r\n"),
+        # declares more tensor data than the file holds, refused before any block is sized
+        (b"n_blocks=1\n", b"n_blocks=1000000000\n"),
     ])
-    def test_corrupt_header_is_format_error(self, tmp_path, capsys, old, new):
+    def test_corrupt_header_is_format_error(self, tmp_path, capsys, monkeypatch, old, new):
+        bound_param_shapes(monkeypatch)
         ckpt = tmp_path / "m.s4ck"
         tiny_checkpoint(ckpt, 8)
         rewrite_header(ckpt, old, new)

@@ -15,7 +15,6 @@ from stylerec.data import (
     check_generator_args,
     clean_session,
     dataset_statistics,
-    dedupe_trailing,
     format_statistics_table,
     generate_style_correlated,
     generate_synthetic,
@@ -230,17 +229,19 @@ class TestWriteSessions:
 
 
 class TestPreprocessing:
+    # clean_session collapses the trailing repeat; max_len=20 cuts none of these
     def test_dedupe_trailing_collapses_run(self):
-        assert dedupe_trailing([1, 2, 3, 3, 3]) == [1, 2, 3]
+        assert clean_session(Session("a", PURCHASE, 0, (1, 2, 3, 3, 3))).items == (1, 2, 3)
 
     def test_dedupe_trailing_no_repeat(self):
-        assert dedupe_trailing([1, 2, 3]) == [1, 2, 3]
+        assert clean_session(Session("a", PURCHASE, 0, (1, 2, 3))).items == (1, 2, 3)
 
     def test_dedupe_trailing_all_same(self):
-        assert dedupe_trailing([7, 7, 7, 7]) == [7]
+        assert clean_session(Session("a", PURCHASE, 0, (7, 7, 7, 7))) is None
 
     def test_dedupe_trailing_keeps_interior_repeats(self):
-        assert dedupe_trailing([1, 1, 2, 2, 3]) == [1, 1, 2, 2, 3]
+        s = Session("a", PURCHASE, 0, (1, 1, 2, 2, 3))
+        assert clean_session(s).items == (1, 1, 2, 2, 3)
 
     def test_truncate_keeps_most_recent(self):
         items = list(range(1, 26))
@@ -300,7 +301,9 @@ class TestRefusals:
     """Each refusal of a data function names its fault."""
 
     @pytest.mark.parametrize("call, error, message", [
-        (lambda: dedupe_trailing([]), InputError, "dedupe_trailing on an empty item list"),
+        # no empty item list reaches clean_session: the Session that would carry it is refused
+        (lambda: clean_session(Session("a", PURCHASE, 0, ())), InputError,
+         "session 'a': empty item list"),
         # a dense transition over data.TRANSITION_CAP entries is refused before it is built
         (lambda: make_transition(10 ** 4 + 1, seed=0), ConfigError,
          "a dense order-1 transition over 10001 products exceeds the cap of 100000000 entries"),
@@ -422,7 +425,9 @@ class TestToJson:
         {"train": [Session("\x00\x1f\x7f \U0001f600 \ud800", CART, 0, (1, 2))],
          "test": [Session('"\\"', PURCHASE, 9, (1, 2))]},
         {"test": [Session("t", PURCHASE, 9, (1, 2))]},  # empty train and val write as []
-    ], ids=["non-ascii", "escapes", "control-and-surrogates", "only-test"])
+        # temporal_split breaks a tie on t by session id, so one t may straddle two splits
+        {"train": [Session("a", PURCHASE, 3, (1, 2))], "test": [Session("b", PURCHASE, 3, (1, 2))]},
+    ], ids=["non-ascii", "escapes", "control-and-surrogates", "only-test", "tie-across-splits"])
     def test_matches_json_dumps(self, splits):
         ds = PreparedDataset(**{k: splits.get(k, []) for k in ("train", "val", "test")},
                              catalog_size=12, max_len=5)
@@ -442,7 +447,17 @@ class TestToJson:
         ({"train": [Session("a", PURCHASE, 1, (1, 2))], "test": [Session("a", PURCHASE, 9, (3, 4))]},
          "session 'a': repeated session_id"),
         ({"test": [Session("c", CART, 9, (1, 2))]}, "session 'c': a test session must be a purchase"),
-    ], ids=["single-item", "only-val", "all-empty", "repeated-id", "cart-test-session"])
+        # clean_session collapses a trailing repeat, and temporal_split orders the splits by t
+        ({"train": [Session("tr", PURCHASE, 0, (1, 2))], "val": [Session("va", PURCHASE, 1, (2, 3))],
+          "test": [Session("a", PURCHASE, 2, (3, 4, 4))]},
+         "session 'a': a prepared session ends in two different ids, got \\[3, 4, 4\\]"),
+        ({"train": [Session("tr", PURCHASE, 50, (1, 2))], "val": [Session("va", PURCHASE, 1, (2, 3))],
+          "test": [Session("a", PURCHASE, 0, (3, 4))]},
+         "prepared splits out of time order: train reaches t=50, after val begins at t=1"),
+        ({"train": [Session("tr", PURCHASE, 4, (1, 2))], "test": [Session("a", PURCHASE, 3, (3, 4))]},
+         "prepared splits out of time order: train reaches t=4, after test begins at t=3"),
+    ], ids=["single-item", "only-val", "all-empty", "repeated-id", "cart-test-session",
+            "trailing-repeat", "out-of-time-order", "out-of-time-order-around-empty-val"])
     def test_construction_refuses_what_the_reader_refuses(self, splits, message):
         """A dataset built in code meets the reader's rules, so to_json never writes a
         file that from_json refuses; both refuse with one message."""

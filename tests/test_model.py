@@ -1,5 +1,7 @@
 """Model tests: encodings, attention vs brute force, scoring, checkpoints."""
 
+import itertools
+import math
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -28,6 +30,7 @@ from stylerec.model import (
     init_product_embeddings,
     load_checkpoint,
     multi_head_attention,
+    param_count,
     param_shapes,
     pairwise_bce_loss,
     positional_encoding,
@@ -631,11 +634,15 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda t: t.pop("w_out"), "lacks 1 tensor"),
+        # 12 floats, fewer bytes than the records' names and shapes: the file still holds
+        # 4 bytes per declared parameter, so the missing tensor is named
+        (lambda t: t.pop("block0.ln2.beta"), "lacks 1 tensor\\(s\\), the first block0.ln2.beta$"),
         (lambda t: t.update(extra=T.Tensor(np.zeros(3, dtype=np.float32))), "not in its config"),
         (lambda t: t.update(w_out=T.Tensor(t["w_out"].data.T.copy())), "shape"),
         (lambda t: t.update(product_emb=T.Tensor(t["product_emb"].data[:-1].copy())), "shape"),
-    ], ids=["missing", "extra", "transposed", "short-table"])
+        # 96 floats: fewer bytes follow the config block than its parameters need
+        (lambda t: t.pop("w_out"), "declares 930 parameters \\(3720 bytes\\), but 3712 bytes"),
+    ], ids=["missing", "extra", "transposed", "short-table", "missing-data"])
     def test_tensors_must_match_config(self, tmp_path, edit, match):
         params = init_params(tiny_config(), catalog_size=5, seed=33)
         edit(params.tensors)
@@ -649,6 +656,17 @@ class TestCheckpoint:
             params = init_params(cfg, catalog_size=6, seed=34)
             assert {n: t.shape for n, t in params.items()} == param_shapes(cfg, 6)
             assert list(params.tensors) == list(param_shapes(cfg, 6))
+
+    @pytest.mark.parametrize("use_style", [False, True])
+    @pytest.mark.parametrize("d_ffn", [0, 7])  # 0 selects the 4x input_dim default
+    def test_param_count_sums_param_shapes(self, use_style, d_ffn):
+        for n_blocks, n_heads in itertools.product(range(1, 6), range(1, 5)):
+            if (12 + use_style * STYLE_DIM) % n_heads:
+                continue  # an input dim of 12 or 524 that n_heads does not divide
+            cfg = tiny_config(use_style=use_style, d_ffn=d_ffn, n_blocks=n_blocks,
+                              n_heads=n_heads)
+            shapes = param_shapes(cfg, 9)
+            assert param_count(cfg, 9) == sum(map(math.prod, shapes.values())), cfg
 
     def test_reloaded_model_scores_identically(self, tmp_path):
         cfg = tiny_config()

@@ -13,7 +13,7 @@ from conftest import short_switch_interval
 from stylerec import tensor as T
 from stylerec import threads, training
 from stylerec.data import PURCHASE, PreparedDataset, Session, generate_synthetic, prepare_dataset
-from stylerec.errors import ConfigError, ContractError
+from stylerec.errors import ConfigError, ContractError, InputError
 from stylerec.metrics import FULL_CATALOG, NEGSAMPLE
 from stylerec.model import (
     ModelConfig,
@@ -498,7 +498,7 @@ class TestEvaluate:
     def test_pick_eval_mode(self):
         # the long val session leaves 4 ids for 5 negatives; every test session leaves 9
         short = [Session(f"s{i}", PURCHASE, i, (1 + i, 2 + i, 3 + i)) for i in range(6)]
-        long = Session("long", PURCHASE, 9, tuple(range(1, 9)))
+        long = Session("long", PURCHASE, 1, tuple(range(1, 9)))
         ds = PreparedDataset(train=short[:2], val=[long], test=short[2:],
                              catalog_size=12, max_len=8)
         auto = TrainConfig(eval_negatives=5)
@@ -773,7 +773,7 @@ class TestSuiteAndExperiments:
             Run("negsample", ds, ModelConfig(**TINY_MODEL),
                 TrainConfig(epochs=1, eval_mode=NEGSAMPLE, eval_negatives=7))
         # the val split supplies 3 negatives to every session; a 6-item test session does not
-        val_fits = replace(ds, test=[*ds.test, Session("wide", PURCHASE, 99, (1, 2, 3, 4, 5, 6))])
+        val_fits = replace(ds, test=[*ds.test, Session("wide", PURCHASE, 120, (1, 2, 3, 4, 5, 6))])
         assert max(len(set(s.items)) for s in ds.val) <= 5
         with pytest.raises(ConfigError, match="catalog of 8 cannot supply 3 negatives for a "
                                               "session with 6 distinct items"):
@@ -784,13 +784,12 @@ class TestSuiteAndExperiments:
         with pytest.raises(ConfigError, match=r"style table shape \(8, 512\), expected \(9, 512\)"):
             Run("short-table", ds, style_model, TrainConfig(epochs=1, configuration="P+Style"),
                 np.zeros((8, 512), dtype=np.float32))
-        # a one-product catalog's one id is every target: _train_negative would draw forever
+        # a one-product catalog's one id would be every target, leaving _train_negative no
+        # draw; its only sessions end in a repeat, so no such dataset reaches a Run
         one = [Session(f"s{t}", PURCHASE, t, (1, 1)) for t in range(3)]
-        with pytest.raises(ConfigError, match="catalog of 1 cannot supply a training "
-                                              "negative other than the target"):
-            Run("one-product", PreparedDataset(train=one[:1], val=one[1:2], test=one[2:],
-                                               catalog_size=1, max_len=8),
-                ModelConfig(**TINY_MODEL), cfg)
+        with pytest.raises(InputError, match="session 's0': a prepared session ends in two "
+                                             "different ids"):
+            PreparedDataset(train=one[:1], val=one[1:2], test=one[2:], catalog_size=1, max_len=8)
         rows = run_experiment([fits], test=False)
         assert calls == []  # a plain generator: nothing trains until it is iterated
         next(rows)
