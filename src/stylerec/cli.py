@@ -21,6 +21,7 @@ same typed codec, ``kv.parse_field``.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -170,12 +171,16 @@ def _require_file(path: Optional[str], what: str) -> Path:
 
 def _claim(*paths) -> List[Path]:
     """Every file a command writes, claimed after its checks and before its first unit of
-    work: a directory at a file's path, or a file where a parent directory must go, is an
-    InputError before any directory is made, so a refused run makes nothing."""
+    work: a directory at a file's path, a file where a parent directory must go, or two
+    outputs at one file is an InputError before any directory is made, so a refused run
+    makes nothing."""
     paths = [Path(p) for p in paths]
-    for path in paths:
+    for i, path in enumerate(paths):
         if path.is_dir():
             raise InputError(f"{path}: Is a directory")
+        # realpath, as Path.resolve raises on a symlink loop before Python 3.13
+        if os.path.realpath(path) in map(os.path.realpath, paths[:i]):
+            raise InputError(f"{path}: also the file of another output of this command")
         existing = next(d for d in path.parents if d.exists())  # "." or "/" at the latest
         if not existing.is_dir():
             raise InputError(f"{existing}: File exists")

@@ -157,7 +157,7 @@ class PreparedDataset:
         try:
             doc = json.loads(text)
             splits = {k: tuple(map(Session.from_row, doc[k])) for k in ("train", "val", "test")}
-            if json_value(doc.get("padding_id", PADDING_ID), int, "padding_id") != PADDING_ID:
+            if json_value(doc["padding_id"], int, "padding_id") != PADDING_ID:
                 raise InputError(f"prepared dataset padding_id must be 0, not {doc['padding_id']!r}")
             return cls(**splits, catalog_size=json_value(doc["catalog_size"], int, "catalog_size"),
                        max_len=json_value(doc["max_len"], int, "max_len"))

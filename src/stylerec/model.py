@@ -21,7 +21,7 @@ width with ReLU.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -357,12 +357,16 @@ def pairwise_bce_loss(s_pos: T.Tensor, s_neg: T.Tensor) -> T.Tensor:
 # S4CK checkpoints
 # ---------------------------------------------------------------------------
 
+def _config_block(config: ModelConfig, catalog_size: int) -> str:
+    """The S4CK config block: one ``key=value`` line per ModelConfig field, in
+    declaration order, then ``catalog_size``."""
+    header = {**asdict(config), "catalog_size": catalog_size}
+    return "\n".join(f"{k}={format_value(v)}" for k, v in header.items())
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write config and all tensors (32-bit floats) to an S4CK file. The config
-    block is one ``key=value`` line per ModelConfig field, in declaration
-    order, then ``catalog_size``."""
-    header = {**asdict(params.config), "catalog_size": params.catalog_size}
-    config_block = "\n".join(f"{k}={format_value(v)}" for k, v in header.items()).encode("utf-8")
+    """Write the config block and every tensor (32-bit floats), in name order, to an S4CK file."""
+    config_block = _config_block(params.config, params.catalog_size).encode("utf-8")
     chunks = [records.pack("I", len(config_block)), config_block]
     for name in sorted(params.tensors):
         raw = name.encode("utf-8")
@@ -373,52 +377,43 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read an S4CK file back into float32 parameter tensors.
-
-    The config block is split on "\n" alone; it must hold each ModelConfig
-    field and ``catalog_size`` once, each value as ``save_checkpoint`` writes
-    it. The file must hold each tensor ``param_shapes`` names for its config
-    once, with that shape, in any order; anything else is a FormatError.
-    """
+    """Read an S4CK file back into float32 parameter tensors. The file must be as
+    ``save_checkpoint`` writes it: a config block equal to ``_config_block`` of the
+    config it parses to, then each tensor ``param_shapes`` names for that config, in
+    name order, with its shape and finite values. Anything else is a FormatError."""
     r = records.Reader(path, b"S4CK")
     (cfg_len,) = r.unpack("I", "config length")
     values = {}
-    for line in r.text(cfg_len, "checkpoint config block").split("\n"):
+    for line in (block := r.text(cfg_len, "checkpoint config block")).split("\n"):
         key, _, raw = line.partition("=")
-        if key in values:
-            raise FormatError(f"checkpoint config block repeats {key}")
         values[key] = (parse_value("int", raw, key, FormatError) if key == "catalog_size"
                        else parse_field(ModelConfig, key, raw, key, FormatError))
-        if format_value(values[key]) != raw:  # int() and float() would pass padding
-            raise FormatError(f"checkpoint config value {key}={raw!r} is not as written")
-    missing = [k for k in [*(f.name for f in fields(ModelConfig)), "catalog_size"] if k not in values]
-    if missing:
-        raise FormatError(f"checkpoint config block lacks {', '.join(missing)}")
-    catalog_size = values.pop("catalog_size")
+    catalog_size = values.pop("catalog_size", None)
     try:
         config = ModelConfig(**values)
     except ConfigError as e:
         raise FormatError(f"model config: {e}") from None
+    if catalog_size is None or block != _config_block(config, catalog_size):
+        raise FormatError("checkpoint config block is not the one save_checkpoint writes "
+                          "for the values it holds")
     if 4 * (n := param_count(config, catalog_size)) > (left := len(r.buf) - r.off):
         raise FormatError(f"checkpoint config declares {n} parameters ({4 * n} bytes), "
                           f"but {left} bytes follow its config block")
-    expected = param_shapes(config, catalog_size)
     tensors: Dict[str, T.Tensor] = {}
-    while not r.at_end():
+    for name, shape in sorted(param_shapes(config, catalog_size).items()):
         at = r.off
         (name_len,) = r.unpack("H", "tensor name length")
-        name = r.text(name_len, "tensor name")
-        if name in tensors:
-            raise FormatError(f"checkpoint repeats tensor {name!r} at byte {at}")
-        if name not in expected:
-            raise FormatError(f"checkpoint tensor {name!r} at byte {at} is not in its config")
-        (rank,) = r.unpack("B", f"rank of {name}")
-        dims = r.unpack(f"{rank}I", f"dims of {name}")
-        if dims != expected[name]:
-            raise FormatError(f"tensor {name} at byte {at} has shape {dims}, "
-                              f"the config needs {expected[name]}")
-        tensors[name] = T.Tensor(r.floats(dims, f"data of {name}"), requires_grad=True)
-    missing = [name for name in expected if name not in tensors]
-    if missing:
-        raise FormatError(f"checkpoint lacks {len(missing)} tensor(s), the first {missing[0]}")
+        found = r.text(name_len, "tensor name")
+        (rank,) = r.unpack("B", f"rank of {found}")
+        dims = r.unpack(f"{rank}I", f"dims of {found}")
+        if (found, dims) != (name, shape):
+            raise FormatError(f"tensor record at byte {at} is {found!r} of shape {dims}, "
+                              f"the config's next is {name!r} of shape {shape}")
+        data = r.floats(dims, f"data of {name}")
+        try:
+            tensors[name] = T.Tensor(data, requires_grad=True)
+        except NumericError:  # the constructor's own finiteness pass: no second one
+            bad = r.off - 4 * data.size + 4 * int(np.isfinite(data).argmin())
+            raise FormatError(f"non-finite value in tensor {name} at byte {bad}") from None
+    r.finish()
     return ModelParams(config, catalog_size, tensors)

@@ -68,9 +68,6 @@ class Reader:
         start = self._take(4 * count, what)
         return np.frombuffer(self.buf, "<f4", count, start).reshape(shape).copy()
 
-    def at_end(self) -> bool:
-        return self.off == len(self.buf)
-
     def finish(self) -> None:
-        if not self.at_end():
+        if self.off != len(self.buf):
             raise FormatError(f"trailing data at byte {self.off}")

@@ -238,16 +238,18 @@ def save_style_cache(vectors: Dict[int, np.ndarray], path) -> None:
 
 
 def load_style_cache(path) -> Dict[int, np.ndarray]:
-    """Read an S4SE file; malformed input, a zero or a repeated id and a NaN or infinite
-    value name their byte offset."""
+    """Read an S4SE file, its ids ascending from 1; malformed input, an id out of that
+    order and a NaN or infinite value name their byte offset."""
     r = records.Reader(path, b"S4SE")
     (count,) = r.unpack("I", "vector count")
-    vectors = {}
+    vectors, last = {}, 0
     for k in range(count):
         at = r.off
         (pid,) = r.unpack("I", f"product id #{k}")
-        if pid == 0 or pid in vectors:
-            raise FormatError(f"{'repeated' if pid else 'padding'} product id {pid} at byte {at}")
+        if pid <= last:
+            what = "padding" if pid == 0 else "repeated" if pid == last else "out-of-order"
+            raise FormatError(f"{what} product id {pid} at byte {at}: the ids ascend from 1")
+        last = pid
         vectors[pid] = vec = r.floats((STYLE_DIM,), f"style vector for id {pid}")
         if not np.isfinite(vec).all():
             bad = at + 4 + 4 * int(np.isfinite(vec).argmin())

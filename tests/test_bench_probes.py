@@ -1,7 +1,8 @@
 """The benchmark's probes as tests: each gated workload's small pinned run,
 compared with ``perfbench/references.json`` by the benchmark's own
 ``compare_probe``, so the tolerances are the gate's. A change that moves a
-probe output fails here before the benchmark reports it.
+probe output fails here before the benchmark reports it. The tracer's liveness
+counts, which ``run.py --trace 1`` checks, are checked here too, at probe size.
 
 ``train-long`` is left out: its recorded loss is stale (ROADMAP). The
 references were recorded at one BLAS thread, and the probes run in-process
@@ -11,6 +12,8 @@ under ``threads.one_blas_thread``.
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from stylerec import threads
 
@@ -42,6 +45,29 @@ def test_probes_match_references(tmp_path, monkeypatch):
     assert got["failures"] == []
     assert got["attempted"] >= len(PROBED)
 
+
+@pytest.mark.parametrize("name", PROBED)
+def test_traced_call_counts_are_exact(tmp_path, monkeypatch, name):
+    """The liveness counts ``run.py --trace 1`` checks, at probe size: one untraced
+    segment first, as that run makes (ingest's first round saves its style cache once
+    more, to check that it reloads), then one under the tracer, whose call counts must
+    be the ones the segment expects, with no failed check."""
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH), *sys.path])
+    import spans
+    import workloads
+
+    checks = workloads.Checks()
+    with threads.one_blas_thread():
+        wl = workloads.make(name, 1, tmp_path / name, probe=True)
+        wl.setup()
+        wl.prepare_checks()
+        wl.segment(0.0, checks)  # a zero budget runs each workload's minimum of units
+        tracer = spans.Tracer(workloads.TRACED, workloads.COUNTERS)
+        with tracer.active():
+            segment = wl.segment(0.0, checks)
+        tracer.check_counts(segment.expected_calls)  # a LivenessError names each count off
+        wl.finish_checks(checks)
+    assert checks.failed == 0, checks.notes
 
 
 def test_every_traced_function_exists(monkeypatch):

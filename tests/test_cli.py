@@ -20,7 +20,7 @@ import pytest
 from stylerec import cli, data, errors, model, threads, training
 from stylerec.data import CART, PURCHASE, PreparedDataset, Session, generate_synthetic, write_sessions
 from stylerec.errors import FormatError, InputError
-from stylerec.style import load_style_cache, save_style_cache, write_feature_maps
+from stylerec.style import STYLE_DIM, load_style_cache, save_style_cache, write_feature_maps
 from stylerec.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from stylerec.training import CONFIGURATIONS, TrainConfig
 from conftest import short_switch_interval
@@ -632,6 +632,12 @@ class TestPathErrors:
                       "m.out", None),
         "train-report": (("train", "--config", "run.cfg", "--data", "prep.json",
                           "--report-dir", "rep"), "rep/train-P.txt", None),
+        # the checkpoint and the report at one file: train would write one over the other
+        **{f"train-out-is-report{suffix}": (
+            ("train", "--config", "run.cfg", "--data", "prep.json", "--out", out), None,
+            "input-error: reports/train-P.txt: also the file of another output of this command")
+           for suffix, out in (("", "reports/train-P.txt"),
+                               ("-spelled-otherwise", "./reports/../reports/train-P.txt"))},
         "suite": (("suite", "--config", "run.cfg", "--data", "prep.json",
                    "--style-cache", "style.s4se", "--checkpoint-dir", "taken.txt"),
                   None, "input-error: taken.txt: File exists"),
@@ -996,6 +1002,8 @@ class TestPreparedDatasetInput:
         # preprocess collapses a trailing repeat, and splits by time
         json.dumps({**GOOD, "test": [{**GOOD["test"][0], "items": [1, 2, 2]}]}).encode(),
         json.dumps({**GOOD, "train": [{**GOOD["test"][0], "session_id": "tr", "t": 5}]}).encode(),
+        # to_json always writes padding_id, so a file without it is none of its output
+        json.dumps({k: v for k, v in GOOD.items() if k != "padding_id"}).encode(),
         # the writers quote an id as a JSON str, so no other JSON type is an id
         json.dumps({**GOOD, "test": [{**GOOD["test"][0], "session_id": None}]}).encode(),
         json.dumps({**GOOD, "test": [{**GOOD["test"][0], "session_id": 5}]}).encode(),
@@ -1007,7 +1015,8 @@ class TestPreparedDatasetInput:
             "float-catalog-size", "bool-catalog-size", "bool-padding-id", "id-above-catalog",
             "one-item-session", "session-over-max-len", "max-len-1", "catalog-size-0",
             "empty-test", "repeated-id", "cart-test-session", "nested-too-deeply",
-            "trailing-repeat", "out-of-time-order", *(f"id-{name}" for name in NON_STR_IDS)])
+            "trailing-repeat", "out-of-time-order", "no-padding-id",
+            *(f"id-{name}" for name in NON_STR_IDS)])
     def test_malformed_dataset_is_input_error(self, tmp_path, capsys, blob):
         data = tmp_path / "prep.json"
         data.write_bytes(blob)
@@ -1189,6 +1198,8 @@ class TestCheckpointHeader:
         (b"d_product=8\n", b"d_product=8\r\n"),
         # declares more tensor data than the file holds, refused before any block is sized
         (b"n_blocks=1\n", b"n_blocks=1000000000\n"),
+        # well-formed values, but not in the order save_checkpoint writes them
+        (b"n_blocks=1\nn_heads=2\n", b"n_heads=2\nn_blocks=1\n"),
     ])
     def test_corrupt_header_is_format_error(self, tmp_path, capsys, monkeypatch, old, new):
         bound_param_shapes(monkeypatch)
@@ -1201,10 +1212,22 @@ class TestCheckpointHeader:
         err = capsys.readouterr().err
         assert err.startswith("error format-error:") and err.count("\n") == 1, err
 
+    def test_zero_d_ffn_is_format_error(self, tmp_path, capsys):
+        """d_ffn=0 selects the 4x default, which the writer records as its value: a block
+        that says 0 parses to the config the tensors fit, yet no writer wrote it."""
+        ckpt = tmp_path / "m.s4ck"
+        save_checkpoint(init_params(replace(tiny_model_config(), d_ffn=0), 8, 0), ckpt)
+        rewrite_header(ckpt, b"d_ffn=48\n", b"d_ffn=0\n")
+        assert run("eval", "--checkpoint", ckpt) == 1
+        assert capsys.readouterr().err == ("error format-error: checkpoint config block is not "
+                                           "the one save_checkpoint writes for the values it "
+                                           "holds\n")
+
 
 def s4ck_records(blob: bytes):
-    """``(start, end, name, rank)`` of each tensor record of an S4CK file,
-    parsed here from the layout rather than by the loader under test."""
+    """``(start, end, name, fields)`` of each tensor record of an S4CK file, ``fields`` the
+    offsets of its rank and dim bytes; parsed here from the layout rather than by the
+    loader under test."""
     (n,) = struct.unpack_from("<I", blob, 8)
     off, out = 12 + n, []
     while off < len(blob):
@@ -1214,61 +1237,60 @@ def s4ck_records(blob: bytes):
         off += 2 + name_len
         rank = blob[off]
         dims = struct.unpack_from(f"<{rank}I", blob, off + 1)
-        off += 1 + 4 * rank + 4 * int(np.prod(dims))
-        out.append((start, off, name, rank))
+        out.append((start, off + 1 + 4 * rank + 4 * int(np.prod(dims)), name,
+                    range(off, off + 1 + 4 * rank)))
+        off = out[-1][1]
     return out
 
 
-class TestCheckpointMutations:
-    """Structural corruption of a checkpoint never loads.
+def s4se_records(blob: bytes):
+    """``(start, end, label, fields)`` of each vector record of an S4SE file, ``fields``
+    the offsets of its id bytes."""
+    size = 4 + 4 * STYLE_DIM
+    return [(at, at + size, f"id {struct.unpack_from('<I', blob, at)[0]}", range(at, at + 4))
+            for at in range(12, len(blob), size)]
 
-    A seeded set of mutations of one S4CK file: truncation at every record
-    boundary; a dropped, duplicated or reordered tensor record; a flipped
-    rank byte, each flipped dim byte, and swapped dims. Each makes
-    ``stylerec eval`` exit 1 with exactly one ``error format-error:`` line
-    and no traceback, except the pure reorder, which loads the same
-    tensors and evaluates to the same report. A flipped byte inside a
-    tensor's data changes no structure and stays undetected until the
-    format carries a checksum (CRC32), so it is not among the cases.
+
+class TestCheckpointMutations:
+    """Structural corruption of a checkpoint or a style cache never loads.
+
+    A seeded set of mutations of the S4CK and the S4SE file that ``stylerec eval``
+    reads: truncation at every record boundary; a dropped, duplicated or reordered
+    record; a flipped rank or dim byte (S4CK) or id byte (S4SE); a NaN and an inf in
+    a checkpoint tensor. Each makes ``eval`` exit 1 with exactly one ``error
+    format-error:`` line and no traceback. The last S4SE id is not flipped: a larger
+    last id still ascends, and one outside the catalog is a config error. A flipped
+    data byte that stays finite changes no structure and stays undetected until the
+    formats carry a checksum (CRC32), so it is not among the cases.
     """
 
-    def mutants(self, blob: bytes, rng):
-        recs = s4ck_records(blob)
+    def mutants(self, blob: bytes, recs, picked, rng):
         head = recs[0][0]
         body = [blob[a:b] for a, b, _, _ in recs]
-        for cut in [0, 4, 8, 12, head] + [end for _, end, _, _ in recs[:-1]]:
+        for cut in sorted({0, 4, 8, 12, head, *(end for _, end, _, _ in recs[:-1])}):
             yield f"truncate@{cut}", blob[:cut]
-        picked = sorted(rng.choice(len(recs), size=4, replace=False))
-        picked += [i for i, r in enumerate(recs) if r[2] == "w_out" and i not in picked]
         for i in picked:
-            start, _, name, rank = recs[i]
-            yield f"drop {name}", blob[:head] + b"".join(body[:i] + body[i + 1:])
-            yield f"duplicate {name}", blob[:head] + b"".join(body[:i + 1] + body[i:])
-            rank_at = start + 2 + len(name.encode())
-            for at in range(rank_at, rank_at + 1 + 4 * rank):
+            label, fields_at = recs[i][2:]
+            yield f"drop {label}", blob[:head] + b"".join(body[:i] + body[i + 1:])
+            yield f"duplicate {label}", blob[:head] + b"".join(body[:i + 1] + body[i:])
+            j = i + 1 if i + 1 < len(recs) else i - 1
+            swapped = body.copy()
+            swapped[i], swapped[j] = body[j], body[i]
+            yield f"swap {label} with {recs[j][2]}", blob[:head] + b"".join(swapped)
+            for at in fields_at:
                 flipped = bytearray(blob)
                 flipped[at] ^= int(rng.integers(1, 256))
-                yield f"flip byte {at} of {name} (rank and dims)", bytes(flipped)
-            if rank == 2:
-                dims = blob[rank_at + 1:rank_at + 9]
-                yield (f"swap dims of {name}",
-                       blob[:rank_at + 1] + dims[4:] + dims[:4] + blob[rank_at + 9:])
+                yield f"flip byte {at} of {label}", bytes(flipped)
+        order = rng.permutation(len(recs))
+        assert list(order) != list(range(len(recs)))
+        yield "reorder every record", blob[:head] + b"".join(body[i] for i in order)
 
-    def test_structural_mutations_fail_closed(self, tmp_path, capsys):
-        prep = make_prepared(tmp_path)
-        ckpt = tmp_path / "m.s4ck"
-        tiny_checkpoint(ckpt, 8)
-        blob = ckpt.read_bytes()
-        argv = ("eval", "--checkpoint", ckpt, "--data", prep, "--report-dir", tmp_path / "rep")
-        assert run(*argv) == 0
-        report = (tmp_path / "rep" / "eval-eval.txt").read_bytes()
+    def assert_fail_closed(self, argv, path, cases, capsys):
+        assert run(*argv) == 0  # the unmutated file evaluates
         capsys.readouterr()
-        rng = np.random.default_rng(2024)
         failures = []
-        cases = list(self.mutants(blob, rng))
-        assert len(cases) > 40
         for label, mutant in cases:
-            ckpt.write_bytes(mutant)
+            path.write_bytes(mutant)
             try:
                 code = run(*argv)
             except Exception as e:  # a traceback out of the CLI
@@ -1279,17 +1301,45 @@ class TestCheckpointMutations:
                 failures.append(f"{label}: exit {code}, stderr {err!r}")
         assert not failures, "\n".join(failures)
 
+    def test_structural_mutations_fail_closed(self, tmp_path, capsys):
+        prep = make_prepared(tmp_path)
+        ckpt = tmp_path / "m.s4ck"
+        tiny_checkpoint(ckpt, 8)
+        blob = ckpt.read_bytes()
         recs = s4ck_records(blob)
-        order = rng.permutation(len(recs))
-        assert list(order) != list(range(len(recs)))
-        head = recs[0][0]
-        ckpt.write_bytes(blob[:head] + b"".join(blob[recs[i][0]:recs[i][1]] for i in order))
-        back, original = load_checkpoint(ckpt), init_params(tiny_model_config(), 8, 0)
-        assert sorted(back.tensors) == sorted(original.tensors)
-        for name, t in original.items():
-            np.testing.assert_array_equal(back[name].data, t.data)
-        assert run(*argv) == 0
-        assert (tmp_path / "rep" / "eval-eval.txt").read_bytes() == report
+        rng = np.random.default_rng(2024)
+        picked = sorted(rng.choice(len(recs), size=4, replace=False))
+        picked += [i for i, r in enumerate(recs) if r[2] == "w_out" and i not in picked]
+        cases = list(self.mutants(blob, recs, picked, rng))
+        for _, _, name, fields_at in recs:
+            dims = blob[fields_at[1]:fields_at.stop]
+            if len(dims) == 8 and dims[:4] != dims[4:]:  # the two dims of a non-square matrix
+                cases.append((f"swap dims of {name}",
+                              blob[:fields_at[1]] + dims[4:] + dims[:4] + blob[fields_at.stop:]))
+        for value, i in zip((np.nan, np.inf), picked):
+            data_at = recs[i][3].stop
+            at = data_at + 4 * int(rng.integers((recs[i][1] - data_at) // 4))
+            cases.append((f"{value} at byte {at} of {recs[i][2]}",
+                          blob[:at] + struct.pack("<f", value) + blob[at + 4:]))
+        assert len(cases) > 40
+        self.assert_fail_closed(("eval", "--checkpoint", ckpt, "--data", prep,
+                                 "--report-dir", tmp_path / "rep"), ckpt, cases, capsys)
+
+    def test_style_cache_mutations_fail_closed(self, tmp_path, capsys):
+        prep = make_prepared(tmp_path)
+        ckpt, cache = tmp_path / "m.s4ck", tmp_path / "style.s4se"
+        save_checkpoint(init_params(replace(tiny_model_config(), use_style=True), 8, 0), ckpt)
+        rng = np.random.default_rng(2025)
+        save_style_cache({pid: rng.standard_normal(STYLE_DIM).astype(np.float32)
+                          for pid in range(1, 9)}, cache)
+        blob = cache.read_bytes()
+        recs = s4se_records(blob)
+        recs[-1] = (*recs[-1][:3], range(0))  # a larger last id still ascends
+        cases = list(self.mutants(blob, recs, range(len(recs)), rng))
+        cases.append(("id 1 set to the padding id 0", blob[:12] + bytes(4) + blob[16:]))
+        self.assert_fail_closed(("eval", "--checkpoint", ckpt, "--style-cache", cache,
+                                 "--data", prep, "--report-dir", tmp_path / "rep"),
+                                cache, cases, capsys)
 
 
 PIN_CONFIG = ("seed=7\nmodel.d_product=8\nmodel.d_model=4\nmodel.n_blocks=1\n"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -635,11 +636,15 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit, match", [
         # 12 floats, fewer bytes than the records' names and shapes: the file still holds
-        # 4 bytes per declared parameter, so the missing tensor is named
-        (lambda t: t.pop("block0.ln2.beta"), "lacks 1 tensor\\(s\\), the first block0.ln2.beta$"),
-        (lambda t: t.update(extra=T.Tensor(np.zeros(3, dtype=np.float32))), "not in its config"),
-        (lambda t: t.update(w_out=T.Tensor(t["w_out"].data.T.copy())), "shape"),
-        (lambda t: t.update(product_emb=T.Tensor(t["product_emb"].data[:-1].copy())), "shape"),
+        # 4 bytes per declared parameter, so the record at the missing tensor's place is named
+        (lambda t: t.pop("block0.ln2.beta"), "is 'block0.ln2.gamma' of shape \\(12,\\), "
+         "the config's next is 'block0.ln2.beta' of shape \\(12,\\)$"),
+        (lambda t: t.update(extra=T.Tensor(np.zeros(3, dtype=np.float32))),
+         "is 'extra' of shape \\(3,\\), the config's next is 'product_emb'"),
+        (lambda t: t.update(w_out=T.Tensor(t["w_out"].data.T.copy())),
+         "is 'w_out' of shape \\(8, 12\\), the config's next is 'w_out' of shape \\(12, 8\\)$"),
+        (lambda t: t.update(product_emb=T.Tensor(t["product_emb"].data[:-1].copy())),
+         "of shape \\(5, 8\\), the config's next is 'product_emb' of shape \\(6, 8\\)$"),
         # 96 floats: fewer bytes follow the config block than its parameters need
         (lambda t: t.pop("w_out"), "declares 930 parameters \\(3720 bytes\\), but 3712 bytes"),
     ], ids=["missing", "extra", "transposed", "short-table", "missing-data"])
@@ -649,6 +654,17 @@ class TestCheckpoint:
         path = tmp_path / "model.s4ck"
         save_checkpoint(params, path)
         with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_value_is_format_error(self, tmp_path, value):
+        params = init_params(tiny_config(), catalog_size=5, seed=35)
+        path = tmp_path / "model.s4ck"
+        save_checkpoint(params, path)
+        blob = path.read_bytes()
+        at = len(blob) - 4 * params["w_out"].data.size + 4 * 3  # w_out, the last record
+        path.write_bytes(blob[:at] + struct.pack("<f", value) + blob[at + 4:])
+        with pytest.raises(FormatError, match=f"^non-finite value in tensor w_out at byte {at}$"):
             load_checkpoint(path)
 
     def test_param_shapes_describe_init(self):

@@ -455,6 +455,7 @@ class TestS4SE:
     @pytest.mark.parametrize("ids, at, new_id, match", [
         ((1, 2), 12 + 4 + 4 * STYLE_DIM, 1, "repeated product id 1"),  # second id
         ((1,), 12, 0, "padding product id 0"),  # first id
+        ((1, 2, 3), 12 + 2 * (4 + 4 * STYLE_DIM), 1, "out-of-order product id 1"),  # third id
     ])
     def test_repeated_or_zero_id_is_format_error(self, tmp_path, ids, at, new_id, match):
         path = tmp_path / "ids.s4se"
